@@ -18,6 +18,7 @@ from .completion import (
     test_error,
 )
 from .geometry import (
+    Contractions,
     StationarityReport,
     TangentVector,
     ambient_inner,
@@ -59,6 +60,7 @@ from .solvers import (
     write_trace_csv,
 )
 from .tensor_core import (
+    IndexPlan,
     SparseCooTensor,
     SvdResult,
     best_rank_approx,

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -62,16 +61,6 @@ def _parse_tuple(text: str) -> tuple:
             f"expected comma-separated integers, got {text!r}")
 
 
-def _default_threads() -> int:
-    env = os.environ.get("TUCKEROPT_THREADS")
-    if env is None:
-        return 1
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return 1
-
-
 def _add_common_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--solver", choices=sorted(SOLVERS), default="grap-r")
     p.add_argument("--rank", type=_parse_tuple, help="rank bound r1,...,rd")
@@ -79,21 +68,18 @@ def _add_common_solver_flags(p: argparse.ArgumentParser) -> None:
                    help="rank-decrease threshold (relative by default)")
     p.add_argument("--delta-absolute", action="store_true",
                    help="treat --delta as an absolute singular-value threshold")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed of --init random (and of bench instances)")
     p.add_argument("--max-iters", type=int, default=500)
     p.add_argument("--tol", type=float, default=1e-8,
                    help="stationarity stopping tolerance")
     p.add_argument("--trace", type=Path, help="write per-iteration CSV here")
     p.add_argument("--summary", type=Path, help="write summary JSON here")
-    p.add_argument("--threads", type=int, default=None,
-                   help="candidate-evaluation threads (default 1 or "
-                        "TUCKEROPT_THREADS)")
 
 
 def _make_config(args) -> SolverConfig:
     return SolverConfig(delta=args.delta, delta_absolute=args.delta_absolute,
-                        max_iters=args.max_iters, stat_tol=args.tol,
-                        seed=args.seed)
+                        max_iters=args.max_iters, stat_tol=args.tol)
 
 
 def _spectral_init(problem, r):
@@ -302,8 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "threads", None) is None:
-        args.threads = _default_threads()
     try:
         return args.fn(args)
     except (OSError, ValueError, LineSearchFailure, CandidateExhaustion) as e:

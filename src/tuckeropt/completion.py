@@ -55,7 +55,7 @@ class CompletionProblem:
 def objective(P: CompletionProblem, X: TuckerTensor) -> float:
     if X.dims != P.dims:
         raise ValueError(f"iterate dims {X.dims} do not match problem dims {P.dims}")
-    resid = entries_at(X, P.omega.idx) - P.omega.vals
+    resid = entries_at(X, P.omega.plan) - P.omega.vals
     return 0.5 * float(resid @ resid)
 
 
@@ -63,7 +63,7 @@ def euclidean_gradient(P: CompletionProblem, X: TuckerTensor) -> SparseCooTensor
     """Gradient of the training objective; supported on Omega."""
     if X.dims != P.dims:
         raise ValueError(f"iterate dims {X.dims} do not match problem dims {P.dims}")
-    resid = entries_at(X, P.omega.idx) - P.omega.vals
+    resid = entries_at(X, P.omega.plan) - P.omega.vals
     return P.omega.with_values(resid)
 
 
@@ -79,6 +79,7 @@ def multi_mode_contract(S: SparseCooTensor, factors, skip: int) -> np.ndarray:
     d = len(S.dims)
     if not 1 <= skip <= d:
         raise ValueError(f"mode {skip} out of range")
+    cols = S.plan.cols
     mats, mat_modes = [], []
     ncols = 1
     # output column of each Kronecker column, and each entry's identity offset
@@ -89,7 +90,7 @@ def multi_mode_contract(S: SparseCooTensor, factors, skip: int) -> np.ndarray:
             continue
         U = factors[j]
         if U is None:
-            offset += (S.idx[:, j] - 1) * ncols
+            offset += cols[j] * ncols
             ncols *= S.dims[j]
             continue
         if U.shape[0] != S.dims[j]:
@@ -103,10 +104,10 @@ def multi_mode_contract(S: SparseCooTensor, factors, skip: int) -> np.ndarray:
     nrows = S.dims[skip - 1]
     if S.nnz == 0:
         return np.zeros((nrows, ncols))
-    rows = _kron_rows(S.idx[:, mat_modes], mats)
+    rows = _kron_rows(S.plan, mat_modes, mats)
     contrib = S.vals[:, None] * rows
     # scatter-add by flattened bincount (much faster than np.add.at)
-    base = (S.idx[:, skip - 1] - 1) * ncols + offset
+    base = cols[skip - 1] * ncols + offset
     flat = (base[:, None] + kron_cols[None, :]).ravel()
     out = np.bincount(flat, weights=contrib.ravel(), minlength=nrows * ncols)
     return out.reshape(nrows, ncols)
@@ -117,7 +118,7 @@ def test_error(P: CompletionProblem, X: TuckerTensor) -> float:
     ref = float(np.linalg.norm(P.gamma.vals))
     if P.gamma.nnz == 0 or ref == 0:
         raise ValueError("test set is empty or identically zero")
-    resid = entries_at(X, P.gamma.idx) - P.gamma.vals
+    resid = entries_at(X, P.gamma.plan) - P.gamma.vals
     return float(np.linalg.norm(resid)) / ref
 
 
@@ -185,14 +186,14 @@ def completion_objective(P: CompletionProblem):
     from .solvers import ObjectiveHandle
 
     def initial_step(X, V):
-        masked = tangent_entries_at(V, P.omega.idx)
+        masked = tangent_entries_at(V, P.omega.plan)
         denom = float(masked @ masked)
         if denom == 0.0:
             return None
         return tangent_norm(V) ** 2 / denom
 
     def eval_grad(X):
-        resid = entries_at(X, P.omega.idx) - P.omega.vals
+        resid = entries_at(X, P.omega.plan) - P.omega.vals
         return 0.5 * float(resid @ resid), P.omega.with_values(resid)
 
     return ObjectiveHandle(

@@ -15,6 +15,7 @@ import numpy as np
 from .completion import multi_mode_contract
 from .tensor_core import (
     DEFAULT_RANK_TOL,
+    IndexPlan,
     SparseCooTensor,
     fold,
     mode_product,
@@ -26,6 +27,7 @@ from .tucker import TuckerTensor, _mixed_eval
 __all__ = [
     "TangentVector",
     "StationarityReport",
+    "Contractions",
     "embed",
     "tangent_norm",
     "tangent_entries_at",
@@ -128,18 +130,22 @@ def embed(V: TangentVector) -> np.ndarray:
     return out
 
 
-def _eval_mixed(core: np.ndarray, mats, idx: np.ndarray) -> np.ndarray:
-    if core.size == 0 or idx.size == 0:
-        return np.zeros(idx.shape[0])
-    rows = [M[idx[:, k] - 1] for k, M in enumerate(mats)]
-    return _mixed_eval(core, rows)
+def _eval_mixed(core: np.ndarray, mats, plan: IndexPlan) -> np.ndarray:
+    if core.size == 0 or len(plan) == 0:
+        return np.zeros(len(plan))
+    return _mixed_eval(core, plan.rows(mats))
 
 
 def tangent_entries_at(V: TangentVector, idx) -> np.ndarray:
-    """Entries of embed(V) at 1-based index tuples, without densifying."""
-    idx = np.atleast_2d(np.asarray(idx, dtype=np.int64))
-    if idx.size == 0:
-        return np.zeros(0)
+    """Entries of embed(V) at 1-based index tuples, without densifying.
+
+    ``idx`` is an (m, d) array of tuples or an :class:`IndexPlan`.
+    """
+    if not isinstance(idx, IndexPlan):
+        idx = np.atleast_2d(np.asarray(idx, dtype=np.int64))
+        if idx.size == 0:
+            return np.zeros(0)
+        idx = IndexPlan(idx)
     X = V.anchor
     S = _widened(V)
     S = [Sk if Sk.shape[1] == V.bound[k] else
@@ -179,10 +185,88 @@ def _contract(A, mats):
     return out
 
 
-def _ambient_norm(A) -> float:
-    if isinstance(A, SparseCooTensor):
-        return float(np.linalg.norm(A.vals))
-    return float(np.linalg.norm(np.asarray(A).ravel()))
+class Contractions:
+    """The partial contractions of one ambient tensor A at one point X.
+
+    The stationarity measure and both tangent-cone projections at X are
+    built from contractions A x_j B_j^T of the same A (at an iterate, the
+    gradient), where each mode's B_j is the identity, the factor U_j of X
+    or a widened basis [U_j | Ucomp_j].  :meth:`contract` forms each of them
+    on first request and keeps it under its mode pattern, so that
+    :func:`stationarity_measure`, :func:`choose_singular_complement`,
+    :func:`approx_project` and :func:`partial_project` at X, all of which
+    accept this object in place of A, compute each contraction once between
+    them.  The object belongs to one (X, A): a solver makes one per iterate
+    and per rank candidate and drops it with the point.
+
+    :meth:`negated` is a view of the same contractions for -A, which is what
+    the projections of -grad f read.  Layout rule: both views hand out the
+    very array that contracting A directly produces, or its negation ``-D``
+    (exact, and laid out like D), never a re-laid-out copy.  GEMM rounding
+    depends on operand layout, so a C-order copy of a shared contraction
+    would move the iterates in their last bits.
+    """
+
+    __slots__ = ("anchor", "tensor", "_memo", "_sign")
+
+    def __init__(self, X: TuckerTensor, A):
+        self.anchor = X
+        self.tensor = A
+        self._memo = {}
+        self._sign = 1.0
+
+    def negated(self) -> "Contractions":
+        """The same contractions for -A (sharing what is already formed)."""
+        out = object.__new__(Contractions)
+        out.anchor, out.tensor = self.anchor, self.tensor
+        out._memo = self._memo
+        out._sign = -self._sign
+        return out
+
+    def contract(self, modes) -> np.ndarray:
+        """(+/-A) x_j B_j^T over every mode j, where modes[j] names B_j.
+
+        ``"I"`` leaves mode j as it is, ``"U"`` takes U_j, and an array
+        Ucomp_j takes [U_j | Ucomp_j] (U_j itself when Ucomp_j has no
+        columns).  A complement is keyed by identity, so pass the same array
+        for the same basis.
+        """
+        key = tuple(_mode_key(m) for m in modes)
+        hit = self._memo.get(key)
+        if hit is None:
+            mats = [_mode_matrix(U, m)
+                    for U, m in zip(self.anchor.factors, modes)]
+            # keeping the complements alive keeps their ids in the key valid
+            hit = (_contract(self.tensor, mats), tuple(modes))
+            self._memo[key] = hit
+        return hit[0] if self._sign > 0 else -hit[0]
+
+
+def _mode_key(m):
+    if isinstance(m, str):
+        return m
+    return id(m) if m.shape[1] else "U"
+
+
+def _mode_matrix(U: np.ndarray, m):
+    """B_j for the mode entry m of :meth:`Contractions.contract` (None: I)."""
+    if isinstance(m, str):
+        return None if m == "I" else U
+    return np.hstack([U, m]) if m.shape[1] else U
+
+
+def _contractions(X: TuckerTensor, A) -> Contractions:
+    """A if it is already the Contractions object of X, else a new one."""
+    if isinstance(A, Contractions):
+        if A.anchor is not X:
+            raise ValueError("contractions were formed at a different point")
+        return A
+    return Contractions(X, A)
+
+
+def _mode_term(k: int, d: int) -> tuple:
+    """Mode pattern of A x_{j != k} U_j^T."""
+    return tuple("I" if j == k else "U" for j in range(d))
 
 
 def ambient_inner(A, V: TangentVector) -> float:
@@ -241,8 +325,9 @@ def choose_singular_complement(X: TuckerTensor, A, r):
     the leading left singular vectors of the mode-k unfolding of A after the
     previously chosen subspaces have been applied, projected orthogonal to
     U_k.  Rank-deficient cases are padded with a deterministic orthonormal
-    complement.
+    complement.  A may be the :class:`Contractions` object of X.
     """
+    A = _contractions(X, A)
     rlow = X.rank
     r = tuple(int(x) for x in r)
     d = X.ndim
@@ -251,17 +336,10 @@ def choose_singular_complement(X: TuckerTensor, A, r):
     comps = [np.zeros((X.dims[k], 0)) for k in range(d)]
     deficient = [k for k in range(d) if rlow[k] < r[k]]
     for k in deficient:
-        mats = []
-        for j in range(d):
-            if j == k:
-                mats.append(None)
-            elif j in deficient and j < k:
-                mats.append(np.hstack([X.factors[j], comps[j]]))
-            elif j in deficient:
-                mats.append(None)
-            else:
-                mats.append(X.factors[j])
-        B = unfold(_contract(A, mats), k + 1)
+        # earlier deficient modes take their widened basis, later ones none
+        modes = [("I" if j >= k else comps[j]) if j in deficient else "U"
+                 for j in range(d)]
+        B = unfold(A.contract(modes), k + 1)
         U = X.factors[k]
         M = B - U @ (U.T @ B)
         q = r[k] - rlow[k]
@@ -288,17 +366,21 @@ def _core_pinv(X: TuckerTensor, k: int) -> np.ndarray:
 
 
 def approx_project(X: TuckerTensor, A, r, complements=None) -> TangentVector:
-    """SVD-based approximate projection of A onto the tangent cone at X."""
+    """SVD-based approximate projection of A onto the tangent cone at X.
+
+    A may be the :class:`Contractions` object of X (for -grad f, its
+    :meth:`~Contractions.negated` view).
+    """
     r = tuple(int(x) for x in r)
+    A = _contractions(X, A)
     if complements is None:
         complements = choose_singular_complement(X, A, r)
     d = X.ndim
     S = [np.hstack([X.factors[k], complements[k]]) for k in range(d)]
-    C = _contract(A, S)
+    C = A.contract(complements)
     Udot = []
     for k in range(d):
-        mats = [None if j == k else X.factors[j] for j in range(d)]
-        D = unfold(_contract(A, mats), k + 1)
+        D = unfold(A.contract(_mode_term(k, d)), k + 1)
         M = D - S[k] @ (S[k].T @ D)
         Udot.append(M @ _core_pinv(X, k + 1))
     return TangentVector(X, r, C, tuple(Udot), tuple(complements))
@@ -309,20 +391,19 @@ def partial_project(X: TuckerTensor, A, r, complements=None):
 
     Returns (TangentVector, branch) where branch 0 is the multilinear-space
     term and branch k keeps only the mode-k factor term; ties go to the
-    lowest branch index.
+    lowest branch index.  A may be the :class:`Contractions` object of X.
     """
     r = tuple(int(x) for x in r)
+    A = _contractions(X, A)
     if complements is None:
         complements = choose_singular_complement(X, A, r)
     d = X.ndim
     rlow = X.rank
-    S = [np.hstack([X.factors[k], complements[k]]) for k in range(d)]
-    C = _contract(A, S)
+    C = A.contract(complements)
     norms = [float(np.linalg.norm(C.ravel()))]
     udots = []
     for k in range(d):
-        mats = [None if j == k else X.factors[j] for j in range(d)]
-        D = unfold(_contract(A, mats), k + 1)
+        D = unfold(A.contract(_mode_term(k, d)), k + 1)
         U = X.factors[k]
         M = (D - U @ (U.T @ D)) @ _core_pinv(X, k + 1)
         udots.append(M)
@@ -344,20 +425,23 @@ def tangent_space_project(X: TuckerTensor, A) -> TangentVector:
 
 
 def stationarity_measure(X: TuckerTensor, grad, r) -> StationarityReport:
-    """Norm of the component of grad violating the normal-cone condition."""
+    """Norm of the component of grad violating the normal-cone condition.
+
+    grad may be the :class:`Contractions` object of X.
+    """
     r = tuple(int(x) for x in r)
+    grad = _contractions(X, grad)
     rlow = X.rank
     d = X.ndim
     deficient = tuple(k + 1 for k in range(d) if rlow[k] < r[k])
-    mats = [None if (k + 1) in deficient else X.factors[k] for k in range(d)]
-    core_resid = float(np.linalg.norm(_contract(grad, mats).ravel()))
+    modes = ["I" if (k + 1) in deficient else "U" for k in range(d)]
+    core_resid = float(np.linalg.norm(grad.contract(modes).ravel()))
     mode_resid = []
     for k in range(d):
         if (k + 1) in deficient:
             mode_resid.append(0.0)
             continue
-        mats = [None if j == k else X.factors[j] for j in range(d)]
-        D = unfold(_contract(grad, mats), k + 1)
+        D = unfold(grad.contract(_mode_term(k, d)), k + 1)
         U = X.factors[k]
         M = D - U @ (U.T @ D)
         mode_resid.append(float(np.linalg.norm(M @ unfold(X.core, k + 1).T)))

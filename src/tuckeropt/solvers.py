@@ -17,13 +17,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import (
+    Contractions,
     TangentVector,
     approx_project,
     partial_project,
     stationarity_measure,
     tangent_norm,
 )
-from .tensor_core import SparseCooTensor, delta_rank, fro_norm
+from .tensor_core import delta_rank, fro_norm
 from .tucker import (
     TuckerTensor,
     add_scaled_tangent,
@@ -111,7 +112,6 @@ class SolverConfig:
     stat_tol: float = 1e-8
     step_floor: float = 1e-16
     candidate_cap: int = 64
-    seed: int = 0
 
     def __post_init__(self):
         if not 0 < self.rho < 1:
@@ -153,12 +153,6 @@ class SolverTrace:
 
     def final(self) -> IterRecord:
         return self.records[-1]
-
-
-def _negate(A):
-    if isinstance(A, SparseCooTensor):
-        return A.scale(-1.0)
-    return -np.asarray(A)
 
 
 class LineSearchResult(tuple):
@@ -254,8 +248,12 @@ def _initial_stepsize(obj, X, V, vnorm, cfg, retraction_free):
 
 
 def _direction_step(obj, X, grad, fX, r, cfg, retraction_free):
-    """One projected line-search step from X; returns (Y, _StepInfo)."""
-    neg = _negate(grad)
+    """One projected line-search step from X; returns (Y, _StepInfo).
+
+    ``grad`` is the :class:`Contractions` object of grad f(X), whose
+    contractions the stationarity measure at X may already have formed.
+    """
+    neg = grad.negated()
     if retraction_free:
         V, _branch = partial_project(X, neg, r)
     else:
@@ -310,7 +308,8 @@ def _candidate_ranks(X, r, cfg, retraction_free, delta_eff):
     return list(itertools.product(*sets))
 
 
-def _rank_decrease_step(obj, X, r, cfg, retraction_free, delta_eff):
+def _rank_decrease_step(obj, X, fX, grad, r, cfg, retraction_free,
+                        delta_eff):
     """Evaluate every lower-rank candidate, keep the best; returns (Y, info, n).
 
     Every nominal candidate rl is truncated, but the step is taken once per
@@ -319,6 +318,11 @@ def _rank_decrease_step(obj, X, r, cfg, retraction_free, delta_eff):
     alike give the same step.  Each distinct rank is represented by its
     smallest (sum(rl), rl), which is the candidate the tie-break key
     (f, sum(rl), rl) would pick among them.  n is the nominal count.
+
+    X stands in for its own rank: a truncation that keeps X.rank equals X up
+    to rounding, so that candidate steps from X itself, with the f(X) and
+    the :class:`Contractions` object ``grad`` of grad f(X) that the caller
+    already has.  Only the other distinct ranks evaluate f and grad f.
     """
     cands = _candidate_ranks(X, r, cfg, retraction_free, delta_eff)
     distinct = {}
@@ -331,7 +335,11 @@ def _rank_decrease_step(obj, X, r, cfg, retraction_free, delta_eff):
     best = None
     failures = []
     for rl, Xc in distinct.values():
-        fc, gc = _f_and_grad(obj, Xc)
+        if Xc.rank == X.rank:
+            Xc, fc, gc = X, fX, grad
+        else:
+            fc, gc = _f_and_grad(obj, Xc)
+            gc = Contractions(Xc, gc)
         try:
             Yc, info = _direction_step(obj, Xc, gc, fc, r, cfg,
                                        retraction_free)
@@ -361,7 +369,8 @@ def _solve(obj, X0, r, cfg, *, retraction_free, rank_decrease, name):
     n_candidates = 0
     for t in range(cfg.max_iters + 1):
         fX, grad = _f_and_grad(obj, X)
-        stat = stationarity_measure(X, grad, r)
+        contractions = Contractions(X, grad)
+        stat = stationarity_measure(X, contractions, r)
         trace.records.append(_make_record(obj, X, fX, grad, stat, t, pending,
                                           n_candidates, t_start))
         if stat.value <= cfg.stat_tol:
@@ -373,10 +382,11 @@ def _solve(obj, X0, r, cfg, *, retraction_free, rank_decrease, name):
         try:
             if rank_decrease:
                 X, pending, n_candidates = _rank_decrease_step(
-                    obj, X, r, cfg, retraction_free, delta_eff)
+                    obj, X, fX, contractions, r, cfg, retraction_free,
+                    delta_eff)
             else:
-                Y, pending = _direction_step(obj, X, grad, fX, r, cfg,
-                                             retraction_free)
+                Y, pending = _direction_step(obj, X, contractions, fX, r,
+                                             cfg, retraction_free)
                 n_candidates = 1
                 if pending.stepsize == 0.0:
                     trace.termination = "stalled"
@@ -405,11 +415,13 @@ def _single_step(obj, X, r, cfg, retraction_free):
     r = tuple(int(x) for x in r)
     t_start = time.perf_counter()
     fX, grad = _f_and_grad(obj, X)
-    stat = stationarity_measure(X, grad, r)
+    contractions = Contractions(X, grad)
+    stat = stationarity_measure(X, contractions, r)
     if stat.value <= cfg.stat_tol:
         rec = _make_record(obj, X, fX, grad, stat, 0, _NO_STEP, 0, t_start)
         return X, rec
-    Y, info = _direction_step(obj, X, grad, fX, r, cfg, retraction_free)
+    Y, info = _direction_step(obj, X, contractions, fX, r, cfg,
+                              retraction_free)
     gradY = obj.grad(Y)
     statY = stationarity_measure(Y, gradY, r)
     rec = _make_record(obj, Y, info.f_after if info.stepsize else fX, gradY,

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
+    "IndexPlan",
     "SparseCooTensor",
     "SvdResult",
     "unfold",
@@ -38,18 +39,46 @@ __all__ = [
 DEFAULT_RANK_TOL = 1e-12
 
 
+class IndexPlan:
+    """0-based per-mode index columns of m index tuples, built once.
+
+    ``idx`` is the (m, d) array of 1-based tuples; ``cols[k]`` is the
+    contiguous int64 column ``idx[:, k] - 1``.  Kernels gather the mode-k
+    rows of a factor with ``U.take(cols[k], axis=0)``, which gives the same
+    values in the same C-order layout as ``U[idx[:, k] - 1]`` without
+    re-deriving the column on every call.  A plan does no bounds check:
+    build it from indices that were validated where they entered, as a
+    :class:`SparseCooTensor` does.  ``len(plan)`` is the number of tuples.
+    """
+
+    __slots__ = ("idx", "cols")
+
+    def __init__(self, idx: np.ndarray):
+        self.idx = idx
+        self.cols = tuple(idx[:, k] - 1 for k in range(idx.shape[1]))
+
+    def __len__(self) -> int:
+        return self.idx.shape[0]
+
+    def rows(self, mats) -> list:
+        """Gathered rows ``mats[k][idx[:, k] - 1]``, one (m, q_k) array each."""
+        return [M.take(c, axis=0) for M, c in zip(mats, self.cols)]
+
+
 @dataclass(frozen=True)
 class SparseCooTensor:
     """Coordinate-list tensor with 1-based indices, canonically sorted.
 
     ``idx`` has shape (nnz, d); ``vals`` has shape (nnz,).  Entries are unique
     and sorted lexicographically so equality and hashing of observation sets
-    are deterministic.
+    are deterministic.  ``plan`` is the :class:`IndexPlan` of ``idx``, built
+    here once and shared by every tensor that :meth:`with_values` makes.
     """
 
     dims: tuple
     idx: np.ndarray
     vals: np.ndarray
+    plan: IndexPlan = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         dims = tuple(int(n) for n in self.dims)
@@ -70,6 +99,7 @@ class SparseCooTensor:
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "idx", idx)
         object.__setattr__(self, "vals", vals)
+        object.__setattr__(self, "plan", IndexPlan(idx))
         self.idx.setflags(write=False)
         self.vals.setflags(write=False)
 
@@ -89,6 +119,7 @@ class SparseCooTensor:
         object.__setattr__(out, "dims", self.dims)
         object.__setattr__(out, "idx", self.idx)
         object.__setattr__(out, "vals", vals)
+        object.__setattr__(out, "plan", self.plan)
         out.vals.setflags(write=False)
         return out
 

@@ -14,8 +14,10 @@ import numpy as np
 
 from .tensor_core import (
     DEFAULT_RANK_TOL,
+    IndexPlan,
     fold,
     mode_product,
+    numerical_rank,
     thin_svd,
     unfold,
 )
@@ -125,17 +127,18 @@ def to_dense(T: TuckerTensor) -> np.ndarray:
     return X
 
 
-def _kron_rows(idx: np.ndarray, mats) -> np.ndarray:
-    """Per-entry row-wise Kronecker product, mode-1 index fastest.
+def _kron_rows(plan: IndexPlan, modes, mats) -> np.ndarray:
+    """Per-entry row-wise Kronecker product, first listed mode fastest.
 
-    idx is (nnz, d) 1-based; mats[k] supplies the mode-k rows.  Output column
-    c satisfies c = sum_k c_k * prod_{m<k} q_m with c_1 fastest, matching the
-    unfolding column formula over the reduced dimensions.
+    mats[i] supplies the rows of mode modes[i], gathered through ``plan``.
+    Output column c satisfies c = sum_i c_i * prod_{m<i} q_m with c_1
+    fastest, matching the unfolding column formula over the reduced
+    dimensions.
     """
-    nnz = idx.shape[0]
+    nnz = len(plan)
     out = np.ones((nnz, 1))
-    for k, M in enumerate(mats):
-        rows = M[idx[:, k] - 1]                      # (nnz, q_k)
+    for k, M in zip(modes, mats):
+        rows = M.take(plan.cols[k], axis=0)          # (nnz, q_k)
         out = (rows[:, :, None] * out[:, None, :]).reshape(nnz, -1)
     return out
 
@@ -155,24 +158,29 @@ def _mixed_eval(core: np.ndarray, rows) -> np.ndarray:
 
 
 def entries_at(T: TuckerTensor, idx) -> np.ndarray:
-    """Evaluate T at a list of 1-based index tuples without densifying."""
-    idx = np.atleast_2d(np.asarray(idx, dtype=np.int64))
-    if idx.size == 0:
-        return np.zeros(0)
-    if idx.shape[1] != T.ndim:
+    """Evaluate T at 1-based index tuples without densifying.
+
+    ``idx`` is either an (m, d) array of tuples, which is bounds-checked
+    here, or the :class:`IndexPlan` of an observation set that was validated
+    where it entered, which is not.
+    """
+    if not isinstance(idx, IndexPlan):
+        idx = np.atleast_2d(np.asarray(idx, dtype=np.int64))
+        if idx.size == 0:
+            return np.zeros(0)
+        if idx.shape[1] != T.ndim:
+            raise ValueError("index tuples have wrong length")
+        if (idx < 1).any() or (idx > np.array(T.dims)).any():
+            raise ValueError("index out of range")
+        idx = IndexPlan(idx)
+    elif len(idx.cols) != T.ndim:
         raise ValueError("index tuples have wrong length")
-    dims = T.dims
-    if (idx < 1).any() or (idx > np.array(dims)).any():
-        raise ValueError("index out of range")
-    if T.core.size == 0:
-        return np.zeros(idx.shape[0])
-    rows = [U[idx[:, k] - 1] for k, U in enumerate(T.factors)]
-    return _mixed_eval(T.core, rows)
+    if len(idx) == 0 or T.core.size == 0:
+        return np.zeros(len(idx))
+    return _mixed_eval(T.core, idx.rows(T.factors))
 
 
 def tucker_rank(A: np.ndarray, tau: float = DEFAULT_RANK_TOL) -> tuple:
-    from .tensor_core import numerical_rank
-
     return tuple(numerical_rank(unfold(A, k), tau) for k in range(1, A.ndim + 1))
 
 
@@ -230,15 +238,7 @@ def add_scaled_tangent(T: TuckerTensor, s: float, V) -> TuckerTensor:
         sl[k] = slice(bound[k], bound[k] + rs[k].shape[0])
         core[tuple(sl)] += s * contrib
     out = TuckerTensor(core, tuple(blocks))
-    return hosvd_truncate(out, _core_numerical_rank(core))
-
-
-def _core_numerical_rank(core: np.ndarray, tau: float = DEFAULT_RANK_TOL) -> tuple:
-    ranks = []
-    for k in range(1, core.ndim + 1):
-        s = np.linalg.svd(unfold(core, k), compute_uv=False)
-        ranks.append(int(np.count_nonzero(s > tau * s[0])) if s.size and s[0] > 0 else 0)
-    return tuple(ranks)
+    return hosvd_truncate(out, tucker_rank(core))
 
 
 # ---------------------------------------------------------------------------

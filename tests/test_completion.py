@@ -149,13 +149,13 @@ def test_completion_objective_handle():
 
 def test_initial_step_minimizes_parabola():
     from tuckeropt.geometry import approx_project
-    from tuckeropt.solvers import _negate
+    from tuckeropt.geometry import Contractions
     from tuckeropt.tucker import add_scaled_tangent
 
     P, _ = _problem()
     obj = completion_objective(P)
     X = random_tucker(P.dims, (2, 2, 2), RNG)
-    V = approx_project(X, _negate(obj.grad(X)), (3, 3, 3))
+    V = approx_project(X, Contractions(X, obj.grad(X)).negated(), (3, 3, 3))
     s = obj.initial_step(X, V)
     assert s > 0
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from tuckeropt import (
+    Contractions,
     SparseCooTensor,
     ambient_inner,
     angle_constants,
@@ -21,6 +22,7 @@ from tuckeropt import (
     to_dense,
     tucker_rank,
 )
+from tuckeropt import geometry
 from tuckeropt.completion import random_tucker
 
 RNG = np.random.default_rng(7)
@@ -196,3 +198,62 @@ def test_angle_condition_holds():
     X, A, r = _instance()
     V = approx_project(X, A, r)
     assert tangent_norm(V) > 0
+
+
+def _same(a, b):
+    """Bitwise equality of nested tuples/lists of arrays and scalars."""
+    if isinstance(a, (tuple, list)):
+        return len(a) == len(b) and all(_same(x, y) for x, y in zip(a, b))
+    return np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("pattern", [p for bits in np.ndindex(2, 2, 2)
+                                     for p in [tuple(k for k in range(3)
+                                                     if bits[k])]])
+def test_shared_contractions_match_fresh_ones(pattern):
+    # every kernel gives bit-identical results from one shared Contractions
+    # object (as the solvers use it) and from its own fresh contractions
+    rng = np.random.default_rng(31 + len(pattern))
+    r = (3, 3, 3)
+    rlow = tuple(rk - (k in pattern) for k, rk in enumerate(r))
+    for A in (_sparse(rng.standard_normal(DIMS), rng=rng),
+              rng.standard_normal(DIMS)):
+        X = random_tucker(DIMS, rlow, rng)
+        neg = -A if isinstance(A, np.ndarray) else A.scale(-1.0)
+        fresh = (stationarity_measure(X, A, r),
+                 choose_singular_complement(X, neg, r),
+                 approx_project(X, neg, r), partial_project(X, neg, r))
+        shared = Contractions(X, A)
+        got = (stationarity_measure(X, shared, r),
+               choose_singular_complement(X, shared.negated(), r),
+               approx_project(X, shared.negated(), r),
+               partial_project(X, shared.negated(), r))
+        assert got[0] == fresh[0]
+        assert _same(got[1], fresh[1])
+        for V, W in ((got[2], fresh[2]), (got[3][0], fresh[3][0])):
+            assert _same((V.C, V.Udot, V.Ucomp), (W.C, W.Udot, W.Ucomp))
+        assert got[3][1] == fresh[3][1]
+
+
+def test_contractions_are_formed_once_per_pattern(monkeypatch):
+    # at a full-rank point the stationarity measure forms the d+1
+    # contractions that the projection then reads negated
+    X = random_tucker(DIMS, (3, 3, 3), RNG)
+    G = _sparse(RNG.standard_normal(DIMS))
+    calls = []
+    contract = geometry.multi_mode_contract
+    monkeypatch.setattr(geometry, "multi_mode_contract",
+                        lambda *a: calls.append(a[2]) or contract(*a))
+    shared = Contractions(X, G)
+    stationarity_measure(X, shared, (3, 3, 3))
+    assert len(calls) == X.ndim + 1
+    approx_project(X, shared.negated(), (3, 3, 3))
+    partial_project(X, shared.negated(), (3, 3, 3))
+    assert len(calls) == X.ndim + 1
+
+
+def test_contractions_belong_to_their_point():
+    X, A, r = _instance()
+    Y = random_tucker(DIMS, X.rank, RNG)
+    with pytest.raises(ValueError):
+        approx_project(Y, Contractions(X, A), r)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from tuckeropt import (
+    Contractions,
     IterRecord,
     LineSearchFailure,
     ObjectiveHandle,
@@ -31,8 +32,8 @@ from tuckeropt import (
     write_summary_json,
     write_trace_csv,
 )
-from tuckeropt import solvers
-from tuckeropt.solvers import SolverTrace, _negate
+from tuckeropt import geometry, solvers
+from tuckeropt.solvers import SolverTrace
 from tuckeropt.tucker import TuckerTensor
 
 RNG = np.random.default_rng(77)
@@ -70,7 +71,7 @@ def test_armijo_accepts_descent():
     A = RNG.standard_normal((5, 5, 5))
     obj = _dense_objective(A)
     X = random_tucker((5, 5, 5), (2, 2, 2), RNG)
-    V = approx_project(X, _negate(obj.grad(X)), (2, 2, 2))
+    V = approx_project(X, Contractions(X, obj.grad(X)).negated(), (2, 2, 2))
     vn = tangent_norm(V)
     cfg = SolverConfig()
     s, Y, bt = armijo_search(obj, X, V, vn * vn, 1.0 / vn, cfg, retracted=True,
@@ -205,12 +206,67 @@ def test_rank_decrease_steps_once_per_distinct_truncated_rank(monkeypatch):
         block = log[a + 1:b]
         first_grad = block.index("eval_grad")
         # candidate truncations come before the first candidate's gradient;
-        # the last gradient in the block is the next iterate's
+        # the last gradient in the block is the next iterate's.  The
+        # candidate that keeps the iterate's rank steps from the iterate
+        # itself, with the gradient its stationarity measure used.
         ranks = block[:first_grad]
         assert trace.records[t + 1].n_candidates == len(ranks)
-        assert block.count("eval_grad") == len(set(ranks)) + 1
+        rank = trace.records[t].rank
+        assert rank in ranks
+        assert block.count("eval_grad") == len(set(ranks) - {rank}) + 1
         collapsed += len(ranks) - len(set(ranks))
     assert collapsed > 0
+
+
+def _records(trace):
+    return [dataclasses.replace(rec, wall_time_s=0.0) for rec in trace.records]
+
+
+def test_rank_decrease_solvers_match_plain_ones_at_true_rank():
+    # one candidate per iteration, the iterate's own rank: the rank-decrease
+    # loop steps from the iterate itself, exactly as the plain solver does
+    _, _, obj, X0 = _completion_setup()
+    cfg = SolverConfig(max_iters=60)
+    for plain, decreasing in ((solve_grap, solve_grap_r),
+                              (solve_rfgrap, solve_rfgrap_r)):
+        _, a = plain(obj, X0, (2, 2, 2), cfg)
+        _, b = decreasing(obj, X0, (2, 2, 2), cfg)
+        assert a.termination == b.termination
+        assert all(rec.n_candidates == 1 for rec in b.records[1:])
+        assert _records(a) == _records(b)
+
+
+def test_full_rank_iteration_contracts_d_plus_one_times(monkeypatch):
+    # the projection reads the contractions the stationarity measure formed
+    _, _, obj, X0 = _completion_setup()
+    log = []
+    contract = geometry.multi_mode_contract
+    measure = solvers.stationarity_measure
+
+    def logged_contract(*args):
+        log.append("contract")
+        return contract(*args)
+
+    def logged_measure(*args):
+        log.append("iteration")
+        return measure(*args)
+    monkeypatch.setattr(geometry, "multi_mode_contract", logged_contract)
+    monkeypatch.setattr(solvers, "stationarity_measure", logged_measure)
+    _, trace = solve_grap(obj, X0, X0.rank, SolverConfig(max_iters=3))
+    assert trace.final().iter == 3
+    starts = [i for i, e in enumerate(log) if e == "iteration"] + [len(log)]
+    for a, b in zip(starts, starts[1:]):
+        assert log[a + 1:b] == ["contract"] * (X0.ndim + 1)
+
+
+def test_rank_decrease_reuses_the_iterate_for_its_own_rank():
+    _, _, obj, X0 = _completion_setup()
+    log = []
+    _, trace = solve_grap_r(_counting(obj, log), X0, X0.rank,
+                            SolverConfig(max_iters=5))
+    assert [rec.n_candidates for rec in trace.records] == [0] + [1] * 5
+    # the only evaluations of the gradient are the iterates' own
+    assert log.count("eval_grad") == len(trace.records)
 
 
 def test_solver_monotone_decrease_and_convergence():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from tuckeropt import (
+    SparseCooTensor,
     TuckerTensor,
     add_scaled_tangent,
     approx_project,
@@ -98,6 +99,18 @@ def test_entries_at_matches_dense():
     vals = entries_at(T, idx)
     ref = A[tuple(idx.T - 1)]
     assert np.allclose(vals, ref, atol=1e-12)
+
+
+def test_entries_at_index_plan_matches_tuples():
+    T = random_tucker((5, 6, 4), (2, 3, 2), RNG)
+    idx = np.column_stack([RNG.integers(1, n + 1, size=30) for n in T.dims])
+    S = SparseCooTensor(T.dims, np.unique(idx, axis=0),
+                        np.ones(np.unique(idx, axis=0).shape[0]))
+    assert np.array_equal(entries_at(T, S.plan), entries_at(T, S.idx))
+    for k, U in enumerate(T.factors):
+        assert np.array_equal(U.take(S.plan.cols[k], axis=0),
+                              U[S.idx[:, k] - 1])
+    assert S.scale(2.0).plan is S.plan
 
 
 def test_entries_at_bounds_check():
