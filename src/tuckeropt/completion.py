@@ -13,8 +13,17 @@ from pathlib import Path
 
 import numpy as np
 
-from .tensor_core import SparseCooTensor, load_coo, save_coo, thin_svd
-from .tucker import TuckerTensor, entries_at, _kron_rows
+from . import geometry
+from .geometry import tangent_norm
+from .solvers import ObjectiveHandle
+from .tensor_core import (
+    SparseCooTensor,
+    load_coo,
+    multi_mode_contract,
+    save_coo,
+    thin_svd,
+)
+from .tucker import TuckerTensor, entries_at
 
 __all__ = [
     "CompletionProblem",
@@ -65,52 +74,6 @@ def euclidean_gradient(P: CompletionProblem, X: TuckerTensor) -> SparseCooTensor
         raise ValueError(f"iterate dims {X.dims} do not match problem dims {P.dims}")
     resid = entries_at(X, P.omega.plan) - P.omega.vals
     return P.omega.with_values(resid)
-
-
-def multi_mode_contract(S: SparseCooTensor, factors, skip: int) -> np.ndarray:
-    """Compute (S x_{j != skip} U_j^T)_(skip) exploiting sparsity.
-
-    ``factors`` holds one matrix per mode (entry for the skipped mode is
-    ignored, and None means the identity).  Cost O(nnz * prod q_j) with q_j
-    the column counts of the matrix modes only: an identity mode j enters
-    through the scatter index, at column offset (i_j - 1) * stride_j, and
-    never widens the per-entry Kronecker rows.
-    """
-    d = len(S.dims)
-    if not 1 <= skip <= d:
-        raise ValueError(f"mode {skip} out of range")
-    cols = S.plan.cols
-    mats, mat_modes = [], []
-    ncols = 1
-    # output column of each Kronecker column, and each entry's identity offset
-    kron_cols = np.zeros(1, dtype=np.int64)
-    offset = np.zeros(S.nnz, dtype=np.int64)
-    for j in range(d):
-        if j == skip - 1:
-            continue
-        U = factors[j]
-        if U is None:
-            offset += cols[j] * ncols
-            ncols *= S.dims[j]
-            continue
-        if U.shape[0] != S.dims[j]:
-            raise ValueError(f"factor {j + 1} has {U.shape[0]} rows, mode has "
-                             f"size {S.dims[j]}")
-        mats.append(U)
-        mat_modes.append(j)
-        kron_cols = (np.arange(U.shape[1])[:, None] * ncols
-                     + kron_cols[None, :]).ravel()
-        ncols *= U.shape[1]
-    nrows = S.dims[skip - 1]
-    if S.nnz == 0:
-        return np.zeros((nrows, ncols))
-    rows = _kron_rows(S.plan, mat_modes, mats)
-    contrib = S.vals[:, None] * rows
-    # scatter-add by flattened bincount (much faster than np.add.at)
-    base = cols[skip - 1] * ncols + offset
-    flat = (base[:, None] + kron_cols[None, :]).ravel()
-    out = np.bincount(flat, weights=contrib.ravel(), minlength=nrows * ncols)
-    return out.reshape(nrows, ncols)
 
 
 def test_error(P: CompletionProblem, X: TuckerTensor) -> float:
@@ -182,11 +145,9 @@ def completion_objective(P: CompletionProblem):
     so the proposed stepsize is its minimizer ||V||^2 / ||P_Omega(V)||^2
     (None when the direction leaves the observed entries unchanged).
     """
-    from .geometry import tangent_entries_at, tangent_norm
-    from .solvers import ObjectiveHandle
-
     def initial_step(X, V):
-        masked = tangent_entries_at(V, P.omega.plan)
+        # looked up on the module, so that a wrapper installed there sees it
+        masked = geometry.tangent_entries_at(V, P.omega.plan)
         denom = float(masked @ masked)
         if denom == 0.0:
             return None

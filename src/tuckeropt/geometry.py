@@ -12,17 +12,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .completion import multi_mode_contract
 from .tensor_core import (
     DEFAULT_RANK_TOL,
     IndexPlan,
-    SparseCooTensor,
+    contract,
+    final_mode,
     fold,
+    index_plan,
+    mixed_eval,
     mode_product,
+    multi_mode_contract,
     thin_svd,
     unfold,
 )
-from .tucker import TuckerTensor, _mixed_eval
+from .tucker import TuckerTensor
 
 __all__ = [
     "TangentVector",
@@ -130,59 +133,33 @@ def embed(V: TangentVector) -> np.ndarray:
     return out
 
 
-def _eval_mixed(core: np.ndarray, mats, plan: IndexPlan) -> np.ndarray:
-    if core.size == 0 or len(plan) == 0:
-        return np.zeros(len(plan))
-    return _mixed_eval(core, plan.rows(mats))
-
-
 def tangent_entries_at(V: TangentVector, idx) -> np.ndarray:
     """Entries of embed(V) at 1-based index tuples, without densifying.
 
-    ``idx`` is an (m, d) array of tuples or an :class:`IndexPlan`.
+    ``idx`` is an (m, d) array of tuples, which is bounds-checked here, or
+    an :class:`IndexPlan` of validated tuples, which is not.
     """
-    if not isinstance(idx, IndexPlan):
-        idx = np.atleast_2d(np.asarray(idx, dtype=np.int64))
-        if idx.size == 0:
-            return np.zeros(0)
-        idx = IndexPlan(idx)
     X = V.anchor
+    if not isinstance(idx, IndexPlan):
+        idx = index_plan(idx, X.dims)
     S = _widened(V)
     S = [Sk if Sk.shape[1] == V.bound[k] else
          np.hstack([Sk, np.zeros((Sk.shape[0], V.bound[k] - Sk.shape[1]))])
          for k, Sk in enumerate(S)]
-    vals = _eval_mixed(V.C, S, idx)
+    vals = mixed_eval(V.C, S, idx)
     for k in range(X.ndim):
         if not V.Udot[k].any():
             continue
         mats = [V.Udot[j] if j == k else X.factors[j] for j in range(X.ndim)]
-        vals = vals + _eval_mixed(X.core, mats, idx)
+        vals = vals + mixed_eval(X.core, mats, idx)
     return vals
 
 
-def _contract(A, mats):
-    """A x_k mats[k]^T over every mode with a matrix (None leaves the mode).
-
-    Accepts a dense array or a SparseCooTensor; returns a dense array whose
-    mode-k size is mats[k].shape[1] (or n_k where mats[k] is None).
-    """
-    if isinstance(A, SparseCooTensor):
-        if all(M is None for M in mats):
-            return A.to_dense()
-        sizes = [A.dims[j] if mats[j] is None else
-                 mats[j].shape[1] for j in range(len(mats))]
-        skip = int(np.argmax(sizes)) + 1
-        M = multi_mode_contract(A, mats, skip)
-        if mats[skip - 1] is not None:
-            M = mats[skip - 1].T @ M
-        out_dims = tuple(A.dims[j] if mats[j] is None else mats[j].shape[1]
-                         for j in range(len(mats)))
-        return fold(M, skip, out_dims)
-    out = np.asarray(A)
-    for k, M in enumerate(mats, start=1):
-        if M is not None:
-            out = mode_product(out, k, M.T)
-    return out
+def _contract(A, mats, parent=None):
+    """:func:`~tuckeropt.tensor_core.contract` with this module's
+    ``multi_mode_contract``, looked up per call so that a wrapper installed
+    on it sees every sparse contraction."""
+    return contract(A, mats, parent, multi_mode_contract)
 
 
 class Contractions:
@@ -204,7 +181,8 @@ class Contractions:
     very array that contracting A directly produces, or its negation ``-D``
     (exact, and laid out like D), never a re-laid-out copy.  GEMM rounding
     depends on operand layout, so a C-order copy of a shared contraction
-    would move the iterates in their last bits.
+    would move the iterates in their last bits.  For the same reason a
+    pattern derived from a formed one reads that one's own array.
     """
 
     __slots__ = ("anchor", "tensor", "_memo", "_sign")
@@ -231,15 +209,29 @@ class Contractions:
         columns).  A complement is keyed by identity, so pass the same array
         for the same basis.
         """
+        D = self._formed(tuple(modes))
+        return D if self._sign > 0 else -D
+
+    def _formed(self, modes: tuple) -> np.ndarray:
+        """A x_j B_j^T, formed on first request.
+
+        A pattern whose last-contracted mode s carries a matrix is formed
+        from the pattern with mode s left as it is, which is formed (once)
+        first: the mode terms at a full-rank point give the core term.
+        """
         key = tuple(_mode_key(m) for m in modes)
         hit = self._memo.get(key)
         if hit is None:
             mats = [_mode_matrix(U, m)
                     for U, m in zip(self.anchor.factors, modes)]
+            s = final_mode(self.anchor.dims, mats)
+            parent = None
+            if mats[s] is not None:
+                parent = self._formed(modes[:s] + ("I",) + modes[s + 1:])
             # keeping the complements alive keeps their ids in the key valid
-            hit = (_contract(self.tensor, mats), tuple(modes))
+            hit = (_contract(self.tensor, mats, parent), modes)
             self._memo[key] = hit
-        return hit[0] if self._sign > 0 else -hit[0]
+        return hit[0]
 
 
 def _mode_key(m):

@@ -312,6 +312,15 @@ def _ref_multi_mode_contract(S: SparseCooTensor, factors, skip: int) -> np.ndarr
     return _naive_multi_contract(S.to_dense(), list(factors), skip)
 
 
+def _ref_contract(A, mats) -> np.ndarray:
+    """A x_k mats[k]^T over every mode (None: identity), fully dense."""
+    sparse = isinstance(A, SparseCooTensor)
+    _check_small(A.dims if sparse else A.shape)
+    A = A.to_dense() if sparse else A
+    return _naive_apply_all(A, [np.eye(n) if M is None else M.T
+                                for n, M in zip(A.shape, mats)])
+
+
 def _ref_add_scaled_tangent(T: TuckerTensor, s: float, V: TangentVector) -> np.ndarray:
     _check_small(T.dims)
     d = T.ndim
@@ -336,14 +345,23 @@ def _ref_entries_at(T: TuckerTensor, idx) -> np.ndarray:
     return np.array([dense[tuple(row - 1)] for row in idx])
 
 
+def _ref_tangent_entries_at(V: TangentVector, idx) -> np.ndarray:
+    _check_small(V.anchor.dims)
+    dense = embed(V)
+    idx = np.atleast_2d(np.asarray(idx, dtype=np.int64))
+    return np.array([dense[tuple(row - 1)] for row in idx])
+
+
 _REFERENCES = {
     "approx_project": _ref_approx_project,
     "partial_project": _ref_partial_project,
     "stationarity_measure": _ref_stationarity,
     "hosvd_truncate": _ref_hosvd_truncate,
     "multi_mode_contract": _ref_multi_mode_contract,
+    "contract": _ref_contract,
     "add_scaled_tangent": _ref_add_scaled_tangent,
     "entries_at": _ref_entries_at,
+    "tangent_entries_at": _ref_tangent_entries_at,
 }
 
 

@@ -30,6 +30,11 @@ __all__ = [
     "best_rank_approx",
     "delta_rank",
     "numerical_rank",
+    "index_plan",
+    "mixed_eval",
+    "multi_mode_contract",
+    "final_mode",
+    "contract",
     "save_dense",
     "load_dense",
     "save_coo",
@@ -48,7 +53,8 @@ class IndexPlan:
     values in the same C-order layout as ``U[idx[:, k] - 1]`` without
     re-deriving the column on every call.  A plan does no bounds check:
     build it from indices that were validated where they entered, as a
-    :class:`SparseCooTensor` does.  ``len(plan)`` is the number of tuples.
+    :class:`SparseCooTensor` does, or through :func:`index_plan`.
+    ``len(plan)`` is the number of tuples.
     """
 
     __slots__ = ("idx", "cols")
@@ -59,10 +65,6 @@ class IndexPlan:
 
     def __len__(self) -> int:
         return self.idx.shape[0]
-
-    def rows(self, mats) -> list:
-        """Gathered rows ``mats[k][idx[:, k] - 1]``, one (m, q_k) array each."""
-        return [M.take(c, axis=0) for M, c in zip(mats, self.cols)]
 
 
 @dataclass(frozen=True)
@@ -229,6 +231,151 @@ def numerical_rank(M: np.ndarray, tau: float = DEFAULT_RANK_TOL) -> int:
     if s.size == 0 or s[0] == 0:
         return 0
     return int(np.count_nonzero(s > tau * s[0]))
+
+
+# ---------------------------------------------------------------------------
+# Sparse contraction engine: kernels that work on the IndexPlan of a set of
+# index tuples and never densify the ambient tensor.
+
+# Kronecker elements per block of the scatter in multi_mode_contract, and so
+# the length of its largest per-entry temporary.
+_SCATTER_BLOCK = 1 << 15
+
+
+def index_plan(idx, dims) -> IndexPlan:
+    """Checked :class:`IndexPlan` of plain 1-based index tuples over ``dims``.
+
+    Raises ValueError unless ``idx`` holds tuples of length len(dims) with
+    1 <= idx[:, k] <= dims[k].
+    """
+    dims = tuple(int(n) for n in dims)
+    idx = np.atleast_2d(np.asarray(idx, dtype=np.int64))
+    if idx.size == 0:
+        idx = idx.reshape(0, len(dims))
+    if idx.ndim != 2 or idx.shape[1] != len(dims):
+        raise ValueError("index tuples have wrong length")
+    if idx.size and ((idx < 1).any() or (idx > np.array(dims)).any()):
+        raise ValueError("index out of range")
+    return IndexPlan(idx)
+
+
+def mixed_eval(core: np.ndarray, mats, plan: IndexPlan) -> np.ndarray:
+    """Entries of core x_k mats[k] at the tuples of ``plan``, not densified.
+
+    Entry n is sum_j core[j] * prod_k mats[k][i_k - 1, j_k], contracted one
+    mode at a time over the gathered rows, without per-entry Kronecker rows.
+    """
+    m = len(plan)
+    if core.size == 0 or m == 0:
+        return np.zeros(m)
+    rows = [M.take(c, axis=0) for M, c in zip(mats, plan.cols)]
+    # (m, rest) with the mode-2 index fastest inside the columns
+    T = rows[0] @ unfold(core, 1)
+    for k in range(1, core.ndim):
+        # C-order reshape of fastest-first columns puts mode k last
+        T = np.einsum("nrq,nq->nr", T.reshape(m, -1, core.shape[k]), rows[k])
+    return T[:, 0]
+
+
+def multi_mode_contract(S: SparseCooTensor, factors, skip: int) -> np.ndarray:
+    """Compute (S x_{j != skip} U_j^T)_(skip) exploiting sparsity.
+
+    ``factors`` holds one matrix per mode (entry for the skipped mode is
+    ignored, and None means the identity).  Cost O(nnz * prod q_j) with q_j
+    the column counts of the matrix modes only: an identity mode j enters
+    through the scatter index, at column offset (i_j - 1) * stride_j, and
+    never widens the per-entry Kronecker rows.
+
+    The entries are walked in blocks of about ``_SCATTER_BLOCK`` Kronecker
+    elements.  ``np.add.at`` adds unbuffered and in order, so every output
+    bin receives the same terms in the same order as one flat ``bincount``
+    over all entries: the result is bit-identical to it, and no per-entry
+    Kronecker temporary is larger than a block.  (``np.add.reduceat`` over
+    sorted segments would sum pairwise and move the result in its last
+    bits.)
+    """
+    d = len(S.dims)
+    if not 1 <= skip <= d:
+        raise ValueError(f"mode {skip} out of range")
+    cols = S.plan.cols
+    mats, mat_cols = [], []
+    ncols = 1
+    # output column of each Kronecker column, and each entry's identity offset
+    kron_cols = np.zeros(1, dtype=np.int64)
+    offset = np.zeros(S.nnz, dtype=np.int64)
+    for j in range(d):
+        if j == skip - 1:
+            continue
+        U = factors[j]
+        if U is None:
+            offset += cols[j] * ncols
+            ncols *= S.dims[j]
+            continue
+        if U.shape[0] != S.dims[j]:
+            raise ValueError(f"factor {j + 1} has {U.shape[0]} rows, mode has "
+                             f"size {S.dims[j]}")
+        mats.append(U)
+        mat_cols.append(cols[j])
+        kron_cols = (np.arange(U.shape[1])[:, None] * ncols
+                     + kron_cols[None, :]).ravel()
+        ncols *= U.shape[1]
+    nrows = S.dims[skip - 1]
+    out = np.zeros(nrows * ncols)
+    if S.nnz == 0 or kron_cols.size == 0:
+        return out.reshape(nrows, ncols)
+    base = cols[skip - 1] * ncols + offset
+    step = max(1, _SCATTER_BLOCK // kron_cols.size)
+    for a in range(0, S.nnz, step):
+        b = min(a + step, S.nnz)
+        # per-entry row-wise Kronecker product, first listed mode fastest
+        kron = np.ones((b - a, 1))
+        for U, c in zip(mats, mat_cols):
+            rows = U.take(c[a:b], axis=0)
+            kron = (rows[:, :, None] * kron[:, None, :]).reshape(b - a, -1)
+        flat = base[a:b, None] + kron_cols[None, :]
+        np.add.at(out, flat.ravel(), (S.vals[a:b, None] * kron).ravel())
+    return out.reshape(nrows, ncols)
+
+
+def final_mode(dims, mats) -> int:
+    """0-based mode that :func:`contract` contracts last: the one with the
+    largest output size (n_k where mats[k] is None), the first among ties."""
+    sizes = [n if M is None else M.shape[1] for n, M in zip(dims, mats)]
+    return int(np.argmax(sizes))
+
+
+def contract(A, mats, parent=None, kernel=multi_mode_contract) -> np.ndarray:
+    """A x_k mats[k]^T over every mode k with a matrix (None leaves mode k).
+
+    A is a dense array or a :class:`SparseCooTensor`; the result is dense,
+    with mode-k size mats[k].shape[1] (n_k where mats[k] is None).  The mode
+    s = :func:`final_mode` goes last: when it carries a matrix B_s, the
+    result is B_s^T @ unfold(parent, s), where ``parent`` is the contraction
+    with mode s left as it is.  Pass ``parent`` when it is already formed;
+    the result is then bit-identical to forming it here.  A sparse A reaches
+    ``kernel`` (:func:`multi_mode_contract` or a wrapper of it) at most once
+    per call, and not at all when ``parent`` is given.
+    """
+    sparse = isinstance(A, SparseCooTensor)
+    if not sparse:
+        A = np.asarray(A)
+    dims = A.dims if sparse else A.shape
+    s = final_mode(dims, mats)
+    if mats[s] is not None:
+        if parent is None:
+            parent = contract(A, [None if j == s else M
+                                  for j, M in enumerate(mats)], kernel=kernel)
+        return mode_product(parent, s + 1, mats[s].T)
+    if not sparse:
+        out = A
+        for k, M in enumerate(mats, start=1):
+            if M is not None:
+                out = mode_product(out, k, M.T)
+        return out
+    if all(M is None for M in mats):
+        return A.to_dense()
+    out_dims = tuple(n if M is None else M.shape[1] for n, M in zip(dims, mats))
+    return fold(kernel(A, mats, s + 1), s + 1, out_dims)
 
 
 # ---------------------------------------------------------------------------

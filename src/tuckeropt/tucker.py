@@ -16,6 +16,8 @@ from .tensor_core import (
     DEFAULT_RANK_TOL,
     IndexPlan,
     fold,
+    index_plan,
+    mixed_eval,
     mode_product,
     numerical_rank,
     thin_svd,
@@ -127,36 +129,6 @@ def to_dense(T: TuckerTensor) -> np.ndarray:
     return X
 
 
-def _kron_rows(plan: IndexPlan, modes, mats) -> np.ndarray:
-    """Per-entry row-wise Kronecker product, first listed mode fastest.
-
-    mats[i] supplies the rows of mode modes[i], gathered through ``plan``.
-    Output column c satisfies c = sum_i c_i * prod_{m<i} q_m with c_1
-    fastest, matching the unfolding column formula over the reduced
-    dimensions.
-    """
-    nnz = len(plan)
-    out = np.ones((nnz, 1))
-    for k, M in zip(modes, mats):
-        rows = M.take(plan.cols[k], axis=0)          # (nnz, q_k)
-        out = (rows[:, :, None] * out[:, None, :]).reshape(nnz, -1)
-    return out
-
-
-def _mixed_eval(core: np.ndarray, rows) -> np.ndarray:
-    """sum_j core[j] * prod_k rows[k][n, j_k] per entry n, without forming
-    the per-entry Kronecker rows (sequential batched contraction)."""
-    nnz = rows[0].shape[0]
-    d = core.ndim
-    # (nnz, rest) with the mode-2 index fastest inside the columns
-    T = rows[0] @ unfold(core, 1)
-    for k in range(1, d):
-        qk = core.shape[k]
-        # C-order reshape of fastest-first columns puts mode k last
-        T = np.einsum("nrq,nq->nr", T.reshape(nnz, -1, qk), rows[k])
-    return T[:, 0]
-
-
 def entries_at(T: TuckerTensor, idx) -> np.ndarray:
     """Evaluate T at 1-based index tuples without densifying.
 
@@ -165,19 +137,10 @@ def entries_at(T: TuckerTensor, idx) -> np.ndarray:
     where it entered, which is not.
     """
     if not isinstance(idx, IndexPlan):
-        idx = np.atleast_2d(np.asarray(idx, dtype=np.int64))
-        if idx.size == 0:
-            return np.zeros(0)
-        if idx.shape[1] != T.ndim:
-            raise ValueError("index tuples have wrong length")
-        if (idx < 1).any() or (idx > np.array(T.dims)).any():
-            raise ValueError("index out of range")
-        idx = IndexPlan(idx)
+        idx = index_plan(idx, T.dims)
     elif len(idx.cols) != T.ndim:
         raise ValueError("index tuples have wrong length")
-    if len(idx) == 0 or T.core.size == 0:
-        return np.zeros(len(idx))
-    return _mixed_eval(T.core, idx.rows(T.factors))
+    return mixed_eval(T.core, T.factors, idx)
 
 
 def tucker_rank(A: np.ndarray, tau: float = DEFAULT_RANK_TOL) -> tuple:

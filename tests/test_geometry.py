@@ -24,6 +24,7 @@ from tuckeropt import (
 )
 from tuckeropt import geometry
 from tuckeropt.completion import random_tucker
+from tuckeropt.oracles import dense_reference
 
 RNG = np.random.default_rng(7)
 DIMS = (6, 6, 6)
@@ -236,8 +237,9 @@ def test_shared_contractions_match_fresh_ones(pattern):
 
 
 def test_contractions_are_formed_once_per_pattern(monkeypatch):
-    # at a full-rank point the stationarity measure forms the d+1
-    # contractions that the projection then reads negated
+    # at a full-rank point the stationarity measure makes d sparse
+    # contractions (the core term comes from the first mode term), which
+    # the projections then read negated
     X = random_tucker(DIMS, (3, 3, 3), RNG)
     G = _sparse(RNG.standard_normal(DIMS))
     calls = []
@@ -246,10 +248,43 @@ def test_contractions_are_formed_once_per_pattern(monkeypatch):
                         lambda *a: calls.append(a[2]) or contract(*a))
     shared = Contractions(X, G)
     stationarity_measure(X, shared, (3, 3, 3))
-    assert len(calls) == X.ndim + 1
+    assert calls == [1, 2, 3]
     approx_project(X, shared.negated(), (3, 3, 3))
     partial_project(X, shared.negated(), (3, 3, 3))
-    assert len(calls) == X.ndim + 1
+    assert calls == [1, 2, 3]
+
+
+def test_derived_contractions_equal_direct_ones():
+    # a pattern whose last-contracted mode carries a matrix is formed from
+    # the memoized pattern with that mode left as it is; the result is the
+    # one a direct contraction gives, bit for bit
+    rng = np.random.default_rng(41)
+    X = random_tucker(DIMS, (3, 2, 3), rng)
+    comp = choose_singular_complement(X, rng.standard_normal(DIMS),
+                                      (3, 3, 3))[1]
+    for A in (_sparse(rng.standard_normal(DIMS), rng=rng),
+              rng.standard_normal(DIMS)):
+        for modes in (("U", "U", "U"), ("U", comp, "U"), ("I", comp, "U")):
+            shared = Contractions(X, A)
+            mats = [geometry._mode_matrix(U, m)
+                    for U, m in zip(X.factors, modes)]
+            got = shared.contract(modes)
+            assert len(shared._memo) == 1 + (mats[0] is not None)
+            assert np.array_equal(got, geometry._contract(A, mats))
+            assert np.array_equal(-got, shared.negated().contract(modes))
+
+
+def test_tangent_entries_at_checks_plain_indices():
+    X = random_tucker((4, 4, 4), (2, 2, 2), RNG)
+    V = approx_project(X, RNG.standard_normal((4, 4, 4)), (3, 3, 3))
+    for bad in ([[0, 1, 1]], [[5, 1, 1]], [[1, 1]], [[1, 1, 1, 1]]):
+        with pytest.raises(ValueError):
+            tangent_entries_at(V, np.array(bad))
+    idx = np.array([[4, 1, 1], [1, 4, 2]])
+    assert np.allclose(tangent_entries_at(V, idx),
+                       dense_reference("tangent_entries_at", V, idx),
+                       atol=1e-12)
+    assert tangent_entries_at(V, np.zeros((0, 3))).shape == (0,)
 
 
 def test_contractions_belong_to_their_point():

@@ -1,0 +1,43 @@
+"""The package's modules import one another in one direction only."""
+
+import ast
+from pathlib import Path
+
+import tuckeropt
+
+# each module may import only from the modules before it
+ORDER = ("tensor_core", "tucker", "geometry", "solvers", "completion",
+         "oracles", "cli")
+PACKAGE = Path(tuckeropt.__file__).parent
+
+
+def _package_imports(tree):
+    """Names of the package modules a module imports, at any depth."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0:
+                if module.split(".")[0] != "tuckeropt":
+                    continue
+                module = module.partition(".")[2]
+            if module:
+                yield module.split(".")[0]
+            else:                           # from . import geometry
+                yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                top, _, rest = alias.name.partition(".")
+                if top == "tuckeropt" and rest:
+                    yield rest.split(".")[0]
+
+
+def test_every_module_is_in_the_order():
+    modules = {p.stem for p in PACKAGE.glob("*.py")} - {"__init__"}
+    assert modules == set(ORDER)
+
+
+def test_imports_follow_the_layer_order():
+    for i, name in enumerate(ORDER):
+        tree = ast.parse((PACKAGE / f"{name}.py").read_text())
+        for target in _package_imports(tree):
+            assert target in ORDER[:i], f"{name} imports {target}"

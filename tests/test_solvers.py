@@ -236,8 +236,9 @@ def test_rank_decrease_solvers_match_plain_ones_at_true_rank():
         assert _records(a) == _records(b)
 
 
-def test_full_rank_iteration_contracts_d_plus_one_times(monkeypatch):
-    # the projection reads the contractions the stationarity measure formed
+def test_full_rank_iteration_contracts_d_times(monkeypatch):
+    # the projection reads the contractions the stationarity measure formed,
+    # and the core term is formed from the first mode term
     _, _, obj, X0 = _completion_setup()
     log = []
     contract = geometry.multi_mode_contract
@@ -256,7 +257,7 @@ def test_full_rank_iteration_contracts_d_plus_one_times(monkeypatch):
     assert trace.final().iter == 3
     starts = [i for i, e in enumerate(log) if e == "iteration"] + [len(log)]
     for a, b in zip(starts, starts[1:]):
-        assert log[a + 1:b] == ["contract"] * (X0.ndim + 1)
+        assert log[a + 1:b] == ["contract"] * X0.ndim
 
 
 def test_rank_decrease_reuses_the_iterate_for_its_own_rank():

@@ -21,6 +21,14 @@ from tuckeropt import (
     thin_svd,
     unfold,
 )
+from tuckeropt import tensor_core
+from tuckeropt.oracles import dense_reference
+from tuckeropt.tensor_core import (
+    contract,
+    final_mode,
+    index_plan,
+    multi_mode_contract,
+)
 
 RNG = np.random.default_rng(1234)
 
@@ -191,3 +199,115 @@ def test_unfold_norm_invariant(n1, n2, n3, seed):
     X = np.random.default_rng(seed).standard_normal((n1, n2, n3))
     for k in (1, 2, 3):
         assert np.isclose(np.linalg.norm(unfold(X, k)), fro_norm(X))
+
+
+# ---------------------------------------------------------------------------
+# Sparse contraction engine
+
+def _bincount_contract(S, factors, skip):
+    """The one-shot scatter that the blocked engine replaces: one flat
+    bincount over all entries at once.  Reference for bit-equality."""
+    cols = [S.idx[:, j] - 1 for j in range(len(S.dims))]
+    kron = np.ones((S.nnz, 1))
+    kron_cols = np.zeros(1, dtype=np.int64)
+    offset = np.zeros(S.nnz, dtype=np.int64)
+    ncols = 1
+    for j, U in enumerate(factors):
+        if j == skip - 1:
+            continue
+        if U is None:
+            offset += cols[j] * ncols
+            ncols *= S.dims[j]
+            continue
+        rows = U[cols[j]]
+        kron = (rows[:, :, None] * kron[:, None, :]).reshape(
+            S.nnz, rows.shape[1] * kron.shape[1])
+        kron_cols = (np.arange(U.shape[1])[:, None] * ncols
+                     + kron_cols[None, :]).ravel()
+        ncols *= U.shape[1]
+    flat = ((cols[skip - 1] * ncols + offset)[:, None]
+            + kron_cols[None, :]).ravel()
+    nrows = S.dims[skip - 1]
+    out = np.bincount(flat, weights=(S.vals[:, None] * kron).ravel(),
+                      minlength=nrows * ncols)
+    return out.reshape(nrows, ncols)
+
+
+def _random_coo(dims, frac, rng):
+    idx = np.argwhere(rng.random(dims) < frac) + 1
+    return SparseCooTensor(dims, idx, rng.standard_normal(idx.shape[0]))
+
+
+@pytest.mark.parametrize("block", [1, 7, None])
+def test_blocked_scatter_is_bit_identical_to_one_bincount(monkeypatch, block):
+    if block is not None:
+        monkeypatch.setattr(tensor_core, "_SCATTER_BLOCK", block)
+    rng = np.random.default_rng(5)
+    dims = (4, 3, 5, 2)
+    S = _random_coo(dims, 0.5, rng)
+    empty = SparseCooTensor(dims, np.zeros((0, 4), dtype=np.int64),
+                            np.zeros(0))
+    U = [rng.standard_normal((n, q)) for n, q in zip(dims, (2, 3, 2, 2))]
+    # identity modes before, after and on both sides of every skipped mode
+    for skip in range(1, 5):
+        for bits in np.ndindex(2, 2, 2, 2):
+            mats = [None if bits[j] else U[j] for j in range(4)]
+            for T in (S, empty):
+                got = multi_mode_contract(T, mats, skip)
+                assert np.array_equal(got, _bincount_contract(T, mats, skip))
+    # a zero-column factor gives an empty unfolding
+    mats = [U[0], np.zeros((3, 0)), None, U[3]]
+    for skip in (1, 2, 3):
+        got = multi_mode_contract(S, mats, skip)
+        assert got.shape == (dims[skip - 1], 0 if skip != 2 else 20)
+        assert np.array_equal(got, _bincount_contract(S, mats, skip))
+    # several blocks even at the default size, |S| not a multiple of a block
+    big = _random_coo((20, 18, 16), 0.3, rng)
+    V = [rng.standard_normal((n, q)) for n, q in zip(big.dims, (5, 6, 4))]
+    if block is None:
+        step = tensor_core._SCATTER_BLOCK // (6 * 4)
+        assert big.nnz > step and big.nnz % step
+    for skip in (1, 2, 3):
+        assert np.array_equal(multi_mode_contract(big, V, skip),
+                              _bincount_contract(big, V, skip))
+
+
+def test_contract_matches_dense_reference():
+    rng = np.random.default_rng(8)
+    dims = (4, 5, 3)
+    S = _random_coo(dims, 0.4, rng)
+    U = [rng.standard_normal((n, q)) for n, q in zip(dims, (2, 5, 3))]
+    for A in (S, S.to_dense()):
+        for bits in np.ndindex(2, 2, 2):
+            mats = [None if bits[j] else U[j] for j in range(3)]
+            got = contract(A, mats)
+            ref = dense_reference("contract", A, mats)
+            assert got.shape == ref.shape
+            assert np.allclose(got, ref, atol=1e-12)
+
+
+def test_contract_with_a_formed_parent_is_bit_identical():
+    rng = np.random.default_rng(9)
+    dims = (6, 5, 7)
+    S = _random_coo(dims, 0.4, rng)
+    U = [rng.standard_normal((n, 3)) for n in dims]
+    s = final_mode(dims, U)
+    parent_mats = [None if j == s else M for j, M in enumerate(U)]
+    for A in (S, S.to_dense()):
+        parent = contract(A, parent_mats)
+        assert np.array_equal(contract(A, U, parent), contract(A, U))
+    # the sparse result is the one GEMM on the kernel's own output
+    M = multi_mode_contract(S, U, s + 1)
+    assert np.array_equal(contract(S, U),
+                          fold(U[s].T @ M, s + 1, (3, 3, 3)))
+
+
+def test_index_plan_checks_its_tuples():
+    plan = index_plan([[1, 2, 3], [4, 1, 1]], (4, 2, 3))
+    assert len(plan) == 2
+    assert np.array_equal(plan.cols[0], [0, 3])
+    assert len(index_plan(np.zeros((0, 3)), (4, 2, 3))) == 0
+    for bad in ([[0, 1, 1]], [[5, 1, 1]], [[1, 3, 1]], [[1, 1]],
+                [[1, 1, 1, 1]]):
+        with pytest.raises(ValueError):
+            index_plan(bad, (4, 2, 3))

@@ -1,0 +1,82 @@
+"""`tools/trace_gate.py compare` on small synthetic recordings."""
+
+import importlib.util
+import json
+import os
+from pathlib import Path
+from unittest import mock
+
+import numpy as np
+import pytest
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "trace_gate.py"
+
+
+@pytest.fixture(scope="module")
+def gate():
+    spec = importlib.util.spec_from_file_location("trace_gate", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    with mock.patch.dict(os.environ):       # it sets BLAS thread variables
+        spec.loader.exec_module(module)
+    return module
+
+
+def _run(f_values, backtracks=0):
+    recs = [{"iter": t, "f_value": f, "stationarity": f / 2,
+             "grad_norm": f, "direction_norm": f / 3, "stepsize": 0.5,
+             "rank": [2, 2, 2], "n_candidates": int(t > 0),
+             "backtracks": backtracks if t else 0, "test_error": f / 10}
+            for t, f in enumerate(f_values)]
+    return {"termination": "converged", "records": recs}
+
+
+def _recording():
+    """criterion8 has one candidate per iteration, criterion9 several."""
+    out = {}
+    for inst, fs in (("criterion8", [4.0, 1.0, 0.25]),
+                     ("criterion9", [9.0, 3.0, 1.0])):
+        for solver in ("grap", "rfgrap", "grap-r", "rfgrap-r"):
+            out[f"{inst}/{solver}"] = _run(fs)
+    return out
+
+
+def _compare(gate, tmp_path, old, new):
+    (tmp_path / "old.json").write_text(json.dumps(old))
+    (tmp_path / "new.json").write_text(json.dumps(new))
+    return gate.compare(tmp_path / "old.json", tmp_path / "new.json")
+
+
+def test_identical_recordings_pass(gate, tmp_path):
+    assert _compare(gate, tmp_path, _recording(), _recording()) == 0
+
+
+def test_one_ulp_in_a_plain_solver_fails(gate, tmp_path, capsys):
+    new = _recording()
+    rec = new["criterion9/grap"]["records"][1]
+    rec["f_value"] = float(np.nextafter(rec["f_value"], np.inf))
+    assert _compare(gate, tmp_path, _recording(), new) == 1
+    assert "FAIL criterion9/grap:" in capsys.readouterr().out
+
+
+def test_rank_decrease_solver_within_tolerance_passes(gate, tmp_path):
+    new = _recording()
+    for rec in new["criterion9/grap-r"]["records"]:
+        rec["f_value"] += 0.5e-12 * 9.0
+    assert _compare(gate, tmp_path, _recording(), new) == 0
+    for rec in new["criterion9/grap-r"]["records"]:
+        rec["f_value"] += 1e-12 * 9.0
+    assert _compare(gate, tmp_path, _recording(), new) == 1
+
+
+def test_changed_backtrack_count_fails(gate, tmp_path, capsys):
+    new = _recording()
+    new["criterion9/rfgrap-r"] = _run([9.0, 3.0, 1.0], backtracks=1)
+    assert _compare(gate, tmp_path, _recording(), new) == 1
+    assert "backtracks differ" in capsys.readouterr().out
+
+
+def test_missing_key_fails(gate, tmp_path, capsys):
+    new = _recording()
+    del new["criterion8/rfgrap-r"]
+    assert _compare(gate, tmp_path, _recording(), new) == 1
+    assert "FAIL criterion8/rfgrap-r: missing" in capsys.readouterr().out

@@ -119,6 +119,8 @@ def test_entries_at_bounds_check():
         entries_at(T, np.array([[0, 1, 1]]))
     with pytest.raises(ValueError):
         entries_at(T, np.array([[4, 1, 1]]))
+    with pytest.raises(ValueError):
+        entries_at(T, np.array([[1, 1]]))
 
 
 def test_tucker_rank_and_mode_singular_values():
