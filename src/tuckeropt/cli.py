@@ -23,8 +23,6 @@ from .completion import (
 )
 from .oracles import CHECK_SUITES, run_check_suites
 from .solvers import (
-    CandidateExhaustion,
-    LineSearchFailure,
     SolverConfig,
     solve_grap,
     solve_grap_r,
@@ -141,6 +139,8 @@ def cmd_complete(args) -> int:
           f"rank={rec.rank}"
           + (f", test_error={rec.test_error:.3e}"
              if rec.test_error is not None else ""))
+    for line in trace.diagnostics:
+        print(line, file=sys.stderr)
     return _exit_code(trace)
 
 
@@ -182,11 +182,10 @@ def cmd_bench(args) -> int:
         for name, solve in sorted(SOLVERS.items()):
             obj = completion_objective(problem)
             X0 = _initial_point(problem, r, args)
-            try:
-                X, trace = solve(obj, X0, r, cfg)
-            except (LineSearchFailure, CandidateExhaustion) as e:
-                failures.append(f"{name} r={label}: {e}")
-                continue
+            _, trace = solve(obj, X0, r, cfg)
+            if trace.termination == "candidate_exhaustion":
+                failures.append(f"{name} r={label}: "
+                                + "; ".join(trace.diagnostics))
             stem = f"{args.suite}_r{label}_{name}"
             write_trace_csv(trace, out / f"{stem}.csv", d=d)
             write_summary_json(trace, out / f"{stem}.json")
@@ -290,7 +289,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (OSError, ValueError, LineSearchFailure, CandidateExhaustion) as e:
+    except (OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -61,19 +61,21 @@ class CompletionProblem:
         object.__setattr__(self, "dims", dims)
 
 
-def objective(P: CompletionProblem, X: TuckerTensor) -> float:
+def _residual(P: CompletionProblem, X: TuckerTensor) -> np.ndarray:
+    """P_Omega(X) - P_Omega(A) as a vector over Omega."""
     if X.dims != P.dims:
         raise ValueError(f"iterate dims {X.dims} do not match problem dims {P.dims}")
-    resid = entries_at(X, P.omega.plan) - P.omega.vals
+    return entries_at(X, P.omega.plan) - P.omega.vals
+
+
+def objective(P: CompletionProblem, X: TuckerTensor) -> float:
+    resid = _residual(P, X)
     return 0.5 * float(resid @ resid)
 
 
 def euclidean_gradient(P: CompletionProblem, X: TuckerTensor) -> SparseCooTensor:
     """Gradient of the training objective; supported on Omega."""
-    if X.dims != P.dims:
-        raise ValueError(f"iterate dims {X.dims} do not match problem dims {P.dims}")
-    resid = entries_at(X, P.omega.plan) - P.omega.vals
-    return P.omega.with_values(resid)
+    return P.omega.with_values(_residual(P, X))
 
 
 def test_error(P: CompletionProblem, X: TuckerTensor) -> float:
@@ -144,6 +146,10 @@ def completion_objective(P: CompletionProblem):
     Along a tangent direction V the objective is an exactly known parabola,
     so the proposed stepsize is its minimizer ||V||^2 / ||P_Omega(V)||^2
     (None when the direction leaves the observed entries unchanged).
+
+    f, grad f and (f, grad f) share the residual on Omega of the point they
+    were last called with (matched by identity), so the gradient at the
+    point a line search accepted does not gather its entries again.
     """
     def initial_step(X, V):
         # looked up on the module, so that a wrapper installed there sees it
@@ -153,17 +159,29 @@ def completion_objective(P: CompletionProblem):
             return None
         return tangent_norm(V) ** 2 / denom
 
-    def eval_grad(X):
-        resid = entries_at(X, P.omega.plan) - P.omega.vals
-        return 0.5 * float(resid @ resid), P.omega.with_values(resid)
+    # the latest point evaluated and its residual: the line search
+    # evaluates f last at the point it accepts, whose gradient comes next
+    last = [None, None]
+
+    def residual(X):
+        if last[0] is not X:
+            last[:] = X, _residual(P, X)
+        return last[1]
+
+    def eval_f(X):
+        resid = residual(X)
+        return 0.5 * float(resid @ resid)
+
+    def grad(X):
+        return P.omega.with_values(residual(X))
 
     return ObjectiveHandle(
-        eval=lambda X: objective(P, X),
-        grad=lambda X: euclidean_gradient(P, X),
+        eval=eval_f,
+        grad=grad,
         dims=P.dims,
         initial_step=initial_step,
         test_metric=(lambda X: test_error(P, X)) if P.gamma.nnz else None,
-        eval_grad=eval_grad,
+        eval_grad=lambda X: (eval_f(X), grad(X)),
     )
 
 

@@ -143,9 +143,17 @@ class IterRecord:
 
 @dataclass
 class SolverTrace:
+    """Per-iteration records and the reason the run ended.
+
+    ``diagnostics`` explains a failed termination: for
+    ``"candidate_exhaustion"`` it is the message, then one line per rank
+    candidate that failed its line search.
+    """
+
     solver: str
     records: list = field(default_factory=list)
     termination: str = "running"
+    diagnostics: tuple = ()
 
     @property
     def iters(self) -> int:
@@ -379,24 +387,27 @@ def _solve(obj, X0, r, cfg, *, retraction_free, rank_decrease, name):
         if t == cfg.max_iters:
             trace.termination = "max_iters"
             return X, trace
-        try:
-            if rank_decrease:
+        if rank_decrease:
+            try:
                 X, pending, n_candidates = _rank_decrease_step(
                     obj, X, fX, contractions, r, cfg, retraction_free,
                     delta_eff)
-            else:
-                Y, pending = _direction_step(obj, X, contractions, fX, r,
-                                             cfg, retraction_free)
-                n_candidates = 1
-                if pending.stepsize == 0.0:
-                    trace.termination = "stalled"
-                    return X, trace
-                X = Y
+            except CandidateExhaustion as e:
+                trace.termination = "candidate_exhaustion"
+                trace.diagnostics = (str(e),) + e.diagnostics
+                return X, trace
+            continue
+        try:
+            Y, pending = _direction_step(obj, X, contractions, fX, r, cfg,
+                                         retraction_free)
         except LineSearchFailure:
-            if rank_decrease:
-                raise
             trace.termination = "line_search_failure"
             return X, trace
+        n_candidates = 1
+        if pending.stepsize == 0.0:
+            trace.termination = "stalled"
+            return X, trace
+        X = Y
     trace.termination = "max_iters"
     return X, trace
 
@@ -482,6 +493,8 @@ def write_summary_json(trace: SolverTrace, path) -> None:
     }
     if rec.test_error is not None:
         summary["test_error"] = rec.test_error
+    if trace.diagnostics:
+        summary["diagnostics"] = list(trace.diagnostics)
     with open(path, "w") as f:
         json.dump(summary, f, indent=2)
         f.write("\n")

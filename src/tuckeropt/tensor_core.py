@@ -12,6 +12,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import io
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -149,10 +150,12 @@ def unfold(X: np.ndarray, k: int) -> np.ndarray:
     """Mode-k unfolding of X into an (n_k, n_{-k}) matrix."""
     if not 1 <= k <= X.ndim:
         raise ValueError(f"mode {k} out of range for order-{X.ndim} tensor")
+    n = X.shape[k - 1]
     # explicit column count: reshape(n_k, -1) cannot infer it when n_k == 0
-    cols = int(np.prod([n for i, n in enumerate(X.shape) if i != k - 1],
-                       dtype=np.int64))
-    return np.moveaxis(X, k - 1, 0).reshape(X.shape[k - 1], cols, order="F")
+    cols = X.size // n if n else math.prod(X.shape[:k - 1] + X.shape[k:])
+    # mode k first, the others in order (what np.moveaxis(X, k - 1, 0) does)
+    axes = (k - 1,) + tuple(range(k - 1)) + tuple(range(k, X.ndim))
+    return X.transpose(axes).reshape(n, cols, order="F")
 
 
 def fold(M: np.ndarray, k: int, dims) -> np.ndarray:
@@ -161,9 +164,11 @@ def fold(M: np.ndarray, k: int, dims) -> np.ndarray:
     if not 1 <= k <= len(dims):
         raise ValueError(f"mode {k} out of range for dims {dims}")
     rest = dims[:k - 1] + dims[k:]
-    if M.shape != (dims[k - 1], int(np.prod(rest, dtype=np.int64))):
+    if M.shape != (dims[k - 1], math.prod(rest)):
         raise ValueError(f"matrix shape {M.shape} inconsistent with dims {dims} at mode {k}")
-    return np.moveaxis(M.reshape((dims[k - 1],) + rest, order="F"), 0, k - 1)
+    # axis 0 back to position k - 1 (what np.moveaxis(., 0, k - 1) does)
+    axes = tuple(range(1, k)) + (0,) + tuple(range(k, len(dims)))
+    return M.reshape((dims[k - 1],) + rest, order="F").transpose(axes)
 
 
 def mode_product(X: np.ndarray, k: int, A: np.ndarray) -> np.ndarray:
@@ -293,12 +298,19 @@ def multi_mode_contract(S: SparseCooTensor, factors, skip: int) -> np.ndarray:
     Kronecker temporary is larger than a block.  (``np.add.reduceat`` over
     sorted segments would sum pairwise and move the result in its last
     bits.)
+
+    A block is held entry-fastest, as (Kronecker column, entry), so that its
+    products run over contiguous rows of length b - a rather than q.  This
+    keeps the sums: an output bin is one (row key, Kronecker column) pair,
+    so only one row of the block reaches it, and flattening the block row by
+    row still visits that row's entries in order.  The products are formed
+    in the same order as before, rows_k * (... * (rows_1 * 1.0)).
     """
     d = len(S.dims)
     if not 1 <= skip <= d:
         raise ValueError(f"mode {skip} out of range")
     cols = S.plan.cols
-    mats, mat_cols = [], []
+    mats_t, mat_cols = [], []
     ncols = 1
     # output column of each Kronecker column, and each entry's identity offset
     kron_cols = np.zeros(1, dtype=np.int64)
@@ -314,7 +326,7 @@ def multi_mode_contract(S: SparseCooTensor, factors, skip: int) -> np.ndarray:
         if U.shape[0] != S.dims[j]:
             raise ValueError(f"factor {j + 1} has {U.shape[0]} rows, mode has "
                              f"size {S.dims[j]}")
-        mats.append(U)
+        mats_t.append(np.ascontiguousarray(U.T))
         mat_cols.append(cols[j])
         kron_cols = (np.arange(U.shape[1])[:, None] * ncols
                      + kron_cols[None, :]).ravel()
@@ -327,13 +339,14 @@ def multi_mode_contract(S: SparseCooTensor, factors, skip: int) -> np.ndarray:
     step = max(1, _SCATTER_BLOCK // kron_cols.size)
     for a in range(0, S.nnz, step):
         b = min(a + step, S.nnz)
-        # per-entry row-wise Kronecker product, first listed mode fastest
-        kron = np.ones((b - a, 1))
-        for U, c in zip(mats, mat_cols):
-            rows = U.take(c[a:b], axis=0)
-            kron = (rows[:, :, None] * kron[:, None, :]).reshape(b - a, -1)
-        flat = base[a:b, None] + kron_cols[None, :]
-        np.add.at(out, flat.ravel(), (S.vals[a:b, None] * kron).ravel())
+        # (Kronecker column, entry) block, entries fastest and the first
+        # listed mode's column fastest among the Kronecker columns
+        kron = np.ones((1, b - a))
+        for Ut, c in zip(mats_t, mat_cols):
+            rows = Ut.take(c[a:b], axis=1)
+            kron = (rows[:, None, :] * kron[None, :, :]).reshape(-1, b - a)
+        flat = kron_cols[:, None] + base[None, a:b]
+        np.add.at(out, flat.ravel(), (kron * S.vals[None, a:b]).ravel())
     return out.reshape(nrows, ncols)
 
 

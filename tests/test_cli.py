@@ -81,6 +81,29 @@ def test_bench_scaled_tiny(tmp_path, capsys):
     assert (out / "true-rank_problem" / "omega.coo").exists()
 
 
+def test_candidate_exhaustion_exits_1_with_its_diagnostics(problem_dir,
+                                                         tmp_path, capsys):
+    # a threshold above every singular value offers 5**3 > 64 candidates
+    flags = ["--rank", "4,4,4", "--delta", "1e6", "--delta-absolute",
+             "--max-iters", "3"]
+    summary = tmp_path / "summary.json"
+    code = main(["complete", str(problem_dir), "--solver", "grap-r",
+                 "--summary", str(summary)] + flags)
+    assert code == 1
+    out, err = capsys.readouterr()
+    assert "candidate_exhaustion after 0 iterations" in out
+    assert "exceed candidate_cap=64" in err
+    s = json.loads(summary.read_text())
+    assert s["termination"] == "candidate_exhaustion"
+    assert "exceed candidate_cap=64" in s["diagnostics"][0]
+    out = tmp_path / "bench"
+    code = main(["bench", "over-rank", "--n", "8,8,8", "--true-rank", "2,2,2",
+                 "--p", "0.3", "--out", str(out)] + flags)
+    assert code == 1
+    assert "FAILED: grap-r r=4x4x4:" in capsys.readouterr().err
+    assert (out / "over-rank_r4x4x4_grap-r.json").exists()
+
+
 def test_hosvd_command(tmp_path, capsys):
     from tuckeropt import random_tucker, to_dense
 

@@ -1,10 +1,13 @@
 """Unit tests for the tensor-completion objective and synthetic instances."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from tuckeropt import (
     CompletionProblem,
+    SolverConfig,
     SparseCooTensor,
     completion_objective,
     entries_at,
@@ -15,8 +18,10 @@ from tuckeropt import (
     objective,
     random_tucker,
     save_problem,
+    solve_grap,
     to_dense,
 )
+from tuckeropt import completion
 from tuckeropt import test_error as completion_test_error
 from tuckeropt.oracles import dense_reference
 from tuckeropt.tensor_core import SparseCooTensor, fold, mode_product, unfold
@@ -145,6 +150,50 @@ def test_completion_objective_handle():
     assert obj.eval(X) == pytest.approx(objective(P, X))
     assert obj.test_metric is not None
     assert obj.test_metric(X) == pytest.approx(completion_test_error(P, X))
+
+
+def test_accepted_point_gradient_reuses_its_residual(monkeypatch):
+    # the line search evaluates f last at the point it accepts; the next
+    # iteration's gradient there must not gather the entries again
+    P, _ = _problem(dims=(10, 10, 10), seed=4)
+    log = []
+    gather = completion.entries_at
+
+    def logged_gather(X, plan):
+        if plan is P.omega.plan:
+            log.append(("entries_at", X))
+        return gather(X, plan)
+    monkeypatch.setattr(completion, "entries_at", logged_gather)
+    obj = completion_objective(P)
+
+    def logged(name):
+        fn = getattr(obj, name)
+
+        def call(X):
+            log.append((name, X))
+            return fn(X)
+        return call
+    obj = dataclasses.replace(obj, eval=logged("eval"),
+                              eval_grad=logged("eval_grad"))
+    X0 = random_tucker(P.dims, (2, 2, 2), np.random.default_rng(8))
+    _, trace = solve_grap(obj, X0, (2, 2, 2), SolverConfig(max_iters=8))
+    assert trace.final().iter == 8
+    accepted = 0
+    last_eval = None
+    for i, (name, X) in enumerate(log):
+        if name == "eval":
+            last_eval = X
+        if name != "eval_grad":
+            continue
+        reused = X is last_eval
+        gathered = (i + 1 < len(log) and log[i + 1][0] == "entries_at"
+                    and log[i + 1][1] is X)
+        assert gathered != reused
+        accepted += reused
+    assert accepted == trace.final().iter
+    # one gather per point: every f evaluation, plus the starting gradient
+    assert (sum(e == "entries_at" for e, _ in log)
+            == sum(e == "eval" for e, _ in log) + 1)
 
 
 def test_initial_step_minimizes_parabola():

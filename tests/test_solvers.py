@@ -131,6 +131,37 @@ def test_candidate_cap():
         _candidate_ranks(X, (3, 3, 3), cfg, False, delta_eff=10.0)
 
 
+def test_candidate_exhaustion_returns_the_trace(tmp_path, monkeypatch):
+    P, _ = gen_synthetic((10, 10, 10), (2, 2, 2), 0.3, seed=5)
+    obj = completion_objective(P)
+    X0 = random_tucker((10, 10, 10), (4, 4, 4), np.random.default_rng(6))
+    # a threshold above every singular value: 5**3 grap-r candidates and
+    # 2**3 rfgrap-r ones, both over the cap
+    cfg = SolverConfig(max_iters=5, delta=1e6, delta_absolute=True,
+                       candidate_cap=7)
+    for solve in (solve_grap_r, solve_rfgrap_r):
+        X, trace = solve(obj, X0, (4, 4, 4), cfg)
+        assert X is X0 and len(trace.records) == 1
+        assert trace.termination == "candidate_exhaustion"
+        assert len(trace.diagnostics) == 1
+        assert "exceed candidate_cap=7" in trace.diagnostics[0]
+    # every candidate fails its line search: one line per failed candidate
+    def failing(*args, **kwargs):
+        raise LineSearchFailure("no decrease")
+    monkeypatch.setattr(solvers, "armijo_search", failing)
+    cfg = SolverConfig(max_iters=5, delta=1e-12, delta_absolute=True)
+    X, trace = solve_grap_r(obj, X0, (4, 4, 4), cfg)
+    assert X is X0 and len(trace.records) == 1
+    assert trace.termination == "candidate_exhaustion"
+    assert trace.diagnostics == ("all 1 rank candidates failed the line "
+                                 "search", "candidate (4, 4, 4): no decrease")
+    path = tmp_path / "summary.json"
+    write_summary_json(trace, path)
+    summary = json.loads(path.read_text())
+    assert summary["termination"] == "candidate_exhaustion"
+    assert summary["diagnostics"] == list(trace.diagnostics)
+
+
 def test_steps_from_rank_zero_candidate():
     # index sets may include rank 0 (collapse to the zero tensor); a step
     # from the zero candidate must grow back into the bound without errors
@@ -339,6 +370,7 @@ def test_trace_csv_and_summary(tmp_path):
     assert summary["solver"] == "grap-r"
     assert summary["iters"] == trace.final().iter
     assert summary["termination"] == trace.termination
+    assert "diagnostics" not in summary
 
 
 def test_trace_helpers():

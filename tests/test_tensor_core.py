@@ -192,6 +192,38 @@ def test_coo_roundtrip(tmp_path):
     assert np.array_equal(T.vals, S.vals)  # repr() round-trips floats exactly
 
 
+def _moveaxis_unfold(X, k):
+    """The np.moveaxis formula that unfold replaces; layout reference."""
+    cols = int(np.prod([n for i, n in enumerate(X.shape) if i != k - 1],
+                       dtype=np.int64))
+    return np.moveaxis(X, k - 1, 0).reshape(X.shape[k - 1], cols, order="F")
+
+
+def _moveaxis_fold(M, k, dims):
+    rest = tuple(dims[:k - 1]) + tuple(dims[k:])
+    return np.moveaxis(M.reshape((dims[k - 1],) + rest, order="F"), 0, k - 1)
+
+
+def _same_layout(a, b):
+    return (a.shape == b.shape and a.strides == b.strides
+            and np.array_equal(a, b))
+
+
+@pytest.mark.parametrize("dims", [(5,), (3, 4), (2, 3, 4), (2, 3, 1, 4),
+                                  (3, 0, 2), (0, 2)])
+def test_unfold_fold_match_moveaxis_layout(dims):
+    # GEMM rounding depends on layout, so the views must keep their strides
+    rng = np.random.default_rng(len(dims))
+    X = rng.standard_normal(dims)
+    for base in (X, np.asfortranarray(X), X.transpose()[..., ::-1]):
+        for k in range(1, base.ndim + 1):
+            M = unfold(base, k)
+            assert _same_layout(M, _moveaxis_unfold(base, k))
+            assert _same_layout(fold(M, k, base.shape),
+                                _moveaxis_fold(M, k, base.shape))
+            assert np.array_equal(fold(M, k, base.shape), base)
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(2, 5), st.integers(2, 5), st.integers(2, 4),
        st.integers(0, 2 ** 31 - 1))
@@ -270,6 +302,13 @@ def test_blocked_scatter_is_bit_identical_to_one_bincount(monkeypatch, block):
     for skip in (1, 2, 3):
         assert np.array_equal(multi_mode_contract(big, V, skip),
                               _bincount_contract(big, V, skip))
+    # factors in Fortran order, and column-sliced views as f.U[:, :keep]
+    wide = [rng.standard_normal((n, q + 2)) for n, q in zip(big.dims, (5, 6, 4))]
+    for mats in ([np.asfortranarray(M) for M in V],
+                 [M[:, :q] for M, q in zip(wide, (5, 6, 4))]):
+        for skip in (1, 2, 3):
+            assert np.array_equal(multi_mode_contract(big, mats, skip),
+                                  _bincount_contract(big, mats, skip))
 
 
 def test_contract_matches_dense_reference():
