@@ -18,6 +18,7 @@ from .geometry import tangent_norm
 from .solvers import ObjectiveHandle
 from .tensor_core import (
     SparseCooTensor,
+    has_equal_neighbours,
     load_coo,
     multi_mode_contract,
     save_coo,
@@ -56,7 +57,7 @@ class CompletionProblem:
             raise ValueError("sampling rate must lie in (0, 1]")
         if self.gamma.nnz:
             both = np.vstack([self.omega.idx, self.gamma.idx])
-            if np.unique(both, axis=0).shape[0] != both.shape[0]:
+            if has_equal_neighbours(both[np.lexsort(both.T[::-1])]):
                 raise ValueError("training and test index sets overlap")
         object.__setattr__(self, "dims", dims)
 

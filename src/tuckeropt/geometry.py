@@ -142,11 +142,14 @@ def tangent_entries_at(V: TangentVector, idx) -> np.ndarray:
     X = V.anchor
     if not isinstance(idx, IndexPlan):
         idx = index_plan(idx, X.dims)
-    S = _widened(V)
-    S = [Sk if Sk.shape[1] == V.bound[k] else
-         np.hstack([Sk, np.zeros((Sk.shape[0], V.bound[k] - Sk.shape[1]))])
-         for k, Sk in enumerate(S)]
-    vals = mixed_eval(V.C, S, idx)
+    if V.C.any():
+        S = _widened(V)
+        S = [Sk if Sk.shape[1] == V.bound[k] else
+             np.hstack([Sk, np.zeros((Sk.shape[0], V.bound[k] - Sk.shape[1]))])
+             for k, Sk in enumerate(S)]
+        vals = mixed_eval(V.C, S, idx)
+    else:       # partial_project's single-factor branches have C = 0
+        vals = np.zeros(len(idx))
     for k in range(X.ndim):
         if not V.Udot[k].any():
             continue

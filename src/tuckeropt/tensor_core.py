@@ -14,6 +14,7 @@ from __future__ import annotations
 import io
 import math
 import struct
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,6 +22,7 @@ import numpy as np
 __all__ = [
     "IndexPlan",
     "SparseCooTensor",
+    "has_equal_neighbours",
     "SvdResult",
     "unfold",
     "fold",
@@ -68,6 +70,16 @@ class IndexPlan:
         return self.idx.shape[0]
 
 
+def has_equal_neighbours(idx: np.ndarray) -> bool:
+    """Whether two consecutive rows of an (m, d) index array are equal.
+
+    On rows sorted with ``np.lexsort(idx.T[::-1])`` this tells whether any
+    tuple repeats.  Whole rows are compared, so no linear index is formed
+    and large dims cannot overflow one.
+    """
+    return bool((idx[1:] == idx[:-1]).all(axis=1).any())
+
+
 @dataclass(frozen=True)
 class SparseCooTensor:
     """Coordinate-list tensor with 1-based indices, canonically sorted.
@@ -97,7 +109,7 @@ class SparseCooTensor:
         order = np.lexsort(idx.T[::-1])
         idx = idx[order]
         vals = vals[order]
-        if idx.shape[0] > 1 and (np.diff(idx, axis=0) == 0).all(axis=1).any():
+        if has_equal_neighbours(idx):
             raise ValueError("duplicate sparse indices")
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "idx", idx)
@@ -419,30 +431,52 @@ def load_dense(path) -> np.ndarray:
 
 
 def save_coo(S: SparseCooTensor, path) -> None:
-    """Text COO format: header 'd n_1 ... n_d', then 'i_1 ... i_d value' lines."""
+    """Text COO format: header 'd n_1 ... n_d', then 'i_1 ... i_d value' lines.
+
+    Each value is written as ``repr(float(v))``, the shortest text that
+    reads back to the same double.
+    """
+    line = "%d " * len(S.dims) + "%r\n"
     with open(path, "w") as f:
         f.write(" ".join([str(len(S.dims))] + [str(n) for n in S.dims]) + "\n")
-        for row, v in zip(S.idx, S.vals):
-            f.write(" ".join(str(int(i)) for i in row) + f" {float(v)!r}\n")
+        f.writelines(line % (*row, v)
+                     for row, v in zip(S.idx.tolist(), S.vals.tolist()))
 
 
 def load_coo(path) -> SparseCooTensor:
+    """Read the text COO format that :func:`save_coo` writes.
+
+    The header must hold an order d >= 1 and d mode sizes >= 1.  Blank lines
+    are skipped; every other line must hold d base-10 integer indices and
+    one decimal value (``inf`` and ``nan`` included), and nothing else:
+    ``1.0`` indices, hex, ``#`` and digit-group underscores are rejected.
+    The body is parsed in one pass of numpy's C reader, whose floats round
+    correctly, as ``float()`` does.  A malformed header or line and an
+    out-of-range or repeated tuple raise a ``ValueError`` that names the file.
+    """
     with open(path) as f:
-        header = f.readline().split()
+        line = f.readline()
+        header = line.split()
         if not header:
             raise ValueError(f"{path}: empty COO file")
-        d = int(header[0])
-        if len(header) != d + 1:
-            raise ValueError(f"{path}: malformed COO header")
-        dims = tuple(int(n) for n in header[1:])
-        idx, vals = [], []
-        for line in f:
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) != d + 1:
-                raise ValueError(f"{path}: malformed COO entry {line!r}")
-            idx.append([int(p) for p in parts[:d]])
-            vals.append(float(parts[d]))
-    return SparseCooTensor(dims, np.array(idx, dtype=np.int64).reshape(len(vals), d),
-                           np.array(vals))
+        try:
+            d, *dims = (int(t) for t in header)
+        except ValueError:
+            d, dims = 0, []
+        if d < 1 or len(dims) != d or min(dims) < 1:
+            raise ValueError(f"{path}: malformed COO header {line!r}")
+        rows = np.dtype([("idx", np.int64, (d,)), ("val", np.float64)])
+        with warnings.catch_warnings():
+            # a header-only file is an empty tensor, not a warning
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            # numpy releases that still read '1.0' as an integer warn so
+            warnings.filterwarnings("error", ".*integer via a float",
+                                    DeprecationWarning)
+            try:
+                body = np.loadtxt(f, dtype=rows, comments=None, ndmin=1)
+            except ValueError as e:
+                raise ValueError(f"{path}: malformed COO entry: {e}") from e
+    try:
+        return SparseCooTensor(tuple(dims), body["idx"], body["val"])
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from e

@@ -7,6 +7,7 @@ core dimensions always equal the Tucker rank of the represented tensor.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -223,17 +224,34 @@ def save_checkpoint(T: TuckerTensor, path) -> None:
 
 
 def load_checkpoint(path) -> TuckerTensor:
+    """Read a checkpoint that :func:`save_checkpoint` wrote.
+
+    A header of order 0 or with a rank above its mode size, and a file
+    shorter or longer than its header declares, raise a ``ValueError`` that
+    names the file.
+    """
     with open(path, "rb") as f:
-        if f.read(5) != _CKPT_MAGIC:
-            raise ValueError(f"{path}: not a Tucker checkpoint")
-        (d,) = struct.unpack("<I", f.read(4))
-        dims = struct.unpack(f"<{d}I", f.read(4 * d))
-        rank = struct.unpack(f"<{d}I", f.read(4 * d))
-        ncore = int(np.prod(rank, dtype=np.int64))
-        core = np.frombuffer(f.read(8 * ncore), dtype="<f8").reshape(rank, order="F")
-        factors = []
-        for k in range(d):
-            n = dims[k] * rank[k]
-            factors.append(np.frombuffer(f.read(8 * n), dtype="<f8")
-                           .reshape((dims[k], rank[k]), order="F"))
-    return TuckerTensor(core.copy(), tuple(U.copy() for U in factors))
+        data = f.read()
+    if data[:5] != _CKPT_MAGIC:
+        raise ValueError(f"{path}: not a Tucker checkpoint")
+    d = struct.unpack_from("<I", data, 5)[0] if len(data) >= 9 else 0
+    head = 9 + 8 * d
+    if len(data) < head:
+        raise ValueError(f"{path}: truncated Tucker checkpoint header")
+    if d == 0:
+        raise ValueError(f"{path}: Tucker checkpoint of order 0")
+    dims = struct.unpack_from(f"<{d}I", data, 9)
+    rank = struct.unpack_from(f"<{d}I", data, 9 + 4 * d)
+    if any(r > n for r, n in zip(rank, dims)):
+        raise ValueError(f"{path}: checkpoint rank {rank} exceeds its dims {dims}")
+    sizes = [math.prod(rank)] + [n * r for n, r in zip(dims, rank)]
+    end = head + 8 * sum(sizes)
+    if len(data) != end:
+        what = "truncated" if len(data) < end else "trailing bytes after"
+        raise ValueError(f"{path}: {what} Tucker checkpoint ({len(data)} bytes, "
+                         f"its header declares {end})")
+    vals = np.frombuffer(data, dtype="<f8", offset=head)
+    core, *factors = np.split(vals, np.cumsum(sizes)[:-1])
+    return TuckerTensor(core.reshape(rank, order="F").copy(),
+                        tuple(U.reshape((n, r), order="F").copy()
+                              for U, n, r in zip(factors, dims, rank)))

@@ -60,6 +60,46 @@ def test_problem_rejects_overlap():
         CompletionProblem((3, 3, 3), S, S, 0.1)
 
 
+def _overlaps_by_unique(omega_idx, gamma_idx):
+    """The np.unique(axis=0) check that CompletionProblem's is tested against."""
+    both = np.vstack([omega_idx, gamma_idx])
+    return np.unique(both, axis=0).shape[0] != both.shape[0]
+
+
+@pytest.mark.parametrize("dims", [(9, 7), (6, 5, 4), (4, 3, 5, 3)])
+def test_problem_overlap_check_matches_unique(dims):
+    rng = np.random.default_rng(len(dims))
+    total = int(np.prod(dims))
+    tuples = np.column_stack(np.unravel_index(rng.permutation(total), dims)) + 1
+    last = np.array(dims)       # the grid's lexicographically last tuple
+
+    def sparse(idx):
+        return SparseCooTensor(dims, idx, rng.standard_normal(len(idx)))
+
+    cases = []
+    for _ in range(20):
+        m, k = rng.integers(1, total // 3, size=2)
+        omega, gamma = tuples[:m], tuples[m:m + k]
+        cases.append((omega, gamma))                        # disjoint
+        shared = rng.choice(m, size=rng.integers(1, m + 1), replace=False)
+        cases.append((omega, np.vstack([gamma, omega[shared]])))  # overlapping
+    # Omega and Gamma sharing only the last tuple, then Omega alone holding it
+    rest = tuples[~(tuples == last).all(axis=1)]
+    cases.append((np.vstack([rest[:10], last]), np.vstack([rest[10:20], last])))
+    cases.append((np.vstack([rest[:10], last]), rest[10:20]))
+    for omega, gamma in cases:
+        expect = _overlaps_by_unique(omega, gamma)
+        if expect:
+            with pytest.raises(ValueError, match="overlap"):
+                CompletionProblem(dims, sparse(omega), sparse(gamma), 0.1)
+        else:
+            CompletionProblem(dims, sparse(omega), sparse(gamma), 0.1)
+    assert sum(_overlaps_by_unique(o, g) for o, g in cases) == 21
+    # an empty test set never overlaps
+    empty = SparseCooTensor(dims, np.zeros((0, len(dims)), dtype=np.int64), [])
+    assert CompletionProblem(dims, sparse(tuples[:5]), empty, 0.1).gamma.nnz == 0
+
+
 def test_objective_and_gradient_consistent():
     P, truth = _problem()
     X = random_tucker(P.dims, (2, 2, 2), RNG)

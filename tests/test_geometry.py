@@ -10,8 +10,10 @@ from tuckeropt import (
     angle_constants,
     approx_project,
     choose_singular_complement,
+    completion_objective,
     embed,
     fro_norm,
+    gen_synthetic,
     inner,
     partial_project,
     sample_normal,
@@ -25,6 +27,7 @@ from tuckeropt import (
 from tuckeropt import geometry
 from tuckeropt.completion import random_tucker
 from tuckeropt.oracles import dense_reference
+from tuckeropt.tensor_core import mixed_eval, mode_product
 
 RNG = np.random.default_rng(7)
 DIMS = (6, 6, 6)
@@ -83,20 +86,22 @@ def test_partial_projection_identity_and_branch():
                                                 rel=1e-12)
 
 
-def test_partial_projection_factor_branch_stays_low_rank():
-    # force a factor branch by making the gradient orthogonal to the
-    # multilinear part: subtract the branch-0 component
-    X, A, r = _instance()
+def _factor_branch(X, A, r):
+    """partial_project of A with its branch-0 component subtracted, which
+    forces a factor branch."""
     comps = choose_singular_complement(X, A, r)
     S = [np.hstack([U, c]) for U, c in zip(X.factors, comps)]
-    from tuckeropt.tensor_core import mode_product
     B = A
     for k, Sk in enumerate(S, start=1):
         B = mode_product(B, k, Sk.T)
     for k, Sk in enumerate(S, start=1):
         B = mode_product(B, k, Sk)
-    A2 = A - B
-    V, branch = partial_project(X, A2, r, complements=comps)
+    return partial_project(X, A - B, r, complements=comps)
+
+
+def test_partial_projection_factor_branch_stays_low_rank():
+    X, A, r = _instance()
+    V, branch = _factor_branch(X, A, r)
     assert branch >= 1
     # a factor branch lives in the tangent space at X: rank stays <= rlow
     Y = to_dense(X) + 0.1 * embed(V)
@@ -292,3 +297,36 @@ def test_contractions_belong_to_their_point():
     Y = random_tucker(DIMS, X.rank, RNG)
     with pytest.raises(ValueError):
         approx_project(Y, Contractions(X, A), r)
+
+
+def test_tangent_entries_skip_a_zero_core_block(monkeypatch):
+    # a single-factor branch of the partial projection has C = 0: its
+    # entries on Omega take one mixed_eval per nonzero Udot_k and none for C
+    rng = np.random.default_rng(11)
+    P, _ = gen_synthetic(DIMS, (2, 2, 2), 0.3, seed=4)
+    V, branch = _factor_branch(*_instance(rng=rng))
+    X = V.anchor
+    assert branch >= 1 and not V.C.any()
+
+    # reference: the C block evaluated as any other, zeros included
+    plan = P.omega.plan
+    wide = [np.hstack([U, Uc, np.zeros((U.shape[0], b - U.shape[1] - Uc.shape[1]))])
+            for U, Uc, b in zip(X.factors, V.Ucomp, V.bound)]
+    ref = mixed_eval(V.C, wide, plan)
+    for k in range(X.ndim):
+        if V.Udot[k].any():
+            mats = [V.Udot[j] if j == k else X.factors[j] for j in range(X.ndim)]
+            ref = ref + mixed_eval(X.core, mats, plan)
+    ref_step = tangent_norm(V) ** 2 / float(ref @ ref)
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return mixed_eval(*args)
+
+    monkeypatch.setattr(geometry, "mixed_eval", counted)
+    assert np.array_equal(tangent_entries_at(V, plan), ref)
+    assert len(calls) == sum(bool(Ud.any()) for Ud in V.Udot) >= 1
+    step = completion_objective(P).initial_step(X, V)
+    assert np.float64(step).tobytes() == np.float64(ref_step).tobytes()

@@ -1,5 +1,8 @@
 """Unit tests for dense/sparse containers and multilinear kernels."""
 
+import re
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -179,17 +182,83 @@ def test_dense_rejects_garbage(tmp_path):
         load_dense(path)
 
 
+def _reference_coo_text(S):
+    """The per-row formatter that save_coo's output is checked against."""
+    lines = [" ".join([str(len(S.dims))] + [str(n) for n in S.dims]) + "\n"]
+    for row, v in zip(S.idx, S.vals):
+        lines.append(" ".join(str(int(i)) for i in row) + f" {float(v)!r}\n")
+    return "".join(lines)
+
+
+# -0.0, nan, +-inf, the smallest subnormal, a value near the top of the
+# range and values that need 17 significant digits to read back exactly
+_AWKWARD_VALUES = [-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, 2.2e-310,
+                   1e308, -1.7976931348623157e308, 0.1 + 0.2, 1 / 3,
+                   -2 / 3 * 1e-100, 123456789.12345679]
+
+
 def test_coo_roundtrip(tmp_path):
-    idx = RNG.integers(1, 5, size=(10, 3))
-    idx = np.unique(idx, axis=0)
-    vals = RNG.standard_normal(idx.shape[0])
-    S = SparseCooTensor((4, 4, 4), idx, vals)
+    for dims in [(50,), (7, 9), (4, 4, 4), (3, 4, 2, 5)]:
+        total = int(np.prod(dims))
+        lin = RNG.choice(total, size=30, replace=False)
+        idx = np.column_stack(np.unravel_index(lin, dims)) + 1
+        vals = RNG.standard_normal(idx.shape[0])
+        vals[:len(_AWKWARD_VALUES)] = _AWKWARD_VALUES
+        S = SparseCooTensor(dims, idx, vals)
+        path = tmp_path / f"s{len(dims)}.coo"
+        save_coo(S, path)
+        assert path.read_bytes() == _reference_coo_text(S).encode()
+        T = load_coo(path)
+        assert T.dims == S.dims
+        assert np.array_equal(T.idx, S.idx)
+        # repr() round-trips floats exactly: compare bits, signed zeros too
+        assert np.array_equal(T.vals.view(np.int64), S.vals.view(np.int64))
+
+
+_COO_HEADER = "3 4 4 4\n"
+
+
+@pytest.mark.parametrize("text", [
+    "",                                         # no header
+    "3 4 4\n",                                  # header: too few sizes
+    "3 4 4 4 4\n",                              # header: too many sizes
+    "x 4 4 4\n",                                # header: not an integer
+    "3 4 4.0 4\n",
+    "0\n",                                      # header: order 0
+    "3 4 -4 4\n",                               # header: negative size
+    _COO_HEADER + "1 1 2.5\n",                  # too few tokens
+    _COO_HEADER + "1 1 1 2.5 7\n",              # too many tokens
+    _COO_HEADER + "1 1 1 2.5\n2 2 2\n",        # ... on a later line
+    _COO_HEADER + "1.0 1 1 2.5\n",              # float index
+    _COO_HEADER + "0x1 1 1 2.5\n",              # hex index
+    _COO_HEADER + "1 1 1 0x1p3\n",              # hex value
+    _COO_HEADER + "1 1 1 #\n",                  # comment token as value
+    _COO_HEADER + "# 1 1 2.5\n",                # comment token as index
+    _COO_HEADER + "1 1 1 2.5 # note\n",         # trailing comment
+    _COO_HEADER + "0 1 1 2.5\n",                # index 0
+    _COO_HEADER + "1 5 1 2.5\n",                # index above n_2
+    _COO_HEADER + "1 1 1 2.5\n2 2 2 1\n1 1 1 3\n",  # duplicate tuple
+])
+def test_load_coo_rejects_malformed_files(tmp_path, text):
+    path = tmp_path / "bad.coo"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=re.escape(str(path))):
+        load_coo(path)
+
+
+def test_load_coo_skips_blank_lines_and_reads_header_only_files(tmp_path):
     path = tmp_path / "s.coo"
-    save_coo(S, path)
-    T = load_coo(path)
-    assert T.dims == S.dims
-    assert np.array_equal(T.idx, S.idx)
-    assert np.array_equal(T.vals, S.vals)  # repr() round-trips floats exactly
+    path.write_text(_COO_HEADER + "\n2 1 3 -1.5\n   \n\n1 4 4 2.5\n\n")
+    S = load_coo(path)
+    assert S.dims == (4, 4, 4)
+    assert np.array_equal(S.idx, [[1, 4, 4], [2, 1, 3]])
+    assert np.array_equal(S.vals, [2.5, -1.5])
+    for text in (_COO_HEADER, _COO_HEADER + "\n  \n"):
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            S = load_coo(path)
+        assert S.dims == (4, 4, 4) and S.nnz == 0 and S.idx.shape == (0, 3)
 
 
 def _moveaxis_unfold(X, k):

@@ -1,5 +1,8 @@
 """Unit tests for the Tucker representation, HOSVD, and the exact step."""
 
+import re
+import struct
+
 import numpy as np
 import pytest
 
@@ -168,3 +171,22 @@ def test_checkpoint_rejects_garbage(tmp_path):
     path.write_bytes(b"WRONG" + b"\x00" * 32)
     with pytest.raises(ValueError):
         load_checkpoint(path)
+
+
+def test_checkpoint_rejects_malformed_files(tmp_path):
+    T = random_tucker((5, 4, 6), (2, 3, 2), RNG)
+    good = tmp_path / "x.ttkr"
+    save_checkpoint(T, good)
+    data = good.read_bytes()
+    head = 5 + 4 + 8 * 3
+    order0 = data[:5] + struct.pack("<I", 0)
+    # rank 5 above n_2 = 4, with as many values as that header declares
+    over = data[:9] + struct.pack("<6I", 5, 4, 6, 2, 5, 2) + bytes(8 * 62)
+    bad = [data[:7], data[:head - 2], data[:head], data[:-8], data[:-3],
+           data + b"\x00", data + data[-8:], order0, order0 + data[9:],
+           over]
+    for i, blob in enumerate(bad):
+        path = tmp_path / f"bad{i}.ttkr"
+        path.write_bytes(blob)
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            load_checkpoint(path)
