@@ -83,6 +83,7 @@ from .tucker import (
     entries_at,
     hosvd,
     hosvd_truncate,
+    hosvd_truncations,
     load_checkpoint,
     mode_singular_values,
     save_checkpoint,

@@ -158,6 +158,13 @@ _BENCH_SETTINGS = {
                       ranks=[(3, 3, 3), (4, 4, 4), (5, 5, 5), (6, 6, 6)],
                       p=0.01),
     },
+    # bounds below the true rank: no iterate can fit the data exactly
+    "under-rank": {
+        "scaled": dict(n=(20, 20, 20), r_true=(4, 4, 4),
+                       ranks=[(2, 2, 2)], p=0.2),
+        "paper": dict(n=(400, 400, 400), r_true=(6, 6, 6),
+                      ranks=[(2, 2, 2), (4, 4, 4)], p=0.01),
+    },
 }
 
 

@@ -18,7 +18,6 @@ from .geometry import tangent_norm
 from .solvers import ObjectiveHandle
 from .tensor_core import (
     SparseCooTensor,
-    has_equal_neighbours,
     load_coo,
     multi_mode_contract,
     save_coo,
@@ -55,11 +54,25 @@ class CompletionProblem:
             raise ValueError("observation dims disagree with problem dims")
         if not 0 < self.p <= 1:
             raise ValueError("sampling rate must lie in (0, 1]")
-        if self.gamma.nnz:
-            both = np.vstack([self.omega.idx, self.gamma.idx])
-            if has_equal_neighbours(both[np.lexsort(both.T[::-1])]):
+        if self.omega.nnz and self.gamma.nnz:
+            # Omega's tuples are sorted, so each of Gamma's is looked up in
+            # them by binary search
+            omega, gamma = _row_keys(self.omega.idx), _row_keys(self.gamma.idx)
+            at = np.searchsorted(omega, gamma).clip(max=omega.size - 1)
+            if (omega[at] == gamma).any():
                 raise ValueError("training and test index sets overlap")
         object.__setattr__(self, "dims", dims)
+
+
+def _row_keys(idx: np.ndarray) -> np.ndarray:
+    """One opaque key per row of an (m, d) array of positive indices.
+
+    A key holds the row's big-endian bytes, so keys compare bytewise in
+    the rows' lexicographic order; no linear index is formed, so large dims
+    cannot overflow one.
+    """
+    rows = np.ascontiguousarray(idx, dtype=">i8")
+    return rows.view(np.dtype((np.void, rows.itemsize * idx.shape[1]))).ravel()
 
 
 def _residual(P: CompletionProblem, X: TuckerTensor) -> np.ndarray:

@@ -15,6 +15,8 @@ import numpy as np
 from .tensor_core import (
     DEFAULT_RANK_TOL,
     IndexPlan,
+    SparseCooTensor,
+    batched_mode_contract,
     contract,
     final_mode,
     fold,
@@ -31,6 +33,7 @@ __all__ = [
     "TangentVector",
     "StationarityReport",
     "Contractions",
+    "candidate_contractions",
     "embed",
     "tangent_norm",
     "tangent_entries_at",
@@ -186,21 +189,31 @@ class Contractions:
     depends on operand layout, so a C-order copy of a shared contraction
     would move the iterates in their last bits.  For the same reason a
     pattern derived from a formed one reads that one's own array.
+
+    A rank candidate X_c of an iterate X, whose factors are U_j W_j with
+    U_j those of X (see :func:`~tuckeropt.tucker.hosvd_truncations`), may
+    be served from X's basis instead (``basis``, as
+    :func:`candidate_contractions` makes it).  A pattern is then read off
+    the X-basis pattern (U_j on its "U" modes, the identity elsewhere) by
+    dense mode products: W_j^T on "U" modes and [U_j W_j | Ucomp_j]^T on
+    complement modes.  That equals contracting A directly,
+    (A x_j U_j^T) x_j W_j^T = A x_j (U_j W_j)^T, up to rounding.
     """
 
-    __slots__ = ("anchor", "tensor", "_memo", "_sign")
+    __slots__ = ("anchor", "tensor", "_memo", "_sign", "_basis")
 
-    def __init__(self, X: TuckerTensor, A):
+    def __init__(self, X: TuckerTensor, A, basis=None):
         self.anchor = X
         self.tensor = A
         self._memo = {}
         self._sign = 1.0
+        self._basis = basis
 
     def negated(self) -> "Contractions":
         """The same contractions for -A (sharing what is already formed)."""
         out = object.__new__(Contractions)
         out.anchor, out.tensor = self.anchor, self.tensor
-        out._memo = self._memo
+        out._memo, out._basis = self._memo, self._basis
         out._sign = -self._sign
         return out
 
@@ -227,14 +240,78 @@ class Contractions:
         if hit is None:
             mats = [_mode_matrix(U, m)
                     for U, m in zip(self.anchor.factors, modes)]
-            s = final_mode(self.anchor.dims, mats)
-            parent = None
-            if mats[s] is not None:
-                parent = self._formed(modes[:s] + ("I",) + modes[s + 1:])
+            if self._basis is not None:
+                D = self._basis.serve(self.tensor, key, mats)
+            else:
+                s = final_mode(self.anchor.dims, mats)
+                parent = None
+                if mats[s] is not None:
+                    parent = self._formed(modes[:s] + ("I",) + modes[s + 1:])
+                D = _contract(self.tensor, mats, parent)
             # keeping the complements alive keeps their ids in the key valid
-            hit = (_contract(self.tensor, mats, parent), modes)
+            hit = (D, modes)
             self._memo[key] = hit
         return hit[0]
+
+
+class _XBasis:
+    """Where a rank candidate's :class:`Contractions` take their patterns:
+    the factors U_j of the iterate X, the candidate's W_j, and the X-basis
+    patterns A x_{j in S} U_j^T formed so far, keyed by the tuple of
+    per-mode flags (j in S).  :func:`candidate_contractions` fills in the
+    mode terms; any other pattern is formed on first request.
+    """
+
+    __slots__ = ("factors", "ws", "patterns")
+
+    def __init__(self, factors, ws):
+        self.factors = tuple(factors)
+        self.ws = tuple(ws)
+        self.patterns = {}
+
+    def serve(self, A, key, mats) -> np.ndarray:
+        """A x_j B_j^T for the candidate's B_j = mats[j] (None: identity),
+        whose mode keys are ``key``, from the X-basis pattern."""
+        flags = tuple(m == "U" for m in key)
+        P = self.patterns.get(flags)
+        if P is None:
+            P = _contract(A, [U if f else None
+                              for U, f in zip(self.factors, flags)])
+            self.patterns[flags] = P
+        for j, (B, f) in enumerate(zip(mats, flags)):
+            if B is not None:
+                P = mode_product(P, j + 1, (self.ws[j] if f else B).T)
+        return P
+
+
+def candidate_contractions(X: TuckerTensor, candidates) -> list:
+    """:class:`Contractions` of rank candidates of X, served from X's basis.
+
+    ``candidates`` holds one (X_c, ws, A_c) per candidate, where X_c is X
+    truncated with factors U_j ws[j] and A_c is the tensor to contract
+    (the gradient at X_c).  When every A_c is sparse on one index plan, the
+    d mode terms A_c x_{j != k} U_j^T of all candidates are formed by d
+    calls of :func:`~tuckeropt.tensor_core.batched_mode_contract`; other
+    patterns, and every pattern of dense or differently planned tensors,
+    are formed per candidate on first request.
+    """
+    out = [Contractions(Xc, A, _XBasis(X.factors, ws))
+           for Xc, ws, A in candidates]
+    grads = [A for _, _, A in candidates]
+    if not grads or not all(isinstance(A, SparseCooTensor)
+                            and A.plan is grads[0].plan for A in grads):
+        return out
+    plan = grads[0].plan
+    vals = [A.vals for A in grads]
+    d = X.ndim
+    for k in range(d):
+        terms = batched_mode_contract(plan, X.dims, vals, X.factors, k + 1)
+        dims = tuple(n if j == k else q for j, (n, q) in
+                     enumerate(zip(X.dims, X.rank)))
+        flags = tuple(j != k for j in range(d))
+        for C, T in zip(out, terms):
+            C._basis.patterns[flags] = fold(T, k + 1, dims)
+    return out
 
 
 def _mode_key(m):

@@ -22,7 +22,7 @@ import numpy as np
 __all__ = [
     "IndexPlan",
     "SparseCooTensor",
-    "has_equal_neighbours",
+    "strictly_increasing",
     "SvdResult",
     "unfold",
     "fold",
@@ -36,6 +36,7 @@ __all__ = [
     "index_plan",
     "mixed_eval",
     "multi_mode_contract",
+    "batched_mode_contract",
     "final_mode",
     "contract",
     "save_dense",
@@ -60,24 +61,46 @@ class IndexPlan:
     ``len(plan)`` is the number of tuples.
     """
 
-    __slots__ = ("idx", "cols")
+    __slots__ = ("idx", "cols", "_segments")
 
     def __init__(self, idx: np.ndarray):
         self.idx = idx
         self.cols = tuple(idx[:, k] - 1 for k in range(idx.shape[1]))
+        self._segments = {}
 
     def __len__(self) -> int:
         return self.idx.shape[0]
 
+    def segments(self, k: int):
+        """(order, starts, keys) of the tuples grouped by their mode-k index.
 
-def has_equal_neighbours(idx: np.ndarray) -> bool:
-    """Whether two consecutive rows of an (m, d) index array are equal.
+        ``order`` is the stable sort of ``cols[k]``; in that order the
+        tuples with 0-based mode-k index keys[s] fill positions
+        starts[s]:starts[s + 1] (the last starts is len(self)).  Built on
+        first request and kept.
+        """
+        if k not in self._segments:
+            order = np.argsort(self.cols[k], kind="stable")
+            c = self.cols[k].take(order)
+            first = np.flatnonzero(c[1:] != c[:-1]) + 1
+            starts = np.concatenate([[0], first, [c.size]]) if c.size else \
+                np.zeros(1, dtype=np.int64)
+            self._segments[k] = (order, starts, c.take(starts[:-1]))
+        return self._segments[k]
 
-    On rows sorted with ``np.lexsort(idx.T[::-1])`` this tells whether any
-    tuple repeats.  Whole rows are compared, so no linear index is formed
-    and large dims cannot overflow one.
+
+def strictly_increasing(idx: np.ndarray) -> bool:
+    """Whether the rows of an (m, d) index array rise in strict
+    lexicographic order, which also rules out a repeated row.
+
+    A row follows the one before it when its first differing column is
+    larger; no linear index is formed.
     """
-    return bool((idx[1:] == idx[:-1]).all(axis=1).any())
+    step = idx[1:] - idx[:-1]
+    moved = step != 0
+    first = moved.argmax(axis=1)
+    return bool(moved.any(axis=1).all()
+                and (np.take_along_axis(step, first[:, None], 1) > 0).all())
 
 
 @dataclass(frozen=True)
@@ -106,11 +129,18 @@ class SparseCooTensor:
                              f"{vals.size} values over {len(dims)} modes")
         if idx.size and (idx.min(axis=0).min() < 1 or (idx > np.array(dims)).any()):
             raise ValueError("sparse index out of range")
-        order = np.lexsort(idx.T[::-1])
-        idx = idx[order]
-        vals = vals[order]
-        if has_equal_neighbours(idx):
-            raise ValueError("duplicate sparse indices")
+        if strictly_increasing(idx):
+            # already in canonical order, as save_coo writes it: skip the
+            # sort, and copy as the sort's gather did (contiguous, unshared)
+            idx = idx.copy()
+            vals = vals.copy()
+        else:
+            order = np.lexsort(idx.T[::-1])
+            idx = idx[order]
+            vals = vals[order]
+            # sorted rows rise strictly unless one repeats
+            if not strictly_increasing(idx):
+                raise ValueError("duplicate sparse indices")
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "idx", idx)
         object.__setattr__(self, "vals", vals)
@@ -360,6 +390,52 @@ def multi_mode_contract(S: SparseCooTensor, factors, skip: int) -> np.ndarray:
         flat = kron_cols[:, None] + base[None, a:b]
         np.add.at(out, flat.ravel(), (kron * S.vals[None, a:b]).ravel())
     return out.reshape(nrows, ncols)
+
+
+def batched_mode_contract(plan: IndexPlan, dims, vals, factors,
+                          skip: int) -> np.ndarray:
+    """(S_c x_{j != skip} U_j^T)_(skip) for every vector c of ``vals``.
+
+    ``vals`` is a sequence of n_c value vectors; S_c has the values vals[c]
+    on the tuples of ``plan``, and every mode but ``skip`` carries a matrix
+    (``factors[skip - 1]`` is ignored).  Slab c of the (n_c, n_skip,
+    prod q_j) result is what :func:`multi_mode_contract` gives for S_c, up
+    to rounding: the Kronecker rows of the U_j on the tuples are gathered
+    once for all vectors, and the tuples that share a mode-skip index (one
+    segment of :meth:`IndexPlan.segments`) are reduced by one GEMM for all
+    vectors.  Whole segments are gathered in chunks of about
+    ``_SCATTER_BLOCK`` Kronecker elements, so no temporary grows with
+    len(plan).
+    """
+    d = len(plan.cols)
+    if not 1 <= skip <= d:
+        raise ValueError(f"mode {skip} out of range")
+    mats_t = [(np.ascontiguousarray(U.T), plan.cols[j])
+              for j, U in enumerate(factors) if j != skip - 1]
+    q = math.prod(Ut.shape[0] for Ut, _ in mats_t)
+    out = np.zeros((dims[skip - 1], q, len(vals)))
+    order, starts, keys = plan.segments(skip - 1)
+    step = max(1, _SCATTER_BLOCK // max(q, 1))
+    bounds, rows_of = starts.tolist(), keys.tolist()
+    s = 0
+    while q and len(vals) and s < len(rows_of):
+        # whole segments s..e-1, at most `step` tuples unless one is longer
+        e = max(s + 1, int(np.searchsorted(starts, bounds[s] + step,
+                                           side="right")) - 1)
+        a, b = bounds[s], bounds[e]
+        sel = order[a:b]
+        # (Kronecker column, tuple) and (vector, tuple), tuples fastest as
+        # in multi_mode_contract; the first listed mode's column fastest
+        kron = np.ones((1, b - a))
+        for Ut, c in mats_t:
+            rows = Ut.take(c.take(sel), axis=1)
+            kron = (rows[:, None, :] * kron[None, :, :]).reshape(-1, b - a)
+        G = np.stack([v.take(sel) for v in vals])
+        for t in range(s, e):
+            lo, hi = bounds[t] - a, bounds[t + 1] - a
+            out[rows_of[t]] = kron[:, lo:hi] @ G[:, lo:hi].T
+        s = e
+    return np.moveaxis(out, 2, 0)
 
 
 def final_mode(dims, mats) -> int:

@@ -29,6 +29,7 @@ __all__ = [
     "TuckerTensor",
     "hosvd",
     "hosvd_truncate",
+    "hosvd_truncations",
     "to_dense",
     "entries_at",
     "tucker_rank",
@@ -78,27 +79,54 @@ class TuckerTensor:
         return TuckerTensor(c * self.core, self.factors)
 
 
-def _st_hosvd(A: np.ndarray, r, tau: float = DEFAULT_RANK_TOL):
-    """Sequentially truncated HOSVD in ascending mode order.
+class _Node:
+    """A node of a truncation tree, keyed by the counts kept in modes
+    1..k: the core after those k steps, the W_j that made them, and, once
+    formed, the SVD step of mode k+1 and the factor U_k W_k."""
+
+    __slots__ = ("core", "ws", "svd", "factor")
+
+    def __init__(self, core, ws):
+        self.core, self.ws = core, ws
+        self.svd = self.factor = None
+
+
+def _st_hosvd(A: np.ndarray, r, tree=None, tau: float = DEFAULT_RANK_TOL):
+    """Sequentially truncated HOSVD in ascending mode order; returns
+    (core, ws, kept).
 
     Each mode-k step applies the best rank-r_k approximation to the current
     tensor, so the composition equals proj^d(...proj^1(A)).  The requested
     rank is additionally capped at the numerical rank so core unfoldings stay
-    at full row rank.
+    at full row rank; ``kept`` is the tuple of the counts actually kept.
+
+    The tensor a mode-k step works on depends only on the counts kept in
+    modes 1..k-1.  ``tree`` (a dict) keeps every step under that prefix, so
+    that truncations of the same A to other ranks run each mode's SVD once
+    per distinct prefix and get the very arrays they would get alone.
     """
-    d = A.ndim
-    core = A
-    factors = []
-    for k in range(1, d + 1):
-        M = unfold(core, k)
-        f = thin_svd(M)
-        sig = f.sigma
-        nrank = int(np.count_nonzero(sig > tau * sig[0])) if sig.size and sig[0] > 0 else 0
+    tree = {} if tree is None else tree
+    node = tree.setdefault((), _Node(A, ()))
+    if node.core is not A:
+        raise ValueError("truncation tree belongs to another tensor")
+    key = ()
+    for k in range(1, A.ndim + 1):
+        if node.svd is None:
+            M = unfold(node.core, k)
+            f = thin_svd(M)
+            sig = f.sigma
+            nrank = int(np.count_nonzero(sig > tau * sig[0])) if sig.size and sig[0] > 0 else 0
+            node.svd = (M, f, nrank)
+        M, f, nrank = node.svd
         rk = min(int(r[k - 1]), nrank)
-        factors.append(f.U[:, :rk])
-        new_dims = tuple(rk if j == k - 1 else core.shape[j] for j in range(d))
-        core = fold(f.U[:, :rk].T @ M, k, new_dims)
-    return core, factors
+        key = key + (rk,)
+        if key not in tree:
+            W = f.U[:, :rk]
+            new_dims = tuple(rk if j == k - 1 else n
+                             for j, n in enumerate(node.core.shape))
+            tree[key] = _Node(fold(W.T @ M, k, new_dims), node.ws + (W,))
+        node = tree[key]
+    return node.core, list(node.ws), key
 
 
 def hosvd(A: np.ndarray, r) -> TuckerTensor:
@@ -110,17 +138,45 @@ def hosvd(A: np.ndarray, r) -> TuckerTensor:
         nmk = int(np.prod(A.shape, dtype=np.int64)) // nk
         if not 0 <= rk <= min(nk, nmk):
             raise ValueError(f"rank {rk} invalid for mode {k + 1} of dims {A.shape}")
-    core, factors = _st_hosvd(A, r)
+    core, factors, _ = _st_hosvd(A, r)
     return TuckerTensor(core, tuple(factors))
 
 
-def hosvd_truncate(T: TuckerTensor, r) -> TuckerTensor:
-    """Core-only recompression; equals hosvd(to_dense(T), r) without densifying."""
+def hosvd_truncate(T: TuckerTensor, r, tree=None) -> TuckerTensor:
+    """Core-only recompression; equals hosvd(to_dense(T), r) without densifying.
+
+    ``tree`` is a dict shared by truncations of the same T, which then
+    share their SVD steps (see :func:`hosvd_truncations`).
+    """
     r = tuple(int(x) for x in r)
     if any(rk > ck for rk, ck in zip(r, T.rank)):
         raise ValueError(f"target rank {r} exceeds current rank {T.rank}")
-    core, ws = _st_hosvd(T.core, r)
-    return TuckerTensor(core, tuple(U @ W for U, W in zip(T.factors, ws)))
+    tree = {} if tree is None else tree
+    core, ws, kept = _st_hosvd(T.core, r, tree)
+    factors = []
+    for k, (U, W) in enumerate(zip(T.factors, ws)):
+        node = tree[kept[:k + 1]]
+        if node.factor is None:
+            node.factor = U @ W
+        factors.append(node.factor)
+    return TuckerTensor(core, tuple(factors))
+
+
+def hosvd_truncations(T: TuckerTensor, ranks) -> list:
+    """:func:`hosvd_truncate` of T to every rank in ``ranks``, through one
+    truncation tree; returns one (truncated tensor, ws) per rank.
+
+    The truncation's mode-k factor is T's U_k times ws[k], which has
+    orthonormal columns.  Each mode's SVD runs once per distinct set of
+    counts kept in the modes before it, and each result is bit-identical
+    to truncating T to that rank alone.
+    """
+    tree = {}
+    out = []
+    for r in ranks:
+        Y = hosvd_truncate(T, r, tree)
+        out.append((Y, tree[Y.rank].ws))
+    return out
 
 
 def to_dense(T: TuckerTensor) -> np.ndarray:

@@ -81,6 +81,25 @@ def test_bench_scaled_tiny(tmp_path, capsys):
     assert (out / "true-rank_problem" / "omega.coo").exists()
 
 
+def test_bench_under_rank_tiny(tmp_path, capsys):
+    # the suite's own bound (2, 2, 2) sits below the true rank
+    out = tmp_path / "bench"
+    code = main(["bench", "under-rank", "--n", "8,7,6", "--true-rank", "4,4,4",
+                 "--p", "0.4", "--max-iters", "15", "--out", str(out)])
+    assert code == 0
+    with open(out / "under-rank_comparison.csv") as f:
+        rows = list(csv.DictReader(f))
+    assert {r["solver"] for r in rows} == {"grap", "rfgrap", "grap-r",
+                                           "rfgrap-r"}
+    assert {r["rank_bound"] for r in rows} == {"2x2x2"}
+    for name in ("grap", "rfgrap", "grap-r", "rfgrap-r"):
+        summary = json.loads((out / f"under-rank_r2x2x2_{name}.json").read_text())
+        assert summary["termination"] in ("converged", "max_iters")
+        assert all(rk <= 2 for rk in summary["rank"])
+    meta = json.loads((out / "under-rank_problem" / "meta.json").read_text())
+    assert meta["r_true"] == [4, 4, 4]
+
+
 def test_candidate_exhaustion_exits_1_with_its_diagnostics(problem_dir,
                                                          tmp_path, capsys):
     # a threshold above every singular value offers 5**3 > 64 candidates

@@ -1,5 +1,7 @@
 """Unit tests for tangent-cone projections and stationarity."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from tuckeropt import (
     embed,
     fro_norm,
     gen_synthetic,
+    hosvd_truncations,
     inner,
     partial_project,
     sample_normal,
@@ -330,3 +333,61 @@ def test_tangent_entries_skip_a_zero_core_block(monkeypatch):
     assert len(calls) == sum(bool(Ud.any()) for Ud in V.Udot) >= 1
     step = completion_objective(P).initial_step(X, V)
     assert np.float64(step).tobytes() == np.float64(ref_step).tobytes()
+
+
+def _served_patterns(X, cands, make_grad, r):
+    """(candidate Contractions served from X's basis, fresh ones) after the
+    complement choice and both projections have read every pattern."""
+    truncs = hosvd_truncations(X, cands)
+    grads = [make_grad(Xc) for Xc, _ in truncs]
+    served = geometry.candidate_contractions(
+        X, [(Xc, ws, A) for (Xc, ws), A in zip(truncs, grads)])
+    for C in served:
+        neg = C.negated()
+        comps = choose_singular_complement(C.anchor, neg, r)
+        approx_project(C.anchor, neg, r, comps)
+        partial_project(C.anchor, neg, r, comps)
+    fresh = [Contractions(Xc, A) for (Xc, _), A in zip(truncs, grads)]
+    return served, fresh
+
+
+def _assert_close_patterns(served, fresh):
+    for C, F in zip(served, fresh):
+        assert C._memo, "no pattern was served"
+        for D, modes in C._memo.values():
+            ref = F.contract(modes)
+            assert D.shape == ref.shape
+            assert np.linalg.norm(D - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+def test_batched_candidate_patterns_match_fresh_ones(monkeypatch):
+    # a candidate served from X's basis hands out, for every pattern its
+    # complement choice and projections read, what contracting its own
+    # gradient gives: every deficiency set, rank-0 (zero-width W) candidates,
+    # sparse gradients on one plan, on two plans, and dense ones
+    rng = np.random.default_rng(23)
+    dims, r = (7, 6, 5), (3, 3, 3)
+    X = random_tucker(dims, r, rng)
+    cands = [rl for rl in itertools.product((2, 3), repeat=3) if rl != r]
+    cands += [(0, 3, 3), (3, 1, 0)]
+    plan_a = _sparse(rng.standard_normal(dims), rng=rng)
+    plan_b = _sparse(rng.standard_normal(dims), rng=rng)
+    batched = []
+    contract = geometry.batched_mode_contract
+    monkeypatch.setattr(geometry, "batched_mode_contract",
+                        lambda *a: batched.append(a[-1]) or contract(*a))
+
+    def sparse_on(S):
+        return lambda Xc: S.with_values(rng.standard_normal(S.nnz))
+
+    alternating = itertools.cycle([plan_a, plan_b])
+    for make_grad, batches in (
+            (sparse_on(plan_a), [1, 2, 3]),
+            (lambda Xc: rng.standard_normal(dims), []),
+            (lambda Xc: sparse_on(next(alternating))(Xc), [])):
+        batched.clear()
+        served, fresh = _served_patterns(X, cands, make_grad, r)
+        assert batched == batches
+        _assert_close_patterns(served, fresh)
+    # the zero-width candidates really are rank 0 in a mode
+    assert {C.anchor.rank for C in served} >= {(0, 0, 0)}

@@ -1,0 +1,67 @@
+"""The rank-decreasing solvers across rank parameters, orders and shapes.
+
+Small completion instances with fixed seeds: d = 2 and d = 4, non-cubic
+dimensions, non-uniform bounds below and above the true rank, starts below
+the bound, and candidate sets that reach rank 0 in a mode.  Every run has
+iterations with several distinct rank candidates, whose steps are served
+from the iterate's basis.
+"""
+
+import numpy as np
+import pytest
+
+from tuckeropt import (
+    SolverConfig,
+    completion_objective,
+    gen_synthetic,
+    random_tucker,
+    solve_grap_r,
+    solve_rfgrap_r,
+    stationarity_measure,
+)
+from tuckeropt.oracles import _ref_stationarity
+
+TERMINATIONS = {"converged", "max_iters", "stalled", "line_search_failure",
+                "candidate_exhaustion"}
+
+# (dims, true rank, bound, start rank, sampling rate, seed, solver config)
+INSTANCES = {
+    # d = 2 under the true rank; a threshold above every singular value
+    # offers every rank down to 0 in both modes
+    "d2-under-rank-0": ((12, 9), (3, 2), (2, 2), (2, 2), 0.5, 1,
+                        dict(delta=1e6, delta_absolute=True)),
+    # d = 2 over the true rank, from a start below the bound
+    "d2-over-below": ((11, 8), (1, 2), (3, 3), (2, 3), 0.5, 2,
+                      dict(delta=0.3)),
+    # d = 4, non-uniform bound over a non-uniform true rank
+    "d4-over": ((7, 6, 5, 4), (2, 2, 1, 2), (3, 3, 2, 2), (3, 3, 2, 2), 0.4,
+                3, dict(delta=0.3, candidate_cap=150)),
+    # d = 4, under the true rank in two modes, from a start below the bound
+    "d4-under-below": ((6, 7, 5, 4), (3, 2, 2, 2), (2, 2, 2, 1),
+                       (1, 2, 2, 1), 0.4, 4, dict(delta=0.5)),
+}
+
+
+@pytest.mark.parametrize("solve", [solve_grap_r, solve_rfgrap_r],
+                         ids=["grap-r", "rfgrap-r"])
+@pytest.mark.parametrize("name", sorted(INSTANCES))
+def test_rank_decreasing_solver_is_monotone_and_stationary(name, solve):
+    dims, r_true, bound, start, p, seed, kw = INSTANCES[name]
+    P, _ = gen_synthetic(dims, r_true, p, seed=seed)
+    obj = completion_objective(P)
+    X0 = random_tucker(dims, start, np.random.default_rng(100 + seed))
+    cfg = SolverConfig(max_iters=25, stat_tol=1e-12, **kw)
+    X, trace = solve(obj, X0, bound, cfg)
+    assert trace.termination in TERMINATIONS
+    recs = trace.records
+    f0 = recs[0].f_value
+    for a, b in zip(recs, recs[1:]):
+        assert b.f_value <= a.f_value + 1e-12 * f0, f"iteration {b.iter}"
+    for rec in recs:
+        assert all(rk <= bk for rk, bk in zip(rec.rank, bound))
+    assert X.rank == recs[-1].rank
+    assert max(rec.n_candidates for rec in recs) > 1
+    grad = obj.grad(X)
+    got = stationarity_measure(X, grad, bound).value
+    assert got == pytest.approx(_ref_stationarity(X, grad, bound),
+                                rel=1e-8, abs=1e-12 * np.sqrt(f0))

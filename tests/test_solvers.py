@@ -217,17 +217,17 @@ def test_rank_decrease_steps_once_per_distinct_truncated_rank(monkeypatch):
                        candidate_cap=125)
     log = []
     obj = _counting(completion_objective(P), log)
-    truncate, measure = solvers.hosvd_truncate, solvers.stationarity_measure
+    truncate, measure = solvers.hosvd_truncations, solvers.stationarity_measure
 
-    def logged_truncate(X, r):
-        out = truncate(X, r)
-        log.append(out.rank)
+    def logged_truncate(X, ranks):
+        out = truncate(X, ranks)
+        log.extend(Xc.rank for Xc, _ in out)
         return out
 
     def logged_measure(*args):
         log.append("iteration")
         return measure(*args)
-    monkeypatch.setattr(solvers, "hosvd_truncate", logged_truncate)
+    monkeypatch.setattr(solvers, "hosvd_truncations", logged_truncate)
     monkeypatch.setattr(solvers, "stationarity_measure", logged_measure)
     _, trace = solve_grap_r(obj, X0, (4, 4, 4), cfg)
     starts = [i for i, e in enumerate(log) if e == "iteration"]
@@ -289,6 +289,37 @@ def test_full_rank_iteration_contracts_d_times(monkeypatch):
     starts = [i for i, e in enumerate(log) if e == "iteration"] + [len(log)]
     for a, b in zip(starts, starts[1:]):
         assert log[a + 1:b] == ["contract"] * X0.ndim
+
+
+def test_multi_candidate_iteration_batches_the_mode_terms(monkeypatch):
+    # rfgrap-r at rank (3, 3, 3) under bound (3, 3, 3), every mode offering
+    # {2, 3}: besides the iterate's own d contractions, the 7 other
+    # candidates take d batched mode-term contractions between them, plus
+    # one contraction for each candidate deficient in exactly two modes
+    # (their complement pattern); the one deficient everywhere densifies
+    P, _ = gen_synthetic((10, 9, 8), (2, 2, 2), 0.3, seed=5)
+    X0 = random_tucker(P.dims, (3, 3, 3), np.random.default_rng(6))
+    cfg = SolverConfig(max_iters=1, delta=1e6, delta_absolute=True)
+    log = []
+    contract, batched = geometry.multi_mode_contract, geometry.batched_mode_contract
+    measure = solvers.stationarity_measure
+
+    def logged_measure(*args):
+        log.append("iteration")
+        return measure(*args)
+    monkeypatch.setattr(geometry, "multi_mode_contract",
+                        lambda *a: log.append("contract") or contract(*a))
+    monkeypatch.setattr(geometry, "batched_mode_contract",
+                        lambda *a: log.append(("batched", a[-1])) or batched(*a))
+    monkeypatch.setattr(solvers, "stationarity_measure", logged_measure)
+    _, trace = solve_rfgrap_r(completion_objective(P), X0, (3, 3, 3), cfg)
+    assert trace.records[1].n_candidates == 8
+    start, end = (i for i, e in enumerate(log) if e == "iteration")
+    block = log[start + 1:end]
+    d = X0.ndim
+    two_deficient = 3
+    assert block == (["contract"] * d + [("batched", k) for k in (1, 2, 3)]
+                     + ["contract"] * two_deficient)
 
 
 def test_rank_decrease_reuses_the_iterate_for_its_own_rank():

@@ -27,10 +27,12 @@ from tuckeropt import (
 from tuckeropt import tensor_core
 from tuckeropt.oracles import dense_reference
 from tuckeropt.tensor_core import (
+    batched_mode_contract,
     contract,
     final_mode,
     index_plan,
     multi_mode_contract,
+    strictly_increasing,
 )
 
 RNG = np.random.default_rng(1234)
@@ -157,6 +159,44 @@ def test_sparse_coo_sorting_and_dense():
     assert np.array_equal(S.idx, [[1, 1], [1, 2], [2, 1]])
     assert np.allclose(S.to_dense(), [[1.0, 2.0], [3.0, 0.0]])
     assert fro_norm(S) == pytest.approx(np.sqrt(14.0))
+
+
+def test_sorted_coo_input_skips_the_sort(monkeypatch):
+    # tuples that already rise strictly are kept as given (copied, not
+    # sorted); any other order is sorted, and a repeat is still rejected
+    rng = np.random.default_rng(3)
+    dims = (5, 4, 6)
+    idx = np.argwhere(rng.random(dims) < 0.4) + 1      # lexicographic order
+    vals = rng.standard_normal(idx.shape[0])
+    sorts = []
+    lexsort = np.lexsort
+    monkeypatch.setattr(np, "lexsort", lambda k: sorts.append(1) or lexsort(k))
+    S = SparseCooTensor(dims, idx, vals)
+    assert sorts == []
+    assert S.idx is not idx and S.idx.flags.c_contiguous and idx.flags.writeable
+    perm = rng.permutation(idx.shape[0])
+    T = SparseCooTensor(dims, idx[perm], vals[perm])
+    assert sorts == [1]
+    for a, b in ((S.idx, T.idx), (S.vals, T.vals)):
+        assert a.tobytes() == b.tobytes()
+    # a structured-array view, as load_coo hands over, comes out contiguous
+    rows = np.zeros(idx.shape[0], dtype=[("idx", np.int64, (3,)),
+                                         ("val", np.float64)])
+    rows["idx"], rows["val"] = idx, vals
+    V = SparseCooTensor(dims, rows["idx"], rows["val"])
+    assert V.idx.flags.c_contiguous and V.vals.flags.c_contiguous
+    assert V.idx.tobytes() == S.idx.tobytes()
+    with pytest.raises(ValueError, match="duplicate"):
+        SparseCooTensor(dims, np.vstack([idx[:3], idx[2:3]]), np.ones(4))
+
+
+def test_strictly_increasing():
+    assert strictly_increasing(np.zeros((0, 3), dtype=np.int64))
+    assert strictly_increasing(np.array([[2, 1]]))
+    assert strictly_increasing(np.array([[1, 9, 9], [2, 1, 1], [2, 1, 2]]))
+    assert not strictly_increasing(np.array([[1, 2], [1, 2]]))
+    assert not strictly_increasing(np.array([[1, 2], [1, 1]]))
+    assert not strictly_increasing(np.array([[2, 1], [1, 9]]))
 
 
 def test_sparse_coo_validation():
@@ -408,6 +448,46 @@ def test_contract_with_a_formed_parent_is_bit_identical():
     M = multi_mode_contract(S, U, s + 1)
     assert np.array_equal(contract(S, U),
                           fold(U[s].T @ M, s + 1, (3, 3, 3)))
+
+
+@pytest.mark.parametrize("block", [5, None])
+def test_batched_mode_contract_matches_one_call_per_column(monkeypatch,
+                                                           block):
+    # every column's slab is the kernel's result for that column alone, up
+    # to rounding; unobserved slices stay zero, chunks hold whole segments
+    if block is not None:
+        monkeypatch.setattr(tensor_core, "_SCATTER_BLOCK", block)
+    rng = np.random.default_rng(12)
+    for dims, qs in (((7, 5), (3, 2)), ((6, 9, 4), (2, 3, 2)),
+                     ((4, 3, 5, 3), (2, 2, 3, 1))):
+        S = _random_coo(dims, 0.3, rng)
+        idx = S.idx[S.idx[:, 0] != 2]           # slice 2 of mode 1 unobserved
+        S = SparseCooTensor(dims, idx, np.ones(len(idx)))
+        U = [rng.standard_normal((n, q)) for n, q in zip(dims, qs)]
+        vals = list(rng.standard_normal((4, S.nnz)))
+        for skip in range(1, len(dims) + 1):
+            got = batched_mode_contract(S.plan, dims, vals, U, skip)
+            assert got.shape[0] == 4
+            for c in range(4):
+                ref = multi_mode_contract(S.with_values(vals[c]), U, skip)
+                assert got[c].shape == ref.shape
+                assert np.allclose(got[c], ref, rtol=0, atol=1e-13 * np.abs(ref).max())
+            if skip == 1:
+                assert not got[:, 1].any()
+    # a zero-width factor and an empty plan give zeros of the right shape
+    U[1] = np.zeros((3, 0))
+    assert batched_mode_contract(S.plan, S.dims, vals, U, 1).shape == (4, 4, 0)
+    empty = index_plan(np.zeros((0, 4)), S.dims)
+    got = batched_mode_contract(empty, S.dims, [np.zeros(0)] * 2, U, 2)
+    assert got.shape == (2, 3, 2 * 3 * 1) and not got.any()
+
+
+def test_index_plan_segments_group_tuples_by_mode_index():
+    plan = index_plan([[2, 1], [1, 2], [2, 2], [1, 1], [4, 1]], (4, 2))
+    order, starts, keys = plan.segments(0)
+    assert order.tolist() == [1, 3, 0, 2, 4]        # stable within a group
+    assert starts.tolist() == [0, 2, 4, 5] and keys.tolist() == [0, 1, 3]
+    assert plan.segments(0) is plan.segments(0)     # built once
 
 
 def test_index_plan_checks_its_tuples():

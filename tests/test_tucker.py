@@ -1,5 +1,6 @@
 """Unit tests for the Tucker representation, HOSVD, and the exact step."""
 
+import itertools
 import re
 import struct
 
@@ -16,6 +17,7 @@ from tuckeropt import (
     fro_norm,
     hosvd,
     hosvd_truncate,
+    hosvd_truncations,
     load_checkpoint,
     mode_singular_values,
     save_checkpoint,
@@ -23,7 +25,9 @@ from tuckeropt import (
     tucker_rank,
     unfold,
 )
+from tuckeropt import tucker
 from tuckeropt.completion import random_tucker
+from tuckeropt.tensor_core import fold, thin_svd
 
 RNG = np.random.default_rng(99)
 
@@ -93,6 +97,48 @@ def test_hosvd_truncate_rejects_growth():
     T = random_tucker((5, 5, 5), (2, 2, 2), RNG)
     with pytest.raises(ValueError):
         hosvd_truncate(T, (3, 2, 2))
+
+
+def _sequential_truncate(T, r):
+    """Truncation of T to r, one mode after another: the loop that the
+    truncation tree shares between ranks."""
+    core, ws = T.core, []
+    for k in range(1, T.ndim + 1):
+        M = unfold(core, k)
+        f = thin_svd(M)
+        s = f.sigma
+        keep = min(r[k - 1], int(np.count_nonzero(s > 1e-12 * s[0]))
+                   if s.size and s[0] > 0 else 0)
+        ws.append(f.U[:, :keep])
+        dims = tuple(keep if j == k - 1 else n for j, n in enumerate(core.shape))
+        core = fold(f.U[:, :keep].T @ M, k, dims)
+    return core, [U @ W for U, W in zip(T.factors, ws)], ws
+
+
+# a mode kept at 0 leaves nothing in the next mode, so all ranks below
+# (0, ...) share one mode-3 prefix (0, 0)
+@pytest.mark.parametrize("sets, svds", [(((2, 3),) * 3, 1 + 2 + 4),
+                                        ((range(4),) * 3, 1 + 4 + 1 + 3 * 4),
+                                        (((1, 2, 3), (3,), (2, 3)), 1 + 3 + 3)])
+def test_truncation_tree_runs_one_svd_per_kept_prefix(monkeypatch, sets, svds):
+    # each mode's SVD runs once per distinct set of counts kept in the
+    # modes before it (rank-0 prefixes included), and every candidate is
+    # bit-identical to truncating to its rank alone
+    T = random_tucker((7, 6, 5), (3, 3, 3), RNG)
+    ranks = list(itertools.product(*sets))
+    calls = []
+    monkeypatch.setattr(tucker, "thin_svd",
+                        lambda M: calls.append(M.shape) or thin_svd(M))
+    out = hosvd_truncations(T, ranks)
+    assert len(calls) == svds < len(ranks) * T.ndim
+    for r, (Y, ws) in zip(ranks, out):
+        core, factors, ref_ws = _sequential_truncate(T, r)
+        assert Y.core.tobytes() == core.tobytes()
+        for a, b in zip(Y.factors + tuple(ws), factors + ref_ws):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert all(a <= b for a, b in zip(Y.rank, r))
+    with pytest.raises(ValueError):
+        hosvd_truncations(T, [(2, 2, 2), (4, 2, 2)])
 
 
 def test_entries_at_matches_dense():
