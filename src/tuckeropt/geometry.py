@@ -13,11 +13,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .tensor_core import (
-    DEFAULT_RANK_TOL,
     IndexPlan,
     SparseCooTensor,
     batched_mode_contract,
     contract,
+    cutoff_rank,
     final_mode,
     fold,
     index_plan,
@@ -54,6 +54,8 @@ class TangentVector:
 
     Represents C x_k [U_k Ucomp_k] + sum_k G x_k Udot_k x_{j!=k} U_j with the
     orthogonality constraints U_k^T [Ucomp_k Udot_k] = 0, Ucomp_k^T Udot_k = 0.
+    Each Ucomp_k has exactly bound_k - rank_k columns, so that
+    [U_k Ucomp_k] spans mode k of C.
     """
 
     anchor: TuckerTensor
@@ -71,18 +73,11 @@ class TangentVector:
             n = self.anchor.dims[k]
             if Ud.shape != (n, rlow[k]):
                 raise ValueError(f"Udot_{k + 1} has shape {Ud.shape}")
-            if Uc.shape[0] != n or Uc.shape[1] not in (0, bound[k] - rlow[k]):
+            if Uc.shape != (n, bound[k] - rlow[k]):
                 raise ValueError(f"Ucomp_{k + 1} has shape {Uc.shape}")
         object.__setattr__(self, "bound", bound)
         object.__setattr__(self, "Udot", tuple(self.Udot))
         object.__setattr__(self, "Ucomp", tuple(self.Ucomp))
-
-    def norm(self) -> float:
-        return tangent_norm(self)
-
-    def scale(self, c: float) -> "TangentVector":
-        return TangentVector(self.anchor, self.bound, c * self.C,
-                             tuple(c * Ud for Ud in self.Udot), self.Ucomp)
 
 
 @dataclass(frozen=True)
@@ -96,11 +91,9 @@ class StationarityReport:
 
 
 def _widened(V: TangentVector):
-    """Per-mode bases [U_k Ucomp_k] (Ucomp may carry zero columns)."""
-    out = []
-    for U, Uc in zip(V.anchor.factors, V.Ucomp):
-        out.append(np.hstack([U, Uc]) if Uc.shape[1] else U)
-    return out
+    """Per-mode bases [U_k Ucomp_k] (U_k itself where Ucomp_k is empty)."""
+    return [np.hstack([U, Uc]) if Uc.shape[1] else U
+            for U, Uc in zip(V.anchor.factors, V.Ucomp)]
 
 
 def tangent_norm(V: TangentVector) -> float:
@@ -116,14 +109,8 @@ def tangent_norm(V: TangentVector) -> float:
 def embed(V: TangentVector) -> np.ndarray:
     """Ambient (dense) tensor represented by V; for oracles and tests."""
     X = V.anchor
-    S = _widened(V)
-    pad = V.C
-    out = pad
-    for k in range(X.ndim):
-        Sk = S[k]
-        if Sk.shape[1] != pad.shape[k]:
-            # bound may exceed r_low + comp columns only when Ucomp is empty
-            Sk = np.hstack([Sk, np.zeros((Sk.shape[0], pad.shape[k] - Sk.shape[1]))])
+    out = V.C
+    for k, Sk in enumerate(_widened(V)):
         out = mode_product(out, k + 1, Sk)
     for k in range(X.ndim):
         if not V.Udot[k].any():
@@ -146,11 +133,7 @@ def tangent_entries_at(V: TangentVector, idx) -> np.ndarray:
     if not isinstance(idx, IndexPlan):
         idx = index_plan(idx, X.dims)
     if V.C.any():
-        S = _widened(V)
-        S = [Sk if Sk.shape[1] == V.bound[k] else
-             np.hstack([Sk, np.zeros((Sk.shape[0], V.bound[k] - Sk.shape[1]))])
-             for k, Sk in enumerate(S)]
-        vals = mixed_eval(V.C, S, idx)
+        vals = mixed_eval(V.C, _widened(V), idx)
     else:       # partial_project's single-factor branches have C = 0
         vals = np.zeros(len(idx))
     for k in range(X.ndim):
@@ -336,19 +319,10 @@ def _contractions(X: TuckerTensor, A) -> Contractions:
     return Contractions(X, A)
 
 
-def _mode_term(k: int, d: int) -> tuple:
-    """Mode pattern of A x_{j != k} U_j^T."""
-    return tuple("I" if j == k else "U" for j in range(d))
-
-
 def ambient_inner(A, V: TangentVector) -> float:
     """<A, embed(V)> for dense or sparse A, using the structured form of V."""
     X = V.anchor
-    S = _widened(V)
-    S = [Sk if Sk.shape[1] == V.bound[k] else
-         np.hstack([Sk, np.zeros((Sk.shape[0], V.bound[k] - Sk.shape[1]))])
-         for k, Sk in enumerate(S)]
-    total = float(np.dot(_contract(A, S).ravel(), V.C.ravel()))
+    total = float(np.dot(_contract(A, _widened(V)).ravel(), V.C.ravel()))
     for k in range(X.ndim):
         if not V.Udot[k].any():
             continue
@@ -416,9 +390,7 @@ def choose_singular_complement(X: TuckerTensor, A, r):
         M = B - U @ (U.T @ B)
         q = r[k] - rlow[k]
         f = thin_svd(M)
-        keep = int(np.count_nonzero(f.sigma > DEFAULT_RANK_TOL * f.sigma[0])) \
-            if f.sigma.size and f.sigma[0] > 0 else 0
-        keep = min(keep, q)
+        keep = min(cutoff_rank(f.sigma), q)
         chosen = f.U[:, :keep]
         if keep < q:
             pad = _pad_complement(np.hstack([U, chosen]), q - keep)
@@ -429,12 +401,38 @@ def choose_singular_complement(X: TuckerTensor, A, r):
 
 def _core_pinv(X: TuckerTensor, k: int) -> np.ndarray:
     """Pseudo-inverse of the mode-k core unfolding via thin SVD with cutoff."""
-    Gk = unfold(X.core, k)
-    f = thin_svd(Gk)
-    if f.sigma.size == 0 or f.sigma[0] == 0:
-        return np.zeros((Gk.shape[1], Gk.shape[0]))
-    keep = f.sigma > DEFAULT_RANK_TOL * f.sigma[0]
-    return (f.V[:, keep] / f.sigma[keep]) @ f.U[:, keep].T
+    f = thin_svd(unfold(X.core, k))
+    q = cutoff_rank(f.sigma)
+    return (f.V[:, :q] / f.sigma[:q]) @ f.U[:, :q].T
+
+
+def _mode_residual(X: TuckerTensor, A: Contractions, k: int,
+                   B: np.ndarray) -> np.ndarray:
+    """D - B (B^T D) for D the mode-(k+1) unfolding of the mode term
+    A x_{j != k} U_j^T at X."""
+    modes = ["I" if j == k else "U" for j in range(X.ndim)]
+    D = unfold(A.contract(modes), k + 1)
+    return D - B @ (B.T @ D)
+
+
+def _project(X: TuckerTensor, A, r, complements, widen: bool):
+    """The per-iterate core of both tangent-cone projections of A at X.
+
+    Returns (r, C, Udot, complements) with C = A x_k [U_k Ucomp_k]^T and
+    Udot_k = (D_k - B_k B_k^T D_k) pinv(G_(k)), where B_k is [U_k Ucomp_k]
+    when ``widen`` (:func:`approx_project`) and U_k otherwise
+    (:func:`partial_project`).  The complements are chosen here when None.
+    """
+    r = tuple(int(x) for x in r)
+    A = _contractions(X, A)
+    if complements is None:
+        complements = choose_singular_complement(X, A, r)
+    C = A.contract(complements)
+    udots = []
+    for k, (U, Uc) in enumerate(zip(X.factors, complements)):
+        B = np.hstack([U, Uc]) if widen else U
+        udots.append(_mode_residual(X, A, k, B) @ _core_pinv(X, k + 1))
+    return r, C, tuple(udots), tuple(complements)
 
 
 def approx_project(X: TuckerTensor, A, r, complements=None) -> TangentVector:
@@ -443,19 +441,7 @@ def approx_project(X: TuckerTensor, A, r, complements=None) -> TangentVector:
     A may be the :class:`Contractions` object of X (for -grad f, its
     :meth:`~Contractions.negated` view).
     """
-    r = tuple(int(x) for x in r)
-    A = _contractions(X, A)
-    if complements is None:
-        complements = choose_singular_complement(X, A, r)
-    d = X.ndim
-    S = [np.hstack([X.factors[k], complements[k]]) for k in range(d)]
-    C = A.contract(complements)
-    Udot = []
-    for k in range(d):
-        D = unfold(A.contract(_mode_term(k, d)), k + 1)
-        M = D - S[k] @ (S[k].T @ D)
-        Udot.append(M @ _core_pinv(X, k + 1))
-    return TangentVector(X, r, C, tuple(Udot), tuple(complements))
+    return TangentVector(X, *_project(X, A, r, complements, widen=True))
 
 
 def partial_project(X: TuckerTensor, A, r, complements=None):
@@ -465,25 +451,16 @@ def partial_project(X: TuckerTensor, A, r, complements=None):
     term and branch k keeps only the mode-k factor term; ties go to the
     lowest branch index.  A may be the :class:`Contractions` object of X.
     """
-    r = tuple(int(x) for x in r)
-    A = _contractions(X, A)
-    if complements is None:
-        complements = choose_singular_complement(X, A, r)
+    r, C, udots, complements = _project(X, A, r, complements, widen=False)
     d = X.ndim
     rlow = X.rank
-    C = A.contract(complements)
     norms = [float(np.linalg.norm(C.ravel()))]
-    udots = []
-    for k in range(d):
-        D = unfold(A.contract(_mode_term(k, d)), k + 1)
-        U = X.factors[k]
-        M = (D - U @ (U.T @ D)) @ _core_pinv(X, k + 1)
-        udots.append(M)
-        norms.append(float(np.linalg.norm(M @ unfold(X.core, k + 1))))
+    norms += [float(np.linalg.norm(M @ unfold(X.core, k + 1)))
+              for k, M in enumerate(udots)]
     branch = int(np.argmax(norms))
     zero_udot = tuple(np.zeros((X.dims[k], rlow[k])) for k in range(d))
     if branch == 0:
-        return TangentVector(X, r, C, zero_udot, tuple(complements)), 0
+        return TangentVector(X, r, C, zero_udot, complements), 0
     k = branch - 1
     udot = tuple(udots[k] if j == k else zero_udot[j] for j in range(d))
     empty = tuple(np.zeros((X.dims[j], 0)) for j in range(d))
@@ -513,9 +490,7 @@ def stationarity_measure(X: TuckerTensor, grad, r) -> StationarityReport:
         if (k + 1) in deficient:
             mode_resid.append(0.0)
             continue
-        D = unfold(grad.contract(_mode_term(k, d)), k + 1)
-        U = X.factors[k]
-        M = D - U @ (U.T @ D)
+        M = _mode_residual(X, grad, k, X.factors[k])
         mode_resid.append(float(np.linalg.norm(M @ unfold(X.core, k + 1).T)))
     value = float(np.sqrt(core_resid ** 2 + np.sum(np.square(mode_resid))))
     return StationarityReport(value=value, core_residual=core_resid,

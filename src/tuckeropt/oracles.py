@@ -325,12 +325,7 @@ def _ref_add_scaled_tangent(T: TuckerTensor, s: float, V: TangentVector) -> np.n
     _check_small(T.dims)
     d = T.ndim
     U = list(T.factors)
-    S = []
-    for k in range(d):
-        Sk = np.hstack([U[k], V.Ucomp[k]])
-        if Sk.shape[1] < V.bound[k]:
-            Sk = np.hstack([Sk, np.zeros((Sk.shape[0], V.bound[k] - Sk.shape[1]))])
-        S.append(Sk)
+    S = [np.hstack([Uk, Uc]) for Uk, Uc in zip(U, V.Ucomp)]
     out = _dense_tucker(T) + s * _naive_apply_all(V.C, S)
     for k in range(d):
         mats = [V.Udot[j] if j == k else U[j] for j in range(d)]

@@ -32,6 +32,7 @@ __all__ = [
     "thin_svd",
     "best_rank_approx",
     "delta_rank",
+    "cutoff_rank",
     "numerical_rank",
     "index_plan",
     "mixed_eval",
@@ -41,6 +42,8 @@ __all__ = [
     "contract",
     "save_dense",
     "load_dense",
+    "read_binary_header",
+    "read_binary_values",
     "save_coo",
     "load_coo",
 ]
@@ -269,15 +272,18 @@ def delta_rank(sigma, delta: float) -> int:
     return int(below[0]) if below.size else int(sigma.size)
 
 
+def cutoff_rank(sigma: np.ndarray, tau: float = DEFAULT_RANK_TOL) -> int:
+    """Count of the descending singular values sigma above tau * sigma_1;
+    0 when there are none or sigma_1 = 0."""
+    if sigma.size == 0 or sigma[0] == 0:
+        return 0
+    return int(np.count_nonzero(sigma > tau * sigma[0]))
+
+
 def numerical_rank(M: np.ndarray, tau: float = DEFAULT_RANK_TOL) -> int:
     if not 0 < tau < 1:
         raise ValueError("tau must lie in (0, 1)")
-    if M.size == 0:
-        return 0
-    s = np.linalg.svd(M, compute_uv=False)
-    if s.size == 0 or s[0] == 0:
-        return 0
-    return int(np.count_nonzero(s > tau * s[0]))
+    return cutoff_rank(np.linalg.svd(M, compute_uv=False), tau)
 
 
 # ---------------------------------------------------------------------------
@@ -494,15 +500,43 @@ def save_dense(X: np.ndarray, path) -> None:
         f.write(np.asarray(X, dtype="<f8").ravel(order="F").tobytes())
 
 
-def load_dense(path) -> np.ndarray:
+def read_binary_header(path, magic: bytes, what: str, fields: int):
+    """(data, header, head) of a binary file: ``magic``, a u32 order d and
+    fields * d u32 values (``header``) that end at byte ``head``.
+
+    A wrong magic, a truncated header and order 0 raise a ``ValueError``
+    that names the file.  ``what`` names the format in the message.
+    """
     with open(path, "rb") as f:
-        if f.read(5) != _DENSE_MAGIC:
-            raise ValueError(f"{path}: not a dense tensor file")
-        (d,) = struct.unpack("<I", f.read(4))
-        dims = struct.unpack(f"<{d}I", f.read(4 * d))
-        vals = np.frombuffer(f.read(), dtype="<f8")
-    if vals.size != int(np.prod(dims, dtype=np.int64)):
-        raise ValueError(f"{path}: truncated dense tensor file")
+        data = f.read()
+    if data[:5] != magic:
+        raise ValueError(f"{path}: not a {what} file")
+    d = struct.unpack_from("<I", data, 5)[0] if len(data) >= 9 else 0
+    head = 9 + 4 * fields * d
+    if len(data) < head:
+        raise ValueError(f"{path}: truncated {what} header")
+    if d == 0:
+        raise ValueError(f"{path}: {what} of order 0")
+    return data, struct.unpack_from(f"<{fields * d}I", data, 9), head
+
+
+def read_binary_values(path, data, head: int, count: int,
+                       what: str) -> np.ndarray:
+    """The ``count`` float64 values after the header that ends at ``head``;
+    a file shorter or longer than that raises a ``ValueError``."""
+    end = head + 8 * count
+    if len(data) != end:
+        how = "truncated" if len(data) < end else "trailing bytes after"
+        raise ValueError(f"{path}: {how} {what} ({len(data)} bytes, "
+                         f"its header declares {end})")
+    return np.frombuffer(data, dtype="<f8", offset=head)
+
+
+def load_dense(path) -> np.ndarray:
+    """Read a tensor that :func:`save_dense` wrote; a malformed file raises
+    a ``ValueError`` that names it."""
+    data, dims, head = read_binary_header(path, _DENSE_MAGIC, "dense tensor", 1)
+    vals = read_binary_values(path, data, head, math.prod(dims), "dense tensor")
     return vals.reshape(dims, order="F").copy()
 
 

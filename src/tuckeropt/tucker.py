@@ -16,11 +16,14 @@ import numpy as np
 from .tensor_core import (
     DEFAULT_RANK_TOL,
     IndexPlan,
+    cutoff_rank,
     fold,
     index_plan,
     mixed_eval,
     mode_product,
     numerical_rank,
+    read_binary_header,
+    read_binary_values,
     thin_svd,
     unfold,
 )
@@ -91,20 +94,23 @@ class _Node:
         self.svd = self.factor = None
 
 
-def _st_hosvd(A: np.ndarray, r, tree=None, tau: float = DEFAULT_RANK_TOL):
+def _st_hosvd(A: np.ndarray, r, tree=None):
     """Sequentially truncated HOSVD in ascending mode order; returns
     (core, ws, kept).
 
     Each mode-k step applies the best rank-r_k approximation to the current
     tensor, so the composition equals proj^d(...proj^1(A)).  The requested
     rank is additionally capped at the numerical rank so core unfoldings stay
-    at full row rank; ``kept`` is the tuple of the counts actually kept.
+    at full row rank; ``kept`` is the tuple of the counts actually kept.  A
+    rank with a zero mode keeps nothing in any mode: it truncates to the
+    zero tensor of rank (0, ..., 0).
 
     The tensor a mode-k step works on depends only on the counts kept in
     modes 1..k-1.  ``tree`` (a dict) keeps every step under that prefix, so
     that truncations of the same A to other ranks run each mode's SVD once
     per distinct prefix and get the very arrays they would get alone.
     """
+    r = (0,) * A.ndim if 0 in r else r
     tree = {} if tree is None else tree
     node = tree.setdefault((), _Node(A, ()))
     if node.core is not A:
@@ -114,9 +120,7 @@ def _st_hosvd(A: np.ndarray, r, tree=None, tau: float = DEFAULT_RANK_TOL):
         if node.svd is None:
             M = unfold(node.core, k)
             f = thin_svd(M)
-            sig = f.sigma
-            nrank = int(np.count_nonzero(sig > tau * sig[0])) if sig.size and sig[0] > 0 else 0
-            node.svd = (M, f, nrank)
+            node.svd = (M, f, cutoff_rank(f.sigma))
         M, f, nrank = node.svd
         rk = min(int(r[k - 1]), nrank)
         key = key + (rk,)
@@ -210,16 +214,15 @@ def mode_singular_values(T: TuckerTensor):
             for k in range(1, T.ndim + 1)]
 
 
-def _orthonormalize(M: np.ndarray, tau: float = DEFAULT_RANK_TOL):
+def _orthonormalize(M: np.ndarray):
     """Deterministic orthonormal basis of span(M) (thin SVD sign convention).
 
     Returns (Q, R) with M = Q R and Q possibly having fewer columns than M.
     """
-    if M.shape[1] == 0 or not M.any():
+    if not M.any():
         return np.zeros((M.shape[0], 0)), np.zeros((0, M.shape[1]))
     f = thin_svd(M)
-    q = int(np.count_nonzero(f.sigma > tau * f.sigma[0]))
-    Q = f.U[:, :q]
+    Q = f.U[:, :cutoff_rank(f.sigma)]
     return Q, Q.T @ M
 
 
@@ -229,7 +232,8 @@ def add_scaled_tangent(T: TuckerTensor, s: float, V) -> TuckerTensor:
     The mode-k factor is [U_k, Ucomp_k, Q_k] with Q_k an orthonormal basis of
     span(Udot_k); the augmented core collects the core, the scaled coefficient
     block and the scaled Udot contributions.  The result is recompressed at
-    its numerical rank so the full-row-rank core invariant is restored.
+    its numerical rank (:func:`hosvd_truncate` caps every mode there) so the
+    full-row-rank core invariant is restored.
     """
     if V.anchor is not T:
         if V.anchor.dims != T.dims or V.anchor.rank != T.rank:
@@ -258,7 +262,7 @@ def add_scaled_tangent(T: TuckerTensor, s: float, V) -> TuckerTensor:
         sl[k] = slice(bound[k], bound[k] + rs[k].shape[0])
         core[tuple(sl)] += s * contrib
     out = TuckerTensor(core, tuple(blocks))
-    return hosvd_truncate(out, tucker_rank(core))
+    return hosvd_truncate(out, aug)
 
 
 # ---------------------------------------------------------------------------
@@ -286,27 +290,13 @@ def load_checkpoint(path) -> TuckerTensor:
     shorter or longer than its header declares, raise a ``ValueError`` that
     names the file.
     """
-    with open(path, "rb") as f:
-        data = f.read()
-    if data[:5] != _CKPT_MAGIC:
-        raise ValueError(f"{path}: not a Tucker checkpoint")
-    d = struct.unpack_from("<I", data, 5)[0] if len(data) >= 9 else 0
-    head = 9 + 8 * d
-    if len(data) < head:
-        raise ValueError(f"{path}: truncated Tucker checkpoint header")
-    if d == 0:
-        raise ValueError(f"{path}: Tucker checkpoint of order 0")
-    dims = struct.unpack_from(f"<{d}I", data, 9)
-    rank = struct.unpack_from(f"<{d}I", data, 9 + 4 * d)
+    what = "Tucker checkpoint"
+    data, header, head = read_binary_header(path, _CKPT_MAGIC, what, 2)
+    dims, rank = header[:len(header) // 2], header[len(header) // 2:]
     if any(r > n for r, n in zip(rank, dims)):
         raise ValueError(f"{path}: checkpoint rank {rank} exceeds its dims {dims}")
     sizes = [math.prod(rank)] + [n * r for n, r in zip(dims, rank)]
-    end = head + 8 * sum(sizes)
-    if len(data) != end:
-        what = "truncated" if len(data) < end else "trailing bytes after"
-        raise ValueError(f"{path}: {what} Tucker checkpoint ({len(data)} bytes, "
-                         f"its header declares {end})")
-    vals = np.frombuffer(data, dtype="<f8", offset=head)
+    vals = read_binary_values(path, data, head, sum(sizes), what)
     core, *factors = np.split(vals, np.cumsum(sizes)[:-1])
     return TuckerTensor(core.reshape(rank, order="F").copy(),
                         tuple(U.reshape((n, r), order="F").copy()

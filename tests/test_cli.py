@@ -138,6 +138,16 @@ def test_hosvd_command(tmp_path, capsys):
     assert np.allclose(to_dense(T), A, atol=1e-10)
 
 
+def test_hosvd_command_rejects_a_truncated_file(tmp_path, capsys):
+    src = tmp_path / "a.tdns"
+    save_dense(RNG.standard_normal((3, 3, 3)), src)
+    src.write_bytes(src.read_bytes()[:11])
+    code = main(["hosvd", str(src), "--rank", "2,2,2"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "truncated dense tensor header" in err
+
+
 def test_check_command(capsys):
     code = main(["check", "--suite", "hosvd", "--restarts", "5", "--seed", "1"])
     assert code == 0

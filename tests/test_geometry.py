@@ -63,6 +63,18 @@ def test_tangent_entries_match_embedding():
                        atol=1e-12)
 
 
+@pytest.mark.parametrize("width", [0, 1, 3])
+def test_tangent_vector_takes_complements_of_exact_width(width):
+    # bound (4, 4, 4) over rank (2, 2, 2): each Ucomp_k has exactly 2 columns
+    X, A, _ = _instance()
+    V = approx_project(X, A, (4, 4, 4))
+    assert [Uc.shape for Uc in V.Ucomp] == [(6, 2)] * 3
+    comps = list(V.Ucomp)
+    comps[1] = np.zeros((6, width))
+    with pytest.raises(ValueError, match="Ucomp_2"):
+        geometry.TangentVector(X, V.bound, V.C, V.Udot, comps)
+
+
 def test_ambient_inner_dense_and_sparse():
     X, A, r = _instance()
     V = approx_project(X, A, r)
@@ -313,8 +325,7 @@ def test_tangent_entries_skip_a_zero_core_block(monkeypatch):
 
     # reference: the C block evaluated as any other, zeros included
     plan = P.omega.plan
-    wide = [np.hstack([U, Uc, np.zeros((U.shape[0], b - U.shape[1] - Uc.shape[1]))])
-            for U, Uc, b in zip(X.factors, V.Ucomp, V.bound)]
+    wide = [np.hstack([U, Uc]) for U, Uc in zip(X.factors, V.Ucomp)]
     ref = mixed_eval(V.C, wide, plan)
     for k in range(X.ndim):
         if V.Udot[k].any():

@@ -222,6 +222,8 @@ def test_rank_decrease_steps_once_per_distinct_truncated_rank(monkeypatch):
     def logged_truncate(X, ranks):
         out = truncate(X, ranks)
         log.extend(Xc.rank for Xc, _ in out)
+        assert all(Xc.rank == (0, 0, 0)
+                   for rl, (Xc, _) in zip(ranks, out) if 0 in rl)
         return out
 
     def logged_measure(*args):

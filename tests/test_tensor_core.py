@@ -27,8 +27,10 @@ from tuckeropt import (
 from tuckeropt import tensor_core
 from tuckeropt.oracles import dense_reference
 from tuckeropt.tensor_core import (
+    DEFAULT_RANK_TOL,
     batched_mode_contract,
     contract,
+    cutoff_rank,
     final_mode,
     index_plan,
     multi_mode_contract,
@@ -220,6 +222,50 @@ def test_dense_rejects_garbage(tmp_path):
     path.write_bytes(b"NOTIT" + b"\x00" * 16)
     with pytest.raises(ValueError):
         load_dense(path)
+
+
+def _dense_bytes(X):
+    return b"TDNS1" + np.array([X.ndim, *X.shape], dtype="<u4").tobytes() + \
+        np.asarray(X, dtype="<f8").ravel(order="F").tobytes()
+
+
+@pytest.mark.parametrize("cut, message", [
+    (lambda b: b[:7], "truncated dense tensor header"),
+    (lambda b: b[:13], "truncated dense tensor header"),
+    (lambda b: b[:-8], "truncated dense tensor"),
+    (lambda b: b + b"\x00", "trailing bytes after dense tensor"),
+    (lambda b: b"TDNS1" + b"\x00" * 4, "dense tensor of order 0"),
+    (lambda b: b"TDNS1" + b"\x00" * 12, "dense tensor of order 0"),
+], ids=["magic only", "short dims", "short body", "trailing byte", "order 0",
+        "order 0 with a body"])
+def test_load_dense_rejects_malformed_files(tmp_path, cut, message):
+    path = tmp_path / "bad.tdns"
+    path.write_bytes(cut(_dense_bytes(RNG.standard_normal((3, 4, 2)))))
+    with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+        load_dense(path)
+
+
+def _inline_cutoff(s):
+    """The cutoff rule as it was written out inline before it had a helper."""
+    return int(np.count_nonzero(s > DEFAULT_RANK_TOL * s[0])) \
+        if s.size and s[0] > 0 else 0
+
+
+@pytest.mark.parametrize("sigma", [
+    [], [0.0], [0.0, 0.0], [3.0], [2.0, 1.0, 0.0],
+    [1.0, DEFAULT_RANK_TOL, DEFAULT_RANK_TOL / 2],      # at the threshold
+    [4.0, 4.0 * DEFAULT_RANK_TOL, np.nextafter(4.0 * DEFAULT_RANK_TOL, 1)],
+    [1e-300, 1e-312, 0.0],
+])
+def test_cutoff_rank_matches_the_inline_rule(sigma):
+    sigma = np.array(sigma, dtype=np.float64)
+    assert cutoff_rank(sigma) == _inline_cutoff(sigma)
+
+
+def test_cutoff_rank_at_the_threshold():
+    # a value equal to tau * sigma_1 is cut, the next double above it kept
+    assert cutoff_rank(np.array([1.0, DEFAULT_RANK_TOL])) == 1
+    assert cutoff_rank(np.array([1.0, np.nextafter(DEFAULT_RANK_TOL, 1)])) == 2
 
 
 def _reference_coo_text(S):

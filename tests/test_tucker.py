@@ -102,6 +102,7 @@ def test_hosvd_truncate_rejects_growth():
 def _sequential_truncate(T, r):
     """Truncation of T to r, one mode after another: the loop that the
     truncation tree shares between ranks."""
+    r = (0,) * T.ndim if 0 in r else r
     core, ws = T.core, []
     for k in range(1, T.ndim + 1):
         M = unfold(core, k)
@@ -115,10 +116,10 @@ def _sequential_truncate(T, r):
     return core, [U @ W for U, W in zip(T.factors, ws)], ws
 
 
-# a mode kept at 0 leaves nothing in the next mode, so all ranks below
-# (0, ...) share one mode-3 prefix (0, 0)
+# every rank with a zero mode truncates along the prefixes (0,) and (0, 0),
+# so the zero ranks share one mode-2 and one mode-3 SVD
 @pytest.mark.parametrize("sets, svds", [(((2, 3),) * 3, 1 + 2 + 4),
-                                        ((range(4),) * 3, 1 + 4 + 1 + 3 * 4),
+                                        ((range(4),) * 3, 1 + 4 + 1 + 3 * 3),
                                         (((1, 2, 3), (3,), (2, 3)), 1 + 3 + 3)])
 def test_truncation_tree_runs_one_svd_per_kept_prefix(monkeypatch, sets, svds):
     # each mode's SVD runs once per distinct set of counts kept in the
@@ -139,6 +140,15 @@ def test_truncation_tree_runs_one_svd_per_kept_prefix(monkeypatch, sets, svds):
         assert all(a <= b for a, b in zip(Y.rank, r))
     with pytest.raises(ValueError):
         hosvd_truncations(T, [(2, 2, 2), (4, 2, 2)])
+
+
+@pytest.mark.parametrize("r", [(3, 1, 0), (3, 0, 3), (0, 3, 3), (0, 0, 0)])
+def test_truncation_with_a_zero_mode_is_rank_zero(r):
+    T = random_tucker((7, 6, 5), (3, 3, 3), RNG)
+    Y = hosvd_truncate(T, r)
+    assert Y.rank == (0, 0, 0)
+    assert [U.shape for U in Y.factors] == [(7, 0), (6, 0), (5, 0)]
+    assert not to_dense(Y).any()
 
 
 def test_entries_at_matches_dense():
