@@ -21,24 +21,24 @@ from .geometry import (
     Contractions,
     StationarityReport,
     TangentVector,
-    ambient_inner,
-    angle_constants,
     approx_project,
     choose_singular_complement,
-    embed,
     partial_project,
-    sample_normal,
     stationarity_measure,
     tangent_entries_at,
     tangent_norm,
-    tangent_space_project,
 )
 from .oracles import (
     OracleReport,
+    ambient_inner,
+    angle_constants,
     dense_reference,
+    embed,
     exact_tangent_projection_oracle,
     finite_diff_gradient,
     run_check_suites,
+    sample_normal,
+    tangent_space_project,
 )
 from .solvers import (
     CandidateExhaustion,

@@ -1,9 +1,11 @@
-"""Variational geometry of the bounded-Tucker-rank set.
+"""Variational geometry of the bounded-Tucker-rank set, as the solvers use it.
 
 Provides tangent-cone vectors in the parametrization (C, Udot_k, Ucomp_k),
-the SVD-based approximate projection and the retraction-free partial
-projection, the normal-cone stationarity measure, and the angle-condition
-constants attached to the two projections.
+the per-iterate contractions they are built from, the SVD-based approximate
+projection and the retraction-free partial projection, and the normal-cone
+stationarity measure.  Everything here is on the solver path; the dense
+geometry that only verifies it (embedding, normal-cone sampling, the angle
+constants) is in :mod:`tuckeropt.oracles`.
 """
 
 from __future__ import annotations
@@ -34,17 +36,12 @@ __all__ = [
     "StationarityReport",
     "Contractions",
     "candidate_contractions",
-    "embed",
     "tangent_norm",
     "tangent_entries_at",
-    "ambient_inner",
     "choose_singular_complement",
     "approx_project",
     "partial_project",
-    "tangent_space_project",
     "stationarity_measure",
-    "sample_normal",
-    "angle_constants",
 ]
 
 
@@ -97,7 +94,8 @@ def _widened(V: TangentVector):
 
 
 def tangent_norm(V: TangentVector) -> float:
-    """||embed(V)||_F from the orthogonal decomposition of the parametrization."""
+    """Frobenius norm of the ambient tensor that V represents, from the
+    orthogonal decomposition of the parametrization."""
     G = V.anchor.core
     total = float(np.dot(V.C.ravel(), V.C.ravel()))
     for k, Ud in enumerate(V.Udot, start=1):
@@ -106,25 +104,9 @@ def tangent_norm(V: TangentVector) -> float:
     return float(np.sqrt(total))
 
 
-def embed(V: TangentVector) -> np.ndarray:
-    """Ambient (dense) tensor represented by V; for oracles and tests."""
-    X = V.anchor
-    out = V.C
-    for k, Sk in enumerate(_widened(V)):
-        out = mode_product(out, k + 1, Sk)
-    for k in range(X.ndim):
-        if not V.Udot[k].any():
-            continue
-        term = mode_product(X.core, k + 1, V.Udot[k])
-        for j in range(X.ndim):
-            if j != k:
-                term = mode_product(term, j + 1, X.factors[j])
-        out = out + term
-    return out
-
-
 def tangent_entries_at(V: TangentVector, idx) -> np.ndarray:
-    """Entries of embed(V) at 1-based index tuples, without densifying.
+    """Entries of the ambient tensor that V represents at 1-based index
+    tuples, without densifying.
 
     ``idx`` is an (m, d) array of tuples, which is bounds-checked here, or
     an :class:`IndexPlan` of validated tuples, which is not.
@@ -319,20 +301,6 @@ def _contractions(X: TuckerTensor, A) -> Contractions:
     return Contractions(X, A)
 
 
-def ambient_inner(A, V: TangentVector) -> float:
-    """<A, embed(V)> for dense or sparse A, using the structured form of V."""
-    X = V.anchor
-    total = float(np.dot(_contract(A, _widened(V)).ravel(), V.C.ravel()))
-    for k in range(X.ndim):
-        if not V.Udot[k].any():
-            continue
-        mats = [None if j == k else X.factors[j] for j in range(X.ndim)]
-        D = unfold(_contract(A, mats), k + 1)
-        M = V.Udot[k] @ unfold(X.core, k + 1)
-        total += float(np.dot(D.ravel(), M.ravel()))
-    return total
-
-
 def _pad_complement(existing: np.ndarray, q: int) -> np.ndarray:
     """Deterministically extend ``existing`` (orthonormal columns) by q more
     orthonormal columns drawn from projected identity columns."""
@@ -354,14 +322,6 @@ def _pad_complement(existing: np.ndarray, q: int) -> np.ndarray:
     if len(added) != q:
         raise ValueError("cannot pad orthonormal complement")
     return np.column_stack(added) if added else np.zeros((n, 0))
-
-
-def _orth_complement(U: np.ndarray) -> np.ndarray:
-    """Deterministic orthonormal basis of span(U)^perp (U has orthonormal cols)."""
-    n, r = U.shape
-    if r == 0:
-        return np.eye(n)
-    return _pad_complement(U, n - r)
 
 
 def choose_singular_complement(X: TuckerTensor, A, r):
@@ -467,12 +427,6 @@ def partial_project(X: TuckerTensor, A, r, complements=None):
     return TangentVector(X, rlow, np.zeros(rlow), udot, empty), branch
 
 
-def tangent_space_project(X: TuckerTensor, A) -> TangentVector:
-    """Closed-form projection onto the tangent space at a full-bound point."""
-    empty = [np.zeros((X.dims[k], 0)) for k in range(X.ndim)]
-    return approx_project(X, A, X.rank, complements=empty)
-
-
 def stationarity_measure(X: TuckerTensor, grad, r) -> StationarityReport:
     """Norm of the component of grad violating the normal-cone condition.
 
@@ -496,58 +450,3 @@ def stationarity_measure(X: TuckerTensor, grad, r) -> StationarityReport:
     return StationarityReport(value=value, core_residual=core_resid,
                               mode_residuals=tuple(mode_resid),
                               deficient_modes=deficient)
-
-
-def sample_normal(X: TuckerTensor, r, seed) -> np.ndarray:
-    """Random element of the normal cone at X for rank bound r.
-
-    Builds the block parametrization over {span(U_k), span(U_k)^perp}: blocks
-    supported purely on deficient modes vanish, and single-complement blocks
-    are constrained to the null space of the matching core unfolding.
-    """
-    r = tuple(int(x) for x in r)
-    rlow = X.rank
-    d = X.ndim
-    dims = X.dims
-    deficient = {k for k in range(d) if rlow[k] < r[k]}
-    rng = np.random.default_rng(seed)
-    perp = [_orth_complement(U) for U in X.factors]
-    W = np.zeros(dims)
-    for bits in np.ndindex(*([2] * d)):
-        if sum(bits[k] for k in range(d) if k not in deficient) == 0:
-            continue
-        shape = tuple(rlow[k] if bits[k] == 0 else dims[k] - rlow[k]
-                      for k in range(d))
-        if 0 in shape:
-            continue
-        C = rng.standard_normal(shape)
-        if sum(bits) == 1:
-            k = bits.index(1)
-            Gk = unfold(X.core, k + 1)
-            P = _core_pinv(X, k + 1) @ Gk          # row-space projector
-            Ck = unfold(C, k + 1)
-            C = fold(Ck - Ck @ P, k + 1, shape)
-        block = C
-        for k in range(d):
-            B = X.factors[k] if bits[k] == 0 else perp[k]
-            block = mode_product(block, k + 1, B)
-        W += block
-    return W
-
-
-def angle_constants(dims, r, rlow):
-    """(omega_tilde, omega_hat) lower bounds for the two angle conditions."""
-    dims = tuple(int(n) for n in dims)
-    r = tuple(int(x) for x in r)
-    rlow = tuple(int(x) for x in rlow)
-    if any(a > b for a, b in zip(rlow, r)):
-        raise ValueError(f"rank {rlow} exceeds bound {r}")
-    d = len(dims)
-    total = int(np.prod(dims, dtype=np.int64))
-    deficient = [k for k in range(d) if rlow[k] < r[k]]
-    c = 1.0
-    for k in deficient:
-        c *= (r[k] - rlow[k]) / min(dims[k], total // dims[k])
-    omega_tilde = float(np.sqrt(c / (len(deficient) + 1)))
-    omega_hat = float(np.sqrt(c / (d + 1)))
-    return omega_tilde, omega_hat

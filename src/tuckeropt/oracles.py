@@ -2,9 +2,11 @@
 
 Everything here recomputes quantities by naive dense formulas (explicit
 Kronecker products, full densification) so that the structured fast paths can
-be checked against an independent computational path.  The exact tangent-cone
-projection, intractable in general, is approached by multi-start alternating
-maximization and reported as a certified lower bound.
+be checked against an independent computational path.  This includes the
+dense geometry that only verification needs: the embedding of a tangent
+vector, normal-cone sampling and the angle-condition constants.  The exact
+tangent-cone projection, intractable in general, is approached by
+multi-start alternating maximization and reported as a certified lower bound.
 """
 
 from __future__ import annotations
@@ -14,24 +16,25 @@ from functools import reduce
 
 import numpy as np
 
-from .completion import CompletionProblem, euclidean_gradient, gen_synthetic, objective, random_tucker
+from .completion import euclidean_gradient, gen_synthetic, random_tucker
 from .geometry import (
     TangentVector,
-    ambient_inner,
-    angle_constants,
     approx_project,
     choose_singular_complement,
-    embed,
     partial_project,
-    sample_normal,
     stationarity_measure,
     tangent_norm,
 )
-from .tensor_core import SparseCooTensor, fold, unfold
+from .tensor_core import SparseCooTensor, fold, inner, unfold
 from .tucker import TuckerTensor, hosvd, to_dense
 
 __all__ = [
     "OracleReport",
+    "embed",
+    "ambient_inner",
+    "tangent_space_project",
+    "sample_normal",
+    "angle_constants",
     "exact_tangent_projection_oracle",
     "finite_diff_gradient",
     "dense_reference",
@@ -98,16 +101,132 @@ def _dense_tucker(T: TuckerTensor) -> np.ndarray:
     return _naive_apply_all(T.core, list(T.factors))
 
 
+def _dense(A) -> np.ndarray:
+    return A.to_dense() if isinstance(A, SparseCooTensor) else np.asarray(A)
+
+
+def _widen(X: TuckerTensor, complements) -> list:
+    """The per-mode bases [U_k | Ucomp_k]."""
+    return [np.hstack([U, c]) for U, c in zip(X.factors, complements)]
+
+
+def _perp(U: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of span(U)^perp (U has orthonormal columns)."""
+    n, r = U.shape
+    return np.linalg.svd(U, full_matrices=True)[0][:, r:] if r else np.eye(n)
+
+
+def _row_space_terms(X: TuckerTensor, A: np.ndarray) -> list:
+    """D_k pinv(G_(k)) G_(k) per mode k, where D_k is the mode-k unfolding of
+    the mode term A x_{j != k} U_j^T at X."""
+    out = []
+    for k in range(X.ndim):
+        D = _naive_multi_contract(A, [None if j == k else U for j, U
+                                      in enumerate(X.factors)], k + 1)
+        Gk = unfold(X.core, k + 1)
+        out.append(D @ np.linalg.pinv(Gk) @ Gk)
+    return out
+
+
+def _projection_terms(X: TuckerTensor, A: np.ndarray, S, B) -> list:
+    """The d + 1 terms of a tangent-cone projection of A at X.
+
+    The core term A x_k S_k S_k^T, then for each mode k the factor term:
+    (I - B_k B_k^T) D_k pinv(G_(k)) G_(k) in mode k, U_j in the others.  The
+    approximate projection is their sum with B = S = [U | Ucomp]; the
+    partial projection keeps the largest of them with B_k = U_k.
+    """
+    terms = [_naive_apply_all(A, [Sk @ Sk.T for Sk in S])]
+    for k, (E, Bk) in enumerate(zip(_row_space_terms(X, A), B)):
+        M = E - Bk @ (Bk.T @ E)
+        others = [U for j, U in enumerate(X.factors) if j != k]
+        terms.append(fold(M @ _kron_desc(others).T, k + 1, X.dims))
+    return terms
+
+
+# ---------------------------------------------------------------------------
+# Dense geometry: embedding, the tangent space, the normal cone
+
+def embed(V: TangentVector) -> np.ndarray:
+    """Ambient (dense) tensor represented by V."""
+    X = V.anchor
+    out = _naive_apply_all(V.C, _widen(X, V.Ucomp))
+    for k, Ud in enumerate(V.Udot):
+        out = out + _naive_apply_all(X.core, [Ud if j == k else U for j, U
+                                              in enumerate(X.factors)])
+    return out
+
+
+def ambient_inner(A, V: TangentVector) -> float:
+    """<A, embed(V)> for dense or sparse A."""
+    return inner(_dense(A), embed(V))
+
+
+def tangent_space_project(X: TuckerTensor, A) -> TangentVector:
+    """Closed-form projection onto the tangent space at a full-bound point."""
+    empty = [np.zeros((n, 0)) for n in X.dims]
+    return approx_project(X, A, X.rank, complements=empty)
+
+
+def sample_normal(X: TuckerTensor, r, seed) -> np.ndarray:
+    """Random element of the normal cone at X for rank bound r.
+
+    Builds the block parametrization over {span(U_k), span(U_k)^perp}: blocks
+    supported purely on deficient modes vanish, and single-complement blocks
+    are constrained to the null space of the matching core unfolding.
+    """
+    rlow = X.rank
+    d = X.ndim
+    deficient = {k for k in range(d) if rlow[k] < int(r[k])}
+    rng = np.random.default_rng(seed)
+    perp = [_perp(U) for U in X.factors]
+    W = np.zeros(X.dims)
+    for bits in np.ndindex(*([2] * d)):
+        if not any(bits[k] for k in range(d) if k not in deficient):
+            continue
+        bases = [perp[k] if bits[k] else X.factors[k] for k in range(d)]
+        shape = tuple(B.shape[1] for B in bases)
+        if 0 in shape:
+            continue
+        C = rng.standard_normal(shape)
+        if sum(bits) == 1:
+            k = bits.index(1)
+            Gk = unfold(X.core, k + 1)
+            Ck = unfold(C, k + 1)
+            C = fold(Ck - Ck @ np.linalg.pinv(Gk) @ Gk, k + 1, shape)
+        W += _naive_apply_all(C, bases)
+    return W
+
+
+def _deficiency(dims, r, rlow) -> float:
+    """Product over the deficient modes k of (r_k - rlow_k) / min(n_k, N/n_k),
+    with N the number of entries."""
+    total = int(np.prod(dims, dtype=np.int64))
+    return float(np.prod([(rk - rl) / min(n, total // n)
+                          for n, rk, rl in zip(dims, r, rlow) if rl < rk]))
+
+
+def angle_constants(dims, r, rlow):
+    """(omega_tilde, omega_hat) lower bounds for the two angle conditions."""
+    dims = tuple(int(n) for n in dims)
+    r = tuple(int(x) for x in r)
+    rlow = tuple(int(x) for x in rlow)
+    if any(a > b for a, b in zip(rlow, r)):
+        raise ValueError(f"rank {rlow} exceeds bound {r}")
+    c = _deficiency(dims, r, rlow)
+    n_deficient = sum(a < b for a, b in zip(rlow, r))
+    return (float(np.sqrt(c / (n_deficient + 1))),
+            float(np.sqrt(c / (len(dims) + 1))))
+
+
 # ---------------------------------------------------------------------------
 # Exact tangent-cone projection (lower bound by alternating maximization)
 
-def _projection_value_sq(A, X, S, E):
+def _projection_value_sq(A, S, E):
     """||P_T(A)||^2 for the tangent space spanned by complements inside S."""
-    d = A.ndim
-    Csq = float(np.sum(_naive_apply_all(A, [Sk.T for Sk in S]) ** 2))
-    total = Csq
-    for k in range(d):
-        M = E[k] - S[k] @ (S[k].T @ E[k])
+    total = float(np.sum(_naive_apply_all(A, [Sk.T for Sk in S]) ** 2))
+    for Ek, Sk in zip(E, S):
+        M = Ek - Sk @ (Sk.T @ Ek)
         total += float(np.sum(M * M))
     return total
 
@@ -127,31 +246,16 @@ def exact_tangent_projection_oracle(X: TuckerTensor, A: np.ndarray, r,
     if d > _ORACLE_MAX_ORDER or any(n > _ORACLE_MAX_DIM for n in dims):
         raise ValueError(f"oracle limited to order {_ORACLE_MAX_ORDER}, "
                          f"mode size {_ORACLE_MAX_DIM}; got dims {dims}")
+    if restarts < 1:
+        raise ValueError(f"restarts must be at least 1, got {restarts}")
     rlow = X.rank
     if any(a > b for a, b in zip(rlow, r)):
         raise ValueError(f"anchor rank {rlow} exceeds bound {r}")
     rng = np.random.default_rng(seed)
-    G = X.core
     U = list(X.factors)
-
-    # mode-k data independent of the complements
-    E = []
-    for k in range(d):
-        D = _naive_multi_contract(A, [None if j == k else U[j]
-                                      for j in range(d)], k + 1)
-        Gk = unfold(G, k + 1)
-        E.append(D @ np.linalg.pinv(Gk) @ Gk)
-
+    E = _row_space_terms(X, A)      # independent of the complements
     qs = [r[k] - rlow[k] for k in range(d)]
-    perp = []
-    for k in range(d):
-        full = np.linalg.svd(np.hstack([U[k], np.zeros((dims[k], 0))]),
-                             full_matrices=True)[0] if rlow[k] else np.eye(dims[k])
-        perp.append(full[:, rlow[k]:])
-
-    def sweep_value(W):
-        S = [np.hstack([U[k], W[k]]) for k in range(d)]
-        return _projection_value_sq(A, X, S, E)
+    perp = [_perp(Uk) for Uk in U]
 
     best_val = -np.inf
     best_W = None
@@ -165,23 +269,21 @@ def exact_tangent_projection_oracle(X: TuckerTensor, A: np.ndarray, r,
             M = M - U[k] @ (U[k].T @ M)
             Q, _ = np.linalg.qr(M)
             W.append(Q[:, :qs[k]])
-        val = sweep_value(W)
+        val = _projection_value_sq(A, _widen(X, W), E)
         for _sweep in range(50):
             for k in range(d):
                 if qs[k] == 0:
                     continue
-                S = [np.hstack([U[j], W[j]]) for j in range(d)]
-                Bmats = [None] * d
-                for j in range(d):
-                    if j != k:
-                        Bmats[j] = S[j] @ S[j].T
+                S = _widen(X, W)
+                Bmats = [None if j == k else Sj @ Sj.T
+                         for j, Sj in enumerate(S)]
                 B = _naive_multi_contract(A, Bmats, k + 1)
                 Q = perp[k]
                 M = Q.T @ (B @ B.T - E[k] @ E[k].T) @ Q
                 evals, evecs = np.linalg.eigh((M + M.T) / 2)
                 top = evecs[:, ::-1][:, :qs[k]]
                 W[k] = Q @ top
-            new_val = sweep_value(W)
+            new_val = _projection_value_sq(A, _widen(X, W), E)
             if new_val - val <= 1e-12 * max(1.0, abs(val)):
                 val = new_val
                 break
@@ -190,12 +292,7 @@ def exact_tangent_projection_oracle(X: TuckerTensor, A: np.ndarray, r,
             best_val = val
             best_W = [w.copy() for w in W]
 
-    S = [np.hstack([U[k], best_W[k]]) for k in range(d)]
-    V = _naive_apply_all(A, [Sk @ Sk.T for Sk in S])
-    for k in range(d):
-        M = E[k] - S[k] @ (S[k].T @ E[k])
-        others = [U[j] for j in range(d) if j != k]
-        V = V + fold(M @ _kron_desc(others).T, k + 1, dims)
+    V = _ref_approx_project(X, A, r, best_W)
     return V, float(np.linalg.norm(V.ravel()))
 
 
@@ -229,40 +326,14 @@ def _check_small(dims):
 
 
 def _ref_approx_project(X: TuckerTensor, A, r, complements) -> np.ndarray:
-    dims = X.dims
-    _check_small(dims)
-    A = A.to_dense() if isinstance(A, SparseCooTensor) else np.asarray(A)
-    d = X.ndim
-    U = list(X.factors)
-    S = [np.hstack([U[k], complements[k]]) for k in range(d)]
-    V = _naive_apply_all(A, [Sk @ Sk.T for Sk in S])
-    for k in range(d):
-        D = _naive_multi_contract(A, [None if j == k else U[j]
-                                      for j in range(d)], k + 1)
-        Gk = unfold(X.core, k + 1)
-        M = D @ np.linalg.pinv(Gk) @ Gk
-        M = M - S[k] @ (S[k].T @ M)
-        others = [U[j] for j in range(d) if j != k]
-        V = V + fold(M @ _kron_desc(others).T, k + 1, dims)
-    return V
+    _check_small(X.dims)
+    S = _widen(X, complements)
+    return sum(_projection_terms(X, _dense(A), S, S))
 
 
 def _ref_partial_project(X: TuckerTensor, A, r, complements):
-    dims = X.dims
-    _check_small(dims)
-    A = A.to_dense() if isinstance(A, SparseCooTensor) else np.asarray(A)
-    d = X.ndim
-    U = list(X.factors)
-    S = [np.hstack([U[k], complements[k]]) for k in range(d)]
-    cands = [_naive_apply_all(A, [Sk @ Sk.T for Sk in S])]
-    for k in range(d):
-        D = _naive_multi_contract(A, [None if j == k else U[j]
-                                      for j in range(d)], k + 1)
-        Gk = unfold(X.core, k + 1)
-        M = D @ np.linalg.pinv(Gk) @ Gk
-        M = M - U[k] @ (U[k].T @ M)
-        others = [U[j] for j in range(d) if j != k]
-        cands.append(fold(M @ _kron_desc(others).T, k + 1, dims))
+    _check_small(X.dims)
+    cands = _projection_terms(X, _dense(A), _widen(X, complements), X.factors)
     norms = [float(np.linalg.norm(c.ravel())) for c in cands]
     branch = int(np.argmax(norms))
     return cands[branch], branch
@@ -270,7 +341,7 @@ def _ref_partial_project(X: TuckerTensor, A, r, complements):
 
 def _ref_stationarity(X: TuckerTensor, grad, r) -> float:
     _check_small(X.dims)
-    G = grad.to_dense() if isinstance(grad, SparseCooTensor) else np.asarray(grad)
+    G = _dense(grad)
     d = X.ndim
     rlow = X.rank
     r = tuple(int(x) for x in r)
@@ -323,14 +394,7 @@ def _ref_contract(A, mats) -> np.ndarray:
 
 def _ref_add_scaled_tangent(T: TuckerTensor, s: float, V: TangentVector) -> np.ndarray:
     _check_small(T.dims)
-    d = T.ndim
-    U = list(T.factors)
-    S = [np.hstack([Uk, Uc]) for Uk, Uc in zip(U, V.Ucomp)]
-    out = _dense_tucker(T) + s * _naive_apply_all(V.C, S)
-    for k in range(d):
-        mats = [V.Udot[j] if j == k else U[j] for j in range(d)]
-        out = out + s * _naive_apply_all(T.core, mats)
-    return out
+    return _dense_tucker(T) + s * embed(V)
 
 
 def _ref_entries_at(T: TuckerTensor, idx) -> np.ndarray:
@@ -418,7 +482,7 @@ def suite_complement(seed=0, instances=50) -> OracleReport:
         X, A, r = _random_deficient_instance(rng, dims=(5, 4, 6), rmax=3)
         comps = choose_singular_complement(X, A, r)
         d = X.ndim
-        S = [np.hstack([X.factors[k], comps[k]]) for k in range(d)]
+        S = _widen(X, comps)
         deficient = [k for k in range(d) if X.rank[k] < r[k]]
         lhs_mats = [S[k] @ S[k].T if k in deficient
                     else X.factors[k] @ X.factors[k].T for k in range(d)]
@@ -426,11 +490,7 @@ def suite_complement(seed=0, instances=50) -> OracleReport:
                     else X.factors[k] @ X.factors[k].T for k in range(d)]
         lhs = float(np.linalg.norm(_naive_apply_all(A, lhs_mats).ravel()))
         base = float(np.linalg.norm(_naive_apply_all(A, rhs_mats).ravel()))
-        total = int(np.prod(X.dims, dtype=np.int64))
-        factor = 1.0
-        for k in deficient:
-            factor *= np.sqrt((r[k] - X.rank[k])
-                              / min(X.dims[k], total // X.dims[k]))
+        factor = np.sqrt(_deficiency(X.dims, r, X.rank))
         viol = base * factor - lhs - 1e-12 * max(1.0, base)
         worst = max(worst, viol)
         margins.append(viol)

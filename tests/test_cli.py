@@ -155,6 +155,14 @@ def test_check_command(capsys):
     assert line["name"] == "hosvd" and line["pass"] is True
 
 
+def test_check_rejects_fewer_than_one_restart(capsys):
+    for restarts in ("0", "-3"):
+        code = main(["check", "--suite", "angle", "--restarts", restarts])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "restarts" in err
+
+
 def test_parse_tuple_error(capsys):
     with pytest.raises(SystemExit):
         main(["complete", "x", "--rank", "2,a,2"])

@@ -29,7 +29,7 @@ from tuckeropt import (
 )
 from tuckeropt import geometry
 from tuckeropt.completion import random_tucker
-from tuckeropt.oracles import dense_reference
+from tuckeropt.oracles import _perp, dense_reference
 from tuckeropt.tensor_core import mixed_eval, mode_product
 
 RNG = np.random.default_rng(7)
@@ -76,13 +76,13 @@ def test_tangent_vector_takes_complements_of_exact_width(width):
 
 
 def test_ambient_inner_dense_and_sparse():
+    # a sparse A is densified: its inner product with V is the sum of its
+    # values times V's entries at its tuples
     X, A, r = _instance()
     V = approx_project(X, A, r)
-    E = embed(V)
-    assert ambient_inner(A, V) == pytest.approx(inner(A, E), rel=1e-12)
     S = _sparse(A)
-    assert ambient_inner(S, V) == pytest.approx(inner(S.to_dense(), E),
-                                                rel=1e-10)
+    assert ambient_inner(S, V) == pytest.approx(
+        float(S.vals @ tangent_entries_at(V, S.idx)), rel=1e-10)
 
 
 def test_projection_inner_product_identity():
@@ -187,19 +187,42 @@ def test_stationarity_full_rank_point():
     assert (rep.value < 1e-10) == (tangent_norm(V) < 1e-10)
 
 
+# (dims, rank, bound): 6x6x6 deficient in every mode (where the normal cone
+# is {0}) and in two modes, d = 2, d = 4, and a point with a full mode
+# (rank_k = n_k, so span(U_k)^perp has width 0)
+NORMAL_CASES = [(DIMS, (2, 2, 2), (3, 3, 3)), (DIMS, (2, 2, 2), (3, 2, 3)),
+                ((6, 5), (2, 1), (3, 1)),
+                ((4, 3, 5, 3), (2, 1, 2, 1), (3, 2, 2, 2)),
+                ((5, 4, 6), (2, 4, 3), (3, 4, 3))]
+
+
+def _normal_cases():
+    for seed, (dims, rlow, r) in enumerate(NORMAL_CASES):
+        yield _instance(rlow, r, dims, np.random.default_rng(seed))
+
+
 def test_normal_cone_orthogonal_to_tangent_cone():
-    X, A, r = _instance()
-    W = sample_normal(X, r, seed=5)
-    V = approx_project(X, A, r)
-    assert abs(inner(W, embed(V))) <= 1e-10 * fro_norm(W) * tangent_norm(V)
+    for X, A, r in _normal_cases():
+        for U in X.factors:
+            P = _perp(U)
+            n, q = U.shape
+            assert P.shape == (n, n - q)
+            assert np.allclose(U.T @ P, 0, atol=1e-12)
+            assert np.allclose(P.T @ P, np.eye(n - q), atol=1e-12)
+        W = sample_normal(X, r, seed=5)
+        V = approx_project(X, A, r)
+        at_bound = any(a == b for a, b in zip(X.rank, r))
+        assert (fro_norm(W) > 0) == at_bound and tangent_norm(V) > 0
+        assert (abs(inner(W, embed(V)))
+                <= 1e-10 * fro_norm(W) * tangent_norm(V))
 
 
 def test_normal_vector_certifies_stationarity():
     # at X with gradient -W, W in the normal cone, the measure must vanish
-    X, _, r = _instance()
-    W = sample_normal(X, r, seed=11)
-    rep = stationarity_measure(X, -W, r)
-    assert rep.value <= 1e-10 * fro_norm(W)
+    for X, _, r in _normal_cases():
+        W = sample_normal(X, r, seed=11)
+        rep = stationarity_measure(X, -W, r)
+        assert rep.value <= 1e-10 * fro_norm(W)
 
 
 def test_angle_constants_values():

@@ -41,3 +41,29 @@ def test_imports_follow_the_layer_order():
         tree = ast.parse((PACKAGE / f"{name}.py").read_text())
         for target in _package_imports(tree):
             assert target in ORDER[:i], f"{name} imports {target}"
+
+
+def _names_read(tree):
+    """Names and attribute names a syntax tree reads."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+
+
+def test_geometry_exports_only_what_the_solver_path_calls():
+    # dense verification geometry belongs in oracles, not next to the kernels
+    tree = ast.parse((PACKAGE / "geometry.py").read_text())
+    exported = next(ast.literal_eval(node.value) for node in tree.body
+                    if isinstance(node, ast.Assign)
+                    and [getattr(t, "id", None) for t in node.targets]
+                    == ["__all__"])
+    read = set()
+    for name in ("solvers", "completion"):
+        read.update(_names_read(ast.parse((PACKAGE / f"{name}.py").read_text())))
+    defs = [node for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+    unused = [name for name in exported if name not in read and not any(
+        name in _names_read(node) for node in defs if node.name != name)]
+    assert not unused, f"geometry exports {unused}, which no solver uses"
