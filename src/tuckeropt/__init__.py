@@ -11,7 +11,6 @@ from .completion import (
     euclidean_gradient,
     gen_synthetic,
     load_problem,
-    multi_mode_contract,
     objective,
     random_tucker,
     save_problem,
@@ -71,6 +70,7 @@ from .tensor_core import (
     load_coo,
     load_dense,
     mode_product,
+    multi_mode_contract,
     numerical_rank,
     save_coo,
     save_dense,

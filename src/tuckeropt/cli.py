@@ -80,12 +80,17 @@ def _make_config(args) -> SolverConfig:
                         max_iters=args.max_iters, stat_tol=args.tol)
 
 
-def _spectral_init(problem, r):
-    """HOSVD of the zero-filled observations rescaled by 1/p."""
-    total = int(np.prod(problem.dims, dtype=np.int64))
-    if total > _SPECTRAL_INIT_LIMIT:
+def _check_spectral_fits(dims) -> None:
+    """Refuse spectral initialization of a tensor of more entries than
+    ``_SPECTRAL_INIT_LIMIT``, which it would densify."""
+    if int(np.prod(dims, dtype=np.int64)) > _SPECTRAL_INIT_LIMIT:
         raise ValueError("problem too large for spectral initialization; "
                          "use --init random")
+
+
+def _spectral_init(problem, r):
+    """HOSVD of the zero-filled observations rescaled by 1/p."""
+    _check_spectral_fits(problem.dims)
     dense = problem.omega.to_dense() / problem.p
     return hosvd(dense, r)
 
@@ -175,6 +180,8 @@ def cmd_bench(args) -> int:
     r_true = args.true_rank or setting["r_true"]
     ranks = [args.rank] if args.rank else setting["ranks"]
     p = args.p if args.p is not None else setting["p"]
+    if args.init == "spectral":
+        _check_spectral_fits(n)     # before generating and writing the bundle
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
     problem, _truth = gen_synthetic(n, r_true, p, seed=args.seed)

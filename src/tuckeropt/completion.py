@@ -19,7 +19,6 @@ from .solvers import ObjectiveHandle
 from .tensor_core import (
     SparseCooTensor,
     load_coo,
-    multi_mode_contract,
     save_coo,
     thin_svd,
 )
@@ -29,7 +28,6 @@ __all__ = [
     "CompletionProblem",
     "objective",
     "euclidean_gradient",
-    "multi_mode_contract",
     "test_error",
     "completion_objective",
     "gen_synthetic",
@@ -192,7 +190,6 @@ def completion_objective(P: CompletionProblem):
     return ObjectiveHandle(
         eval=eval_f,
         grad=grad,
-        dims=P.dims,
         initial_step=initial_step,
         test_metric=(lambda X: test_error(P, X)) if P.gamma.nnz else None,
         eval_grad=lambda X: (eval_f(X), grad(X)),

@@ -18,9 +18,7 @@ from .tensor_core import (
     IndexPlan,
     SparseCooTensor,
     batched_mode_contract,
-    contract,
     cutoff_rank,
-    final_mode,
     fold,
     index_plan,
     mixed_eval,
@@ -89,8 +87,7 @@ class StationarityReport:
 
 def _widened(V: TangentVector):
     """Per-mode bases [U_k Ucomp_k] (U_k itself where Ucomp_k is empty)."""
-    return [np.hstack([U, Uc]) if Uc.shape[1] else U
-            for U, Uc in zip(V.anchor.factors, V.Ucomp)]
+    return [_mode_matrix(U, Uc) for U, Uc in zip(V.anchor.factors, V.Ucomp)]
 
 
 def tangent_norm(V: TangentVector) -> float:
@@ -126,13 +123,6 @@ def tangent_entries_at(V: TangentVector, idx) -> np.ndarray:
     return vals
 
 
-def _contract(A, mats, parent=None):
-    """:func:`~tuckeropt.tensor_core.contract` with this module's
-    ``multi_mode_contract``, looked up per call so that a wrapper installed
-    on it sees every sparse contraction."""
-    return contract(A, mats, parent, multi_mode_contract)
-
-
 class Contractions:
     """The partial contractions of one ambient tensor A at one point X.
 
@@ -145,7 +135,8 @@ class Contractions:
     :func:`approx_project` and :func:`partial_project` at X, all of which
     accept this object in place of A, compute each contraction once between
     them.  The object belongs to one (X, A): a solver makes one per iterate
-    and per rank candidate and drops it with the point.
+    and per rank candidate and drops it with the point.  It is the only
+    place the solver path forms such a contraction.
 
     :meth:`negated` is a view of the same contractions for -A, which is what
     the projections of -grad f read.  Layout rule: both views hand out the
@@ -157,12 +148,13 @@ class Contractions:
 
     A rank candidate X_c of an iterate X, whose factors are U_j W_j with
     U_j those of X (see :func:`~tuckeropt.tucker.hosvd_truncations`), may
-    be served from X's basis instead (``basis``, as
-    :func:`candidate_contractions` makes it).  A pattern is then read off
-    the X-basis pattern (U_j on its "U" modes, the identity elsewhere) by
-    dense mode products: W_j^T on "U" modes and [U_j W_j | Ucomp_j]^T on
-    complement modes.  That equals contracting A directly,
-    (A x_j U_j^T) x_j W_j^T = A x_j (U_j W_j)^T, up to rounding.
+    be served from X's basis instead: ``basis`` is then the pair
+    (Contractions(X, A), ws), as :func:`candidate_contractions` makes it.
+    A pattern is read off that object's X-basis pattern (U_j on the "U"
+    modes, the identity elsewhere) by dense mode products: W_j^T on "U"
+    modes and [U_j W_j | Ucomp_j]^T on complement modes.  That equals
+    contracting A directly, (A x_j U_j^T) x_j W_j^T = A x_j (U_j W_j)^T, up
+    to rounding.
     """
 
     __slots__ = ("anchor", "tensor", "_memo", "_sign", "_basis")
@@ -194,58 +186,58 @@ class Contractions:
         return D if self._sign > 0 else -D
 
     def _formed(self, modes: tuple) -> np.ndarray:
-        """A x_j B_j^T, formed on first request.
-
-        A pattern whose last-contracted mode s carries a matrix is formed
-        from the pattern with mode s left as it is, which is formed (once)
-        first: the mode terms at a full-rank point give the core term.
-        """
+        """A x_j B_j^T, formed on first request: served from the basis
+        when there is one, else formed directly."""
         key = tuple(_mode_key(m) for m in modes)
         hit = self._memo.get(key)
         if hit is None:
             mats = [_mode_matrix(U, m)
                     for U, m in zip(self.anchor.factors, modes)]
-            if self._basis is not None:
-                D = self._basis.serve(self.tensor, key, mats)
+            if self._basis is None:
+                D = self._direct(modes, mats)
             else:
-                s = final_mode(self.anchor.dims, mats)
-                parent = None
-                if mats[s] is not None:
-                    parent = self._formed(modes[:s] + ("I",) + modes[s + 1:])
-                D = _contract(self.tensor, mats, parent)
+                D = self._served(key, mats)
             # keeping the complements alive keeps their ids in the key valid
             hit = (D, modes)
             self._memo[key] = hit
         return hit[0]
 
+    def _direct(self, modes: tuple, mats) -> np.ndarray:
+        """A x_j B_j^T for B_j = mats[j] (None: identity) from A itself.
 
-class _XBasis:
-    """Where a rank candidate's :class:`Contractions` take their patterns:
-    the factors U_j of the iterate X, the candidate's W_j, and the X-basis
-    patterns A x_{j in S} U_j^T formed so far, keyed by the tuple of
-    per-mode flags (j in S).  :func:`candidate_contractions` fills in the
-    mode terms; any other pattern is formed on first request.
-    """
+        The mode s with the largest output size, the first among ties, goes
+        last.  When it carries B_s, the result is B_s^T applied to the
+        pattern with mode s left as it is, which is formed (once) first: the
+        mode terms at a full-rank point give the core term.  A sparse A
+        otherwise reaches the kernel once, skipping mode s.
+        """
+        A = self.tensor
+        sizes = tuple(n if M is None else M.shape[1]
+                      for n, M in zip(self.anchor.dims, mats))
+        s = int(np.argmax(sizes))
+        if mats[s] is not None:
+            parent = self._formed(modes[:s] + ("I",) + modes[s + 1:])
+            return mode_product(parent, s + 1, mats[s].T)
+        if not isinstance(A, SparseCooTensor):
+            out = np.asarray(A)
+            for k, M in enumerate(mats, start=1):
+                if M is not None:
+                    out = mode_product(out, k, M.T)
+            return out
+        if all(M is None for M in mats):
+            return A.to_dense()
+        # the module global, so that a wrapper installed on it sees the call
+        return fold(multi_mode_contract(A, mats, s + 1), s + 1, sizes)
 
-    __slots__ = ("factors", "ws", "patterns")
-
-    def __init__(self, factors, ws):
-        self.factors = tuple(factors)
-        self.ws = tuple(ws)
-        self.patterns = {}
-
-    def serve(self, A, key, mats) -> np.ndarray:
-        """A x_j B_j^T for the candidate's B_j = mats[j] (None: identity),
-        whose mode keys are ``key``, from the X-basis pattern."""
-        flags = tuple(m == "U" for m in key)
-        P = self.patterns.get(flags)
-        if P is None:
-            P = _contract(A, [U if f else None
-                              for U, f in zip(self.factors, flags)])
-            self.patterns[flags] = P
-        for j, (B, f) in enumerate(zip(mats, flags)):
+    def _served(self, key: tuple, mats) -> np.ndarray:
+        """A x_j B_j^T for B_j = mats[j] (None: identity) from the X-basis
+        pattern: U_j of X on the modes keyed "U", the identity elsewhere."""
+        base, ws = self._basis
+        xmodes = tuple("U" if m == "U" else "I" for m in key)
+        P = base._formed(xmodes)
+        for j, (B, m) in enumerate(zip(mats, xmodes)):
             if B is not None:
-                P = mode_product(P, j + 1, (self.ws[j] if f else B).T)
+                P = mode_product(P, j + 1, (ws[j] if m == "U" else B).T)
         return P
 
 
@@ -254,13 +246,15 @@ def candidate_contractions(X: TuckerTensor, candidates) -> list:
 
     ``candidates`` holds one (X_c, ws, A_c) per candidate, where X_c is X
     truncated with factors U_j ws[j] and A_c is the tensor to contract
-    (the gradient at X_c).  When every A_c is sparse on one index plan, the
-    d mode terms A_c x_{j != k} U_j^T of all candidates are formed by d
-    calls of :func:`~tuckeropt.tensor_core.batched_mode_contract`; other
-    patterns, and every pattern of dense or differently planned tensors,
-    are formed per candidate on first request.
+    (the gradient at X_c).  Each candidate's basis is the pair
+    (Contractions(X, A_c), ws), whose "U"/"I" patterns are the X-basis
+    patterns.  When every A_c is sparse on one index plan, the d mode terms
+    A_c x_{j != k} U_j^T of all candidates are formed by d calls of
+    :func:`~tuckeropt.tensor_core.batched_mode_contract` and put into those
+    objects; other patterns, and every pattern of dense or differently
+    planned tensors, are formed per candidate on first request.
     """
-    out = [Contractions(Xc, A, _XBasis(X.factors, ws))
+    out = [Contractions(Xc, A, (Contractions(X, A), ws))
            for Xc, ws, A in candidates]
     grads = [A for _, _, A in candidates]
     if not grads or not all(isinstance(A, SparseCooTensor)
@@ -273,9 +267,9 @@ def candidate_contractions(X: TuckerTensor, candidates) -> list:
         terms = batched_mode_contract(plan, X.dims, vals, X.factors, k + 1)
         dims = tuple(n if j == k else q for j, (n, q) in
                      enumerate(zip(X.dims, X.rank)))
-        flags = tuple(j != k for j in range(d))
+        modes = tuple("I" if j == k else "U" for j in range(d))
         for C, T in zip(out, terms):
-            C._basis.patterns[flags] = fold(T, k + 1, dims)
+            C._basis[0]._memo[modes] = (fold(T, k + 1, dims), modes)
     return out
 
 
@@ -390,7 +384,7 @@ def _project(X: TuckerTensor, A, r, complements, widen: bool):
     C = A.contract(complements)
     udots = []
     for k, (U, Uc) in enumerate(zip(X.factors, complements)):
-        B = np.hstack([U, Uc]) if widen else U
+        B = _mode_matrix(U, Uc) if widen else U
         udots.append(_mode_residual(X, A, k, B) @ _core_pinv(X, k + 1))
     return r, C, tuple(udots), tuple(complements)
 

@@ -12,7 +12,7 @@ import itertools
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -91,7 +91,6 @@ class ObjectiveHandle:
 
     eval: callable
     grad: callable
-    dims: tuple
     initial_step: callable | None = None
     test_metric: callable | None = None
     eval_grad: callable | None = None
@@ -434,31 +433,21 @@ def _solve(obj, X0, r, cfg, *, retraction_free, rank_decrease, name):
 
 
 def grap_step(obj, X, r, cfg):
-    """Single retracted step along the approximate projection of -grad."""
-    return _single_step(obj, X, r, cfg, retraction_free=False)
+    """Single retracted step along the approximate projection of -grad.
+
+    Returns (Y, record of Y) from a :func:`solve_grap` run of one
+    iteration; when that run stops at X (stationary, line-search failure or
+    a zero step), Y is X and the record is X's, with ``iter`` 0.
+    """
+    Y, trace = solve_grap(obj, X, r, replace(cfg, max_iters=1))
+    return Y, trace.final()
 
 
 def rfgrap_step(obj, X, r, cfg):
-    """Single retraction-free step along the chosen partial-projection branch."""
-    return _single_step(obj, X, r, cfg, retraction_free=True)
-
-
-def _single_step(obj, X, r, cfg, retraction_free):
-    r = tuple(int(x) for x in r)
-    t_start = time.perf_counter()
-    fX, grad = _f_and_grad(obj, X)
-    contractions = Contractions(X, grad)
-    stat = stationarity_measure(X, contractions, r)
-    if stat.value <= cfg.stat_tol:
-        rec = _make_record(obj, X, fX, grad, stat, 0, _NO_STEP, 0, t_start)
-        return X, rec
-    Y, info = _direction_step(obj, X, contractions, fX, r, cfg,
-                              retraction_free)
-    gradY = obj.grad(Y)
-    statY = stationarity_measure(Y, gradY, r)
-    rec = _make_record(obj, Y, info.f_after if info.stepsize else fX, gradY,
-                       statY, 0, info, 1, t_start)
-    return Y, rec
+    """Single retraction-free step along the chosen partial-projection
+    branch; :func:`grap_step` with :func:`solve_rfgrap`."""
+    Y, trace = solve_rfgrap(obj, X, r, replace(cfg, max_iters=1))
+    return Y, trace.final()
 
 
 def solve_grap(obj, X0, r, cfg):

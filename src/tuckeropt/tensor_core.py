@@ -38,8 +38,6 @@ __all__ = [
     "mixed_eval",
     "multi_mode_contract",
     "batched_mode_contract",
-    "final_mode",
-    "contract",
     "save_dense",
     "load_dense",
     "read_binary_header",
@@ -442,47 +440,6 @@ def batched_mode_contract(plan: IndexPlan, dims, vals, factors,
             out[rows_of[t]] = kron[:, lo:hi] @ G[:, lo:hi].T
         s = e
     return np.moveaxis(out, 2, 0)
-
-
-def final_mode(dims, mats) -> int:
-    """0-based mode that :func:`contract` contracts last: the one with the
-    largest output size (n_k where mats[k] is None), the first among ties."""
-    sizes = [n if M is None else M.shape[1] for n, M in zip(dims, mats)]
-    return int(np.argmax(sizes))
-
-
-def contract(A, mats, parent=None, kernel=multi_mode_contract) -> np.ndarray:
-    """A x_k mats[k]^T over every mode k with a matrix (None leaves mode k).
-
-    A is a dense array or a :class:`SparseCooTensor`; the result is dense,
-    with mode-k size mats[k].shape[1] (n_k where mats[k] is None).  The mode
-    s = :func:`final_mode` goes last: when it carries a matrix B_s, the
-    result is B_s^T @ unfold(parent, s), where ``parent`` is the contraction
-    with mode s left as it is.  Pass ``parent`` when it is already formed;
-    the result is then bit-identical to forming it here.  A sparse A reaches
-    ``kernel`` (:func:`multi_mode_contract` or a wrapper of it) at most once
-    per call, and not at all when ``parent`` is given.
-    """
-    sparse = isinstance(A, SparseCooTensor)
-    if not sparse:
-        A = np.asarray(A)
-    dims = A.dims if sparse else A.shape
-    s = final_mode(dims, mats)
-    if mats[s] is not None:
-        if parent is None:
-            parent = contract(A, [None if j == s else M
-                                  for j, M in enumerate(mats)], kernel=kernel)
-        return mode_product(parent, s + 1, mats[s].T)
-    if not sparse:
-        out = A
-        for k, M in enumerate(mats, start=1):
-            if M is not None:
-                out = mode_product(out, k, M.T)
-        return out
-    if all(M is None for M in mats):
-        return A.to_dense()
-    out_dims = tuple(n if M is None else M.shape[1] for n, M in zip(dims, mats))
-    return fold(kernel(A, mats, s + 1), s + 1, out_dims)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from tuckeropt import gen_synthetic, load_checkpoint, save_dense, save_problem
+from tuckeropt import cli
 from tuckeropt.cli import main
 
 RNG = np.random.default_rng(42)
@@ -79,6 +80,21 @@ def test_bench_scaled_tiny(tmp_path, capsys):
         assert (out / f"true-rank_r2x2x2_{name}.csv").exists()
         assert (out / f"true-rank_r2x2x2_{name}.json").exists()
     assert (out / "true-rank_problem" / "omega.coo").exists()
+
+
+def test_bench_refuses_spectral_init_before_writing_the_bundle(
+        tmp_path, capsys, monkeypatch):
+    # a problem too large to densify fails before it is generated, rather
+    # than after its bundle is written; --init random still runs it
+    monkeypatch.setattr(cli, "_SPECTRAL_INIT_LIMIT", 100)
+    args = ["bench", "true-rank", "--n", "10,10,10", "--true-rank", "2,2,2",
+            "--rank", "2,2,2", "--p", "0.3", "--max-iters", "2"]
+    out = tmp_path / "bench"
+    assert main(args + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
+    assert main(args + ["--out", str(out), "--init", "random"]) in (0, 2)
+    assert (out / "true-rank_problem" / "meta.json").exists()
 
 
 def test_bench_under_rank_tiny(tmp_path, capsys):

@@ -67,3 +67,20 @@ def test_geometry_exports_only_what_the_solver_path_calls():
     unused = [name for name in exported if name not in read and not any(
         name in _names_read(node) for node in defs if node.name != name)]
     assert not unused, f"geometry exports {unused}, which no solver uses"
+
+
+def test_package_imports_names_from_where_they_are_defined():
+    # a name the package imports from a module must be defined there, not
+    # re-exported through it
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    for node in tree.body:
+        if not isinstance(node, ast.ImportFrom) or node.level != 1:
+            continue
+        source = ast.parse((PACKAGE / f"{node.module}.py").read_text())
+        defined = {top.name for top in source.body
+                   if isinstance(top, (ast.FunctionDef, ast.ClassDef))}
+        defined.update(t.id for top in source.body
+                       if isinstance(top, ast.Assign)
+                       for t in top.targets if isinstance(t, ast.Name))
+        missing = [a.name for a in node.names if a.name not in defined]
+        assert not missing, f"{node.module} does not define {missing}"

@@ -45,7 +45,6 @@ def _dense_objective(A):
     return ObjectiveHandle(
         eval=lambda X: 0.5 * float(np.sum((to_dense(X) - A) ** 2)),
         grad=lambda X: to_dense(X) - A,
-        dims=A.shape,
     )
 
 
@@ -92,8 +91,7 @@ def test_armijo_rejects_ascent_direction():
 def test_armijo_failure_reports_diagnostics():
     # an objective that never decreases forces the floor to be hit
     X = random_tucker((4, 4, 4), (2, 2, 2), RNG)
-    obj = ObjectiveHandle(eval=lambda T: 1.0, grad=lambda T: None,
-                          dims=(4, 4, 4))
+    obj = ObjectiveHandle(eval=lambda T: 1.0, grad=lambda T: None)
     A = RNG.standard_normal((4, 4, 4))
     V = approx_project(X, A, (2, 2, 2))
     vn = tangent_norm(V)
@@ -182,6 +180,22 @@ def test_single_steps_decrease_objective():
         Y, rec = step(obj, X0, (2, 2, 2), cfg)
         assert isinstance(rec, IterRecord)
         assert obj.eval(Y) < obj.eval(X0)
+
+
+def test_single_step_is_the_first_iteration_of_a_solve():
+    _, _, obj, X0 = _completion_setup()
+    cfg = SolverConfig(max_iters=30)
+    for step, solve in ((grap_step, solve_grap), (rfgrap_step, solve_rfgrap)):
+        Y, rec = step(obj, X0, (2, 2, 2), cfg)
+        _, trace = solve(obj, X0, (2, 2, 2), cfg)
+        ref = trace.records[1]
+        assert rec.iter == 1
+        assert Y.rank == rec.rank
+        for name in ("f_value", "stationarity", "stepsize", "backtracks",
+                     "rank"):
+            # bit for bit
+            assert (np.asarray(getattr(rec, name)).tobytes()
+                    == np.asarray(getattr(ref, name)).tobytes()), name
 
 
 def _counting(obj, log):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from tuckeropt import (
     SparseCooTensor,
+    TuckerTensor,
     best_rank_approx,
     delta_rank,
     fold,
@@ -25,13 +26,12 @@ from tuckeropt import (
     unfold,
 )
 from tuckeropt import tensor_core
+from tuckeropt.geometry import Contractions
 from tuckeropt.oracles import dense_reference
 from tuckeropt.tensor_core import (
     DEFAULT_RANK_TOL,
     batched_mode_contract,
-    contract,
     cutoff_rank,
-    final_mode,
     index_plan,
     multi_mode_contract,
     strictly_increasing,
@@ -466,34 +466,47 @@ def test_blocked_scatter_is_bit_identical_to_one_bincount(monkeypatch, block):
                                   _bincount_contract(big, mats, skip))
 
 
+def _anchored(U):
+    """A point whose factors are the matrices U (the core is not read)."""
+    return TuckerTensor(np.zeros(tuple(M.shape[1] for M in U)), tuple(U))
+
+
 def test_contract_matches_dense_reference():
+    # every identity/factor pattern, from one memo, with a full mode (5 of 5)
     rng = np.random.default_rng(8)
     dims = (4, 5, 3)
     S = _random_coo(dims, 0.4, rng)
     U = [rng.standard_normal((n, q)) for n, q in zip(dims, (2, 5, 3))]
     for A in (S, S.to_dense()):
+        shared = Contractions(_anchored(U), A)
         for bits in np.ndindex(2, 2, 2):
-            mats = [None if bits[j] else U[j] for j in range(3)]
-            got = contract(A, mats)
-            ref = dense_reference("contract", A, mats)
+            got = shared.contract(["I" if b else "U" for b in bits])
+            ref = dense_reference("contract", A,
+                                  [None if bits[j] else U[j] for j in range(3)])
             assert got.shape == ref.shape
             assert np.allclose(got, ref, atol=1e-12)
 
 
 def test_contract_with_a_formed_parent_is_bit_identical():
+    # the last mode (the first among equal output sizes) goes through
+    # B_s^T on the pattern that leaves it, formed fresh or read from a memo
     rng = np.random.default_rng(9)
     dims = (6, 5, 7)
     S = _random_coo(dims, 0.4, rng)
     U = [rng.standard_normal((n, 3)) for n in dims]
-    s = final_mode(dims, U)
-    parent_mats = [None if j == s else M for j, M in enumerate(U)]
+    X = _anchored(U)
     for A in (S, S.to_dense()):
-        parent = contract(A, parent_mats)
-        assert np.array_equal(contract(A, U, parent), contract(A, U))
-    # the sparse result is the one GEMM on the kernel's own output
-    M = multi_mode_contract(S, U, s + 1)
-    assert np.array_equal(contract(S, U),
-                          fold(U[s].T @ M, s + 1, (3, 3, 3)))
+        parent = Contractions(X, A).contract(("I", "U", "U"))
+        got = Contractions(X, A).contract(("U", "U", "U"))
+        assert np.array_equal(got, mode_product(parent, 1, U[0].T))
+    # the sparse result is the one GEMM on the kernel's own output, and the
+    # identity-final pattern is that output folded
+    M = multi_mode_contract(S, U, 1)
+    shared = Contractions(X, S)
+    assert np.array_equal(shared.contract(("U", "U", "U")),
+                          fold(U[0].T @ M, 1, (3, 3, 3)))
+    assert np.array_equal(shared.contract(("I", "U", "U")),
+                          fold(M, 1, (6, 3, 3)))
 
 
 @pytest.mark.parametrize("block", [5, None])
