@@ -52,6 +52,10 @@ class CompletionProblem:
             raise ValueError("observation dims disagree with problem dims")
         if not 0 < self.p <= 1:
             raise ValueError("sampling rate must lie in (0, 1]")
+        for name, S in (("training set Omega", self.omega),
+                        ("test set Gamma", self.gamma)):
+            if not np.isfinite(S.vals).all():
+                raise ValueError(f"non-finite values in the {name}")
         if self.omega.nnz and self.gamma.nnz:
             # Omega's tuples are sorted, so each of Gamma's is looked up in
             # them by binary search
@@ -213,8 +217,14 @@ def save_problem(P: CompletionProblem, directory, seed=None, r_true=None) -> Non
 
 
 def load_problem(directory) -> CompletionProblem:
+    """Read a bundle that :func:`save_problem` wrote; data that a
+    :class:`CompletionProblem` rejects raises a ``ValueError`` that names
+    the bundle."""
     directory = Path(directory)
     meta = json.loads((directory / "meta.json").read_text())
     omega = load_coo(directory / "omega.coo")
     gamma = load_coo(directory / "gamma.coo")
-    return CompletionProblem(tuple(meta["dims"]), omega, gamma, meta["p"])
+    try:
+        return CompletionProblem(tuple(meta["dims"]), omega, gamma, meta["p"])
+    except ValueError as e:
+        raise ValueError(f"{directory}: {e}") from e

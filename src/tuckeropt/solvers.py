@@ -148,7 +148,9 @@ class SolverTrace:
 
     ``diagnostics`` explains a failed termination: for
     ``"candidate_exhaustion"`` it is the message, then one line per rank
-    candidate that failed its line search.
+    candidate that failed its line search.  A run ends ``"non_finite"``,
+    with a last record whose stationarity is NaN, when f(X) or
+    ||grad f(X)|| is not finite.
     """
 
     solver: str
@@ -280,10 +282,10 @@ def _direction_step(obj, X, grad, fX, r, cfg, retraction_free):
                         direction_norm=vnorm, backtracks=bt)
 
 
-def _make_record(obj, X, fX, grad, stat, t, info, n_candidates, t_start):
+def _make_record(obj, X, fX, gnorm, stat, t, info, n_candidates, t_start):
     terr = obj.test_metric(X) if obj.test_metric is not None else None
-    return IterRecord(iter=t, f_value=fX, stationarity=stat.value,
-                      grad_norm=fro_norm(grad),
+    return IterRecord(iter=t, f_value=fX, stationarity=stat,
+                      grad_norm=gnorm,
                       direction_norm=info.direction_norm,
                       stepsize=info.stepsize, rank=X.rank,
                       n_candidates=n_candidates, backtracks=info.backtracks,
@@ -397,11 +399,18 @@ def _solve(obj, X0, r, cfg, *, retraction_free, rank_decrease, name):
     n_candidates = 0
     for t in range(cfg.max_iters + 1):
         fX, grad = _f_and_grad(obj, X)
+        gnorm = fro_norm(grad)
+        if not (math.isfinite(fX) and math.isfinite(gnorm)):
+            # nothing below is defined on non-finite data
+            trace.records.append(_make_record(obj, X, fX, gnorm, math.nan, t,
+                                              pending, n_candidates, t_start))
+            trace.termination = "non_finite"
+            return X, trace
         contractions = Contractions(X, grad)
-        stat = stationarity_measure(X, contractions, r)
-        trace.records.append(_make_record(obj, X, fX, grad, stat, t, pending,
+        stat = stationarity_measure(X, contractions, r).value
+        trace.records.append(_make_record(obj, X, fX, gnorm, stat, t, pending,
                                           n_candidates, t_start))
-        if stat.value <= cfg.stat_tol:
+        if stat <= cfg.stat_tol:
             trace.termination = "converged"
             return X, trace
         if t == cfg.max_iters:

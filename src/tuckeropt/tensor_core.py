@@ -237,9 +237,13 @@ def fro_norm(X) -> float:
 
 
 def thin_svd(M: np.ndarray) -> SvdResult:
-    """Thin SVD with the deterministic sign convention of :class:`SvdResult`."""
-    if not np.isfinite(M).all():
-        raise ValueError("non-finite entries in SVD input")
+    """Thin SVD with the deterministic sign convention of :class:`SvdResult`.
+
+    M is not scanned for non-finite entries: data is checked where it
+    enters (:class:`~tuckeropt.completion.CompletionProblem`), and a solver
+    stops with termination ``"non_finite"`` before a non-finite f or
+    gradient reaches an SVD.
+    """
     U, s, Vt = np.linalg.svd(M, full_matrices=False)
     V = Vt.T
     if U.shape[1]:

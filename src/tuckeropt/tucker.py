@@ -78,9 +78,6 @@ class TuckerTensor:
         # factors are orthonormal, so the norm lives in the core
         return float(np.linalg.norm(self.core.ravel()))
 
-    def scale(self, c: float) -> "TuckerTensor":
-        return TuckerTensor(c * self.core, self.factors)
-
 
 class _Node:
     """A node of a truncation tree, keyed by the counts kept in modes

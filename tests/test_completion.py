@@ -53,6 +53,30 @@ def test_gen_synthetic_deterministic():
     assert np.array_equal(t1.core, t2.core)
 
 
+def test_problem_rejects_non_finite_values():
+    # the repro: one NaN among Omega's values, then the same check on Gamma
+    P, _ = gen_synthetic((10, 9, 8), (2, 2, 2), 0.3, seed=1)
+    for field, name, bad in (("omega", "Omega", np.nan),
+                             ("gamma", "Gamma", -np.inf)):
+        S = getattr(P, field)
+        vals = S.vals.copy()
+        vals[3] = bad
+        with pytest.raises(ValueError, match=f"non-finite values in the "
+                                             f"(training|test) set {name}"):
+            dataclasses.replace(P, **{field: S.with_values(vals)})
+
+
+def test_load_problem_names_the_bundle_of_non_finite_data(tmp_path):
+    P, _ = _problem()
+    save_problem(P, tmp_path / "prob")
+    vals = P.omega.vals.copy()
+    vals[0] = np.nan
+    completion.save_coo(P.omega.with_values(vals), tmp_path / "prob" / "omega.coo")
+    with pytest.raises(ValueError, match="prob: non-finite values in the "
+                                         "training set Omega"):
+        load_problem(tmp_path / "prob")
+
+
 def test_problem_rejects_overlap():
     idx = np.array([[1, 1, 1], [2, 2, 2]])
     S = SparseCooTensor((3, 3, 3), idx, np.ones(2))

@@ -102,6 +102,22 @@ def test_armijo_failure_reports_diagnostics():
     assert e.value.backtracks > 0
 
 
+@pytest.mark.parametrize("solve", [solve_grap, solve_rfgrap, solve_grap_r,
+                                   solve_rfgrap_r])
+def test_non_finite_objective_ends_the_run_with_its_trace(solve):
+    # finite data whose squared error overflows: f(X0) is inf
+    P, _ = gen_synthetic((10, 9, 8), (2, 2, 2), 0.3, seed=1)
+    huge = dataclasses.replace(P, omega=P.omega.with_values(P.omega.vals * 1e300))
+    X0 = random_tucker(P.dims, (2, 2, 2), np.random.default_rng(1))
+    with np.errstate(over="ignore"):
+        X, trace = solve(completion_objective(huge), X0, (2, 2, 2),
+                         SolverConfig(max_iters=5))
+    assert X is X0 and trace.termination == "non_finite"
+    rec = trace.final()
+    assert rec.iter == 0 and rec.f_value == np.inf
+    assert np.isnan(rec.stationarity)
+
+
 def test_index_sets():
     core = np.zeros((3, 3, 3))
     core[0, 0, 0] = 5.0

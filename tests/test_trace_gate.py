@@ -58,6 +58,21 @@ def test_one_ulp_in_a_plain_solver_fails(gate, tmp_path, capsys):
     assert "FAIL criterion9/grap:" in capsys.readouterr().out
 
 
+def test_plain_solver_failure_reports_what_held(gate, tmp_path, capsys):
+    new = _recording()
+    for rec in new["criterion8/rfgrap"]["records"]:
+        rec["f_value"] += 2.0 ** -46           # exact: |df|/f_0 = 2**-48
+    new["criterion9/grap"] = _run([9.0, 3.0, 1.0], backtracks=2)
+    assert _compare(gate, tmp_path, _recording(), new) == 1
+    lines = {line.split(":")[0]: line
+             for line in capsys.readouterr().out.splitlines()}
+    assert lines["FAIL criterion8/rfgrap"].endswith(
+        "differs from the old recording; same iterations, ranks, "
+        "candidates, backtracks and termination; max |df|/f_0 3.55e-15, "
+        "max |d test error| 0.00e+00")
+    assert "iteration 1: backtracks differ" in lines["FAIL criterion9/grap"]
+
+
 def test_rank_decrease_solver_within_tolerance_passes(gate, tmp_path):
     new = _recording()
     for rec in new["criterion9/grap-r"]["records"]:

@@ -16,7 +16,9 @@ thread variables are already set.
 
 ``compare`` applies these gates and exits 1 when one fails:
 
-* grap and rfgrap are bit-identical to the old recording everywhere;
+* grap and rfgrap are bit-identical to the old recording everywhere (a
+  failure says whether iterations, ranks, candidates, backtracks and
+  termination held, and gives the largest |df|/f_0 and |d test error|);
 * on the single-candidate instances (criterion 8, true-rank), grap-r and
   rfgrap-r are bit-identical to the new recording's grap and rfgrap;
 * elsewhere, grap-r and rfgrap-r keep the old iterations, ranks, candidate
@@ -107,8 +109,10 @@ def record(path: Path) -> int:
     return 0
 
 
-def _tolerance_gate(old, new) -> list:
-    """Failure messages of the rank-decrease gate (empty when it holds)."""
+def _trajectory_errors(old, new) -> list:
+    """Where the termination, the record count or an exact field moved
+    (empty when iterations, ranks, candidates, backtracks and termination
+    all held)."""
     errs = []
     if old["termination"] != new["termination"]:
         errs.append(f"termination {old['termination']} -> "
@@ -116,11 +120,21 @@ def _tolerance_gate(old, new) -> list:
     a, b = old["records"], new["records"]
     if len(a) != len(b):
         return errs + [f"{len(a)} -> {len(b)} records"]
-    f0 = abs(a[0]["f_value"])
     for ra, rb in zip(a, b):
         moved = [k for k in EXACT_FIELDS if ra[k] != rb[k]]
         if moved:
             errs.append(f"iteration {ra['iter']}: {', '.join(moved)} differ")
+    return errs
+
+
+def _tolerance_gate(old, new) -> list:
+    """Failure messages of the rank-decrease gate (empty when it holds)."""
+    errs = _trajectory_errors(old, new)
+    a, b = old["records"], new["records"]
+    if len(a) != len(b):
+        return errs
+    f0 = abs(a[0]["f_value"])
+    for ra, rb in zip(a, b):
         if abs(ra["f_value"] - rb["f_value"]) > F_RTOL * f0:
             errs.append(f"iteration {ra['iter']}: |df| > {F_RTOL:g} f_0")
         ta, tb = ra["test_error"], rb["test_error"]
@@ -149,7 +163,10 @@ def _verdict(old, new, key):
     if not solver.endswith("-r"):
         if new[key] == old[key]:
             return [], "bit-identical to the old recording"
-        return ["differs from the old recording"], ""
+        moved = _trajectory_errors(old[key], new[key])
+        return ["differs from the old recording", *(moved[:3] or [
+            "same iterations, ranks, candidates, backtracks and termination"]),
+            _deviation(old[key], new[key])], ""
     if inst in SINGLE_CANDIDATE:
         plain = solver[:-2]
         if new[key] == new[f"{inst}/{plain}"]:
