@@ -146,6 +146,13 @@ class Contractions:
     would move the iterates in their last bits.  For the same reason a
     pattern derived from a formed one reads that one's own array.
 
+    A sparse A reaches :func:`~tuckeropt.tensor_core.multi_mode_contract`
+    at most once per pattern, skipping the mode that goes last; a pattern
+    with a matrix on every other mode is then one slab of
+    :func:`~tuckeropt.tensor_core.batched_mode_contract`, so the mode terms
+    that :func:`candidate_contractions` puts in from a batch are the very
+    arrays that forming them here would give.
+
     A rank candidate X_c of an iterate X, whose factors are U_j W_j with
     U_j those of X (see :func:`~tuckeropt.tucker.hosvd_truncations`), may
     be served from X's basis instead: ``basis`` is then the pair
@@ -251,8 +258,9 @@ def candidate_contractions(X: TuckerTensor, candidates) -> list:
     patterns.  When every A_c is sparse on one index plan, the d mode terms
     A_c x_{j != k} U_j^T of all candidates are formed by d calls of
     :func:`~tuckeropt.tensor_core.batched_mode_contract` and put into those
-    objects; other patterns, and every pattern of dense or differently
-    planned tensors, are formed per candidate on first request.
+    objects, bit-identical to forming each alone; other patterns, and every
+    pattern of dense or differently planned tensors, are formed per
+    candidate on first request.
     """
     out = [Contractions(Xc, A, (Contractions(X, A), ws))
            for Xc, ws, A in candidates]

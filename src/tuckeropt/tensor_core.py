@@ -292,8 +292,8 @@ def numerical_rank(M: np.ndarray, tau: float = DEFAULT_RANK_TOL) -> int:
 # Sparse contraction engine: kernels that work on the IndexPlan of a set of
 # index tuples and never densify the ambient tensor.
 
-# Kronecker elements per block of the scatter in multi_mode_contract, and so
-# the length of its largest per-entry temporary.
+# Elements per block of the sparse contraction kernels, and so the length of
+# their largest per-entry temporaries (per value vector when batched).
 _SCATTER_BLOCK = 1 << 15
 
 
@@ -336,29 +336,36 @@ def multi_mode_contract(S: SparseCooTensor, factors, skip: int) -> np.ndarray:
     """Compute (S x_{j != skip} U_j^T)_(skip) exploiting sparsity.
 
     ``factors`` holds one matrix per mode (entry for the skipped mode is
-    ignored, and None means the identity).  Cost O(nnz * prod q_j) with q_j
-    the column counts of the matrix modes only: an identity mode j enters
-    through the scatter index, at column offset (i_j - 1) * stride_j, and
-    never widens the per-entry Kronecker rows.
+    ignored, and None means the identity).  The result is (n_skip, prod q_j)
+    with q_j the column counts of the matrix modes only, the first listed
+    mode's column fastest.
 
-    The entries are walked in blocks of about ``_SCATTER_BLOCK`` Kronecker
-    elements.  ``np.add.at`` adds unbuffered and in order, so every output
-    bin receives the same terms in the same order as one flat ``bincount``
-    over all entries: the result is bit-identical to it, and no per-entry
-    Kronecker temporary is larger than a block.  (``np.add.reduceat`` over
-    sorted segments would sum pairwise and move the result in its last
-    bits.)
+    When every mode but ``skip`` carries a matrix, the result is slab 0 of
+    :func:`batched_mode_contract` for the one value vector ``S.vals``: a
+    single contraction and a batched slab are one code path, bit for bit.
 
-    A block is held entry-fastest, as (Kronecker column, entry), so that its
-    products run over contiguous rows of length b - a rather than q.  This
-    keeps the sums: an output bin is one (row key, Kronecker column) pair,
-    so only one row of the block reaches it, and flattening the block row by
-    row still visits that row's entries in order.  The products are formed
-    in the same order as before, rows_k * (... * (rows_1 * 1.0)).
+    A pattern with an identity mode (a deficient mode of the iterate) is
+    scattered instead.  Its output has n_j columns per identity mode j, one
+    per index, and each entry reaches only its own; a per-slice GEMM would
+    multiply by those n_j-wide blocks of the identity, where the scatter
+    adds each entry's prod q_j products once.  An identity mode j
+    enters the scatter index at column offset (i_j - 1) * stride_j and never
+    widens the per-entry Kronecker rows.  The entries are walked in blocks
+    of about ``_SCATTER_BLOCK`` Kronecker elements, each held entry-fastest
+    as (Kronecker column, entry); ``np.add.at`` adds unbuffered and in
+    order, so the result is bit-identical to one flat ``bincount`` over all
+    entries.
     """
     d = len(S.dims)
     if not 1 <= skip <= d:
         raise ValueError(f"mode {skip} out of range")
+    for j, U in enumerate(factors):
+        if j != skip - 1 and U is not None and U.shape[0] != S.dims[j]:
+            raise ValueError(f"factor {j + 1} has {U.shape[0]} rows, mode has "
+                             f"size {S.dims[j]}")
+    if all(factors[j] is not None for j in range(d) if j != skip - 1):
+        return batched_mode_contract(S.plan, S.dims, [S.vals], factors,
+                                     skip)[0]
     cols = S.plan.cols
     mats_t, mat_cols = [], []
     ncols = 1
@@ -373,9 +380,6 @@ def multi_mode_contract(S: SparseCooTensor, factors, skip: int) -> np.ndarray:
             offset += cols[j] * ncols
             ncols *= S.dims[j]
             continue
-        if U.shape[0] != S.dims[j]:
-            raise ValueError(f"factor {j + 1} has {U.shape[0]} rows, mode has "
-                             f"size {S.dims[j]}")
         mats_t.append(np.ascontiguousarray(U.T))
         mat_cols.append(cols[j])
         kron_cols = (np.arange(U.shape[1])[:, None] * ncols
@@ -406,44 +410,73 @@ def batched_mode_contract(plan: IndexPlan, dims, vals, factors,
 
     ``vals`` is a sequence of n_c value vectors; S_c has the values vals[c]
     on the tuples of ``plan``, and every mode but ``skip`` carries a matrix
-    (``factors[skip - 1]`` is ignored).  Slab c of the (n_c, n_skip,
-    prod q_j) result is what :func:`multi_mode_contract` gives for S_c, up
-    to rounding: the Kronecker rows of the U_j on the tuples are gathered
-    once for all vectors, and the tuples that share a mode-skip index (one
-    segment of :meth:`IndexPlan.segments`) are reduced by one GEMM for all
-    vectors.  Whole segments are gathered in chunks of about
-    ``_SCATTER_BLOCK`` Kronecker elements, so no temporary grows with
-    len(plan).
+    (``factors[skip - 1]`` is ignored).  The result is (n_c, n_skip,
+    prod q_j), laid out as :func:`multi_mode_contract`'s, which returns
+    slab 0 of this kernel for one vector.
+
+    The tuples that share a mode-skip index (one segment of
+    :meth:`IndexPlan.segments`) reduce to one row of the result by one
+    small GEMM per vector: the last matrix mode's rows on the segment,
+    weighted by the values, times the Kronecker rows of the other matrix
+    modes.  Whole segments are gathered in chunks whose temporaries hold
+    about ``_SCATTER_BLOCK`` elements per vector, so none grows with
+    len(plan); a chunk pads its segments with zero weights to its longest
+    one, so that one ``np.matmul`` call makes the GEMMs of all its segments
+    and vectors.  Vector c's GEMMs read the same operand shapes and strides
+    whatever n_c is, so its slab does not depend on the other vectors: a
+    slab is bit-identical to the kernel's result for that vector alone.
     """
     d = len(plan.cols)
     if not 1 <= skip <= d:
         raise ValueError(f"mode {skip} out of range")
-    mats_t = [(np.ascontiguousarray(U.T), plan.cols[j])
-              for j, U in enumerate(factors) if j != skip - 1]
-    q = math.prod(Ut.shape[0] for Ut, _ in mats_t)
-    out = np.zeros((dims[skip - 1], q, len(vals)))
+    mats = [(U, plan.cols[j]) for j, U in enumerate(factors) if j != skip - 1]
+    q = math.prod(U.shape[1] for U, _ in mats)
+    # with no other mode, each slice's values are summed: a column of ones
+    *rest, (Ul, cl) = mats or [(np.ones((dims[skip - 1], 1)),
+                                plan.cols[skip - 1])]
+    ql = Ul.shape[1]
+    nv, m = len(vals), len(plan)
+    out = np.zeros((nv, dims[skip - 1], q))
+    if not (q and nv and m):
+        return out
+    Ult = np.ascontiguousarray(Ul.T)
+    # the values, and a zero (column m) that every pad slot reads
+    V = np.zeros((nv, m + 1))
+    for i, v in enumerate(vals):
+        V[i, :m] = v
     order, starts, keys = plan.segments(skip - 1)
-    step = max(1, _SCATTER_BLOCK // max(q, 1))
-    bounds, rows_of = starts.tolist(), keys.tolist()
+    step = max(1, _SCATTER_BLOCK // max(ql, q // ql))
+    bounds = starts.tolist()
     s = 0
-    while q and len(vals) and s < len(rows_of):
+    while s < len(keys):
         # whole segments s..e-1, at most `step` tuples unless one is longer
         e = max(s + 1, int(np.searchsorted(starts, bounds[s] + step,
                                            side="right")) - 1)
         a, b = bounds[s], bounds[e]
-        sel = order[a:b]
-        # (Kronecker column, tuple) and (vector, tuple), tuples fastest as
-        # in multi_mode_contract; the first listed mode's column fastest
-        kron = np.ones((1, b - a))
-        for Ut, c in mats_t:
-            rows = Ut.take(c.take(sel), axis=1)
-            kron = (rows[:, None, :] * kron[None, :, :]).reshape(-1, b - a)
-        G = np.stack([v.take(sel) for v in vals])
-        for t in range(s, e):
-            lo, hi = bounds[t] - a, bounds[t + 1] - a
-            out[rows_of[t]] = kron[:, lo:hi] @ G[:, lo:hi].T
+        lens = starts[s + 1:e + 1] - starts[s:e]
+        n, width = e - s, int(lens.max())
+        slots = n * width
+        # segment t fills slots t * width ... t * width + lens[t] - 1 with
+        # its tuples; a pad slot holds m, whose factor rows are clipped to
+        # tuple m - 1 and whose value is 0
+        sel = np.full(slots, m)
+        sel[np.arange(a, b) + np.repeat(np.arange(0, slots, width)
+                                        - starts[s:e], lens)] = order[a:b]
+        # (vector, last mode's column, slot), slots fastest for the products
+        A = (Ult.take(cl.take(sel, mode="clip"), axis=1)[None, :, :]
+             * V.take(sel, axis=1)[:, None, :])
+        # (slot, Kronecker column) rows of the other modes, the first listed
+        # mode's column fastest; a column of ones when there are none
+        K = np.ones((slots, 1))
+        for i, (U, c) in enumerate(rest):
+            rows = U.take(c.take(sel, mode="clip"), axis=0)
+            K = rows if i == 0 else (rows[:, :, None]
+                                     * K[:, None, :]).reshape(slots, -1)
+        R = np.matmul(A.reshape(nv, ql, n, width).transpose(0, 2, 1, 3),
+                      K.reshape(n, width, -1))
+        out[:, keys[s:e]] = R.reshape(nv, n, q)
         s = e
-    return np.moveaxis(out, 2, 0)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -421,6 +421,8 @@ def _random_coo(dims, frac, rng):
 
 @pytest.mark.parametrize("block", [1, 7, None])
 def test_blocked_scatter_is_bit_identical_to_one_bincount(monkeypatch, block):
+    # every pattern with an identity mode is scattered; all-matrix patterns
+    # take the segment-GEMM kernel (test_all_matrix_contraction_matches_dense)
     if block is not None:
         monkeypatch.setattr(tensor_core, "_SCATTER_BLOCK", block)
     rng = np.random.default_rng(5)
@@ -432,32 +434,96 @@ def test_blocked_scatter_is_bit_identical_to_one_bincount(monkeypatch, block):
     # identity modes before, after and on both sides of every skipped mode
     for skip in range(1, 5):
         for bits in np.ndindex(2, 2, 2, 2):
+            if not any(bits[j] for j in range(4) if j != skip - 1):
+                continue
             mats = [None if bits[j] else U[j] for j in range(4)]
             for T in (S, empty):
                 got = multi_mode_contract(T, mats, skip)
                 assert np.array_equal(got, _bincount_contract(T, mats, skip))
     # a zero-column factor gives an empty unfolding
     mats = [U[0], np.zeros((3, 0)), None, U[3]]
-    for skip in (1, 2, 3):
+    for skip in (1, 2):
         got = multi_mode_contract(S, mats, skip)
         assert got.shape == (dims[skip - 1], 0 if skip != 2 else 20)
         assert np.array_equal(got, _bincount_contract(S, mats, skip))
     # several blocks even at the default size, |S| not a multiple of a block
-    big = _random_coo((20, 18, 16), 0.3, rng)
-    V = [rng.standard_normal((n, q)) for n, q in zip(big.dims, (5, 6, 4))]
-    if block is None:
-        step = tensor_core._SCATTER_BLOCK // (6 * 4)
-        assert big.nnz > step and big.nnz % step
-    for skip in (1, 2, 3):
-        assert np.array_equal(multi_mode_contract(big, V, skip),
-                              _bincount_contract(big, V, skip))
+    big = _random_coo((40, 30, 30), 0.3, rng)
+    qs = (5, 6, 4)
+    V = [rng.standard_normal((n, q)) for n, q in zip(big.dims, qs)]
     # factors in Fortran order, and column-sliced views as f.U[:, :keep]
-    wide = [rng.standard_normal((n, q + 2)) for n, q in zip(big.dims, (5, 6, 4))]
-    for mats in ([np.asfortranarray(M) for M in V],
-                 [M[:, :q] for M, q in zip(wide, (5, 6, 4))]):
-        for skip in (1, 2, 3):
+    wide = [rng.standard_normal((n, q + 2)) for n, q in zip(big.dims, qs)]
+    for layout in (V, [np.asfortranarray(M) for M in V],
+                   [M[:, :q] for M, q in zip(wide, qs)]):
+        for skip, eye in ((1, 2), (2, 1), (3, 1)):
+            if block is None:
+                step = tensor_core._SCATTER_BLOCK // qs[6 - skip - eye - 1]
+                assert big.nnz > step and big.nnz % step
+            mats = [None if j == eye - 1 else M for j, M in enumerate(layout)]
             assert np.array_equal(multi_mode_contract(big, mats, skip),
                                   _bincount_contract(big, mats, skip))
+
+
+def _all_matrix_cases(rng):
+    """(S, factors) at d = 2, 3 and 4, with slice 2 of every mode but the
+    last unobserved and one factor of rank 1."""
+    for dims, qs in (((7, 5), (3, 2)), ((6, 9, 4), (2, 3, 1)),
+                     ((4, 3, 5, 3), (2, 2, 3, 1))):
+        S = _random_coo(dims, 0.5, rng)
+        keep = (S.idx[:, :-1] != 2).all(axis=1)
+        S = SparseCooTensor(dims, S.idx[keep], S.vals[keep])
+        yield S, [rng.standard_normal((n, q)) for n, q in zip(dims, qs)]
+
+
+@pytest.mark.parametrize("block", [1, 7, None])
+def test_all_matrix_contraction_matches_dense(monkeypatch, block):
+    # one small GEMM per slice: checked against the dense oracle, with
+    # chunks of one or a few whole slices at small blocks
+    if block is not None:
+        monkeypatch.setattr(tensor_core, "_SCATTER_BLOCK", block)
+    rng = np.random.default_rng(31)
+    for S, U in _all_matrix_cases(rng):
+        d = len(S.dims)
+        empty = SparseCooTensor(S.dims, np.zeros((0, d), dtype=np.int64),
+                                np.zeros(0))
+        for skip in range(1, d + 1):
+            got = multi_mode_contract(S, U, skip)
+            ref = dense_reference("multi_mode_contract", S, U, skip)
+            assert got.shape == ref.shape
+            assert np.allclose(got, ref, rtol=0, atol=1e-13 * np.abs(ref).max())
+            if skip < d:
+                assert not got[1].any()         # the unobserved slice
+            assert np.array_equal(multi_mode_contract(empty, U, skip),
+                                  np.zeros(ref.shape))
+            # a zero-column factor on another mode gives an empty unfolding
+            zero = [np.zeros((n, 0)) if j == skip % d else M
+                    for j, (n, M) in enumerate(zip(S.dims, U))]
+            assert multi_mode_contract(S, zero, skip).shape == (
+                S.dims[skip - 1], 0)
+
+
+def test_no_all_matrix_pattern_reaches_the_scatter(monkeypatch):
+    scattered = []
+
+    class NumpyWithoutScatter:
+        """numpy, but ``np.add.at`` is logged instead of run."""
+
+        add = type("add", (), {"at": staticmethod(
+            lambda *a: scattered.append(a[0].size))})
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+    monkeypatch.setattr(tensor_core, "np", NumpyWithoutScatter())
+    rng = np.random.default_rng(32)
+    for S, U in _all_matrix_cases(rng):
+        for skip in range(1, len(S.dims) + 1):
+            ref = dense_reference("multi_mode_contract", S, U, skip)
+            assert np.allclose(multi_mode_contract(S, U, skip), ref,
+                               rtol=0, atol=1e-13 * np.abs(ref).max())
+    assert scattered == []
+    # while a pattern with an identity mode is scattered
+    multi_mode_contract(S, [None] + U[1:], 2)
+    assert scattered
 
 
 def _anchored(U):
@@ -506,8 +572,8 @@ def test_contract_with_a_formed_parent_is_bit_identical():
 @pytest.mark.parametrize("block", [5, None])
 def test_batched_mode_contract_matches_one_call_per_column(monkeypatch,
                                                            block):
-    # every column's slab is the kernel's result for that column alone, up
-    # to rounding; unobserved slices stay zero, chunks hold whole segments
+    # every column's slab is the kernel's result for that column alone, bit
+    # for bit; unobserved slices stay zero, chunks hold whole segments
     if block is not None:
         monkeypatch.setattr(tensor_core, "_SCATTER_BLOCK", block)
     rng = np.random.default_rng(12)
@@ -524,7 +590,7 @@ def test_batched_mode_contract_matches_one_call_per_column(monkeypatch,
             for c in range(4):
                 ref = multi_mode_contract(S.with_values(vals[c]), U, skip)
                 assert got[c].shape == ref.shape
-                assert np.allclose(got[c], ref, rtol=0, atol=1e-13 * np.abs(ref).max())
+                assert np.array_equal(got[c], ref)
             if skip == 1:
                 assert not got[:, 1].any()
     # a zero-width factor and an empty plan give zeros of the right shape
