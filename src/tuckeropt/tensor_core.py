@@ -418,11 +418,12 @@ def batched_mode_contract(plan: IndexPlan, dims, vals, factors,
     :meth:`IndexPlan.segments`) reduce to one row of the result by one
     small GEMM per vector: the last matrix mode's rows on the segment,
     weighted by the values, times the Kronecker rows of the other matrix
-    modes.  Whole segments are gathered in chunks whose temporaries hold
-    about ``_SCATTER_BLOCK`` elements per vector, so none grows with
-    len(plan); a chunk pads its segments with zero weights to its longest
-    one, so that one ``np.matmul`` call makes the GEMMs of all its segments
-    and vectors.  Vector c's GEMMs read the same operand shapes and strides
+    modes.  A chunk of whole segments pads each with zero weights to its
+    longest one, so that one ``np.matmul`` call makes the GEMMs of all its
+    segments and vectors.  It holds at most about ``_SCATTER_BLOCK``
+    elements per vector in each temporary, however the segment lengths
+    vary, unless one segment alone is longer; so no temporary grows with
+    len(plan).  Vector c's GEMMs read the same operand shapes and strides
     whatever n_c is, so its slab does not depend on the other vectors: a
     slab is bit-identical to the kernel's result for that vector alone.
     """
@@ -445,23 +446,23 @@ def batched_mode_contract(plan: IndexPlan, dims, vals, factors,
     for i, v in enumerate(vals):
         V[i, :m] = v
     order, starts, keys = plan.segments(skip - 1)
+    lens = np.diff(starts)
     step = max(1, _SCATTER_BLOCK // max(ql, q // ql))
-    bounds = starts.tolist()
     s = 0
     while s < len(keys):
-        # whole segments s..e-1, at most `step` tuples unless one is longer
-        e = max(s + 1, int(np.searchsorted(starts, bounds[s] + step,
-                                           side="right")) - 1)
-        a, b = bounds[s], bounds[e]
-        lens = starts[s + 1:e + 1] - starts[s:e]
-        n, width = e - s, int(lens.max())
-        slots = n * width
+        # whole segments s..e-1, each padded to the longest of them: at
+        # most `step` slots unless one segment is longer
+        widths = np.maximum.accumulate(lens[s:s + step])
+        e = s + max(1, int(np.searchsorted(
+            widths * np.arange(1, widths.size + 1), step, side="right")))
+        n, width = e - s, int(widths[e - s - 1])
+        a, b, slots = int(starts[s]), int(starts[e]), n * width
         # segment t fills slots t * width ... t * width + lens[t] - 1 with
         # its tuples; a pad slot holds m, whose factor rows are clipped to
         # tuple m - 1 and whose value is 0
         sel = np.full(slots, m)
         sel[np.arange(a, b) + np.repeat(np.arange(0, slots, width)
-                                        - starts[s:e], lens)] = order[a:b]
+                                        - starts[s:e], lens[s:e])] = order[a:b]
         # (vector, last mode's column, slot), slots fastest for the products
         A = (Ult.take(cl.take(sel, mode="clip"), axis=1)[None, :, :]
              * V.take(sel, axis=1)[:, None, :])

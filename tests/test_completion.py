@@ -71,7 +71,8 @@ def test_load_problem_names_the_bundle_of_non_finite_data(tmp_path):
     save_problem(P, tmp_path / "prob")
     vals = P.omega.vals.copy()
     vals[0] = np.nan
-    completion.save_coo(P.omega.with_values(vals), tmp_path / "prob" / "omega.coo")
+    completion.save_coo(P.omega.with_values(vals),
+                        tmp_path / "prob" / "omega.coo")
     with pytest.raises(ValueError, match="prob: non-finite values in the "
                                          "training set Omega"):
         load_problem(tmp_path / "prob")

@@ -107,7 +107,8 @@ def test_armijo_failure_reports_diagnostics():
 def test_non_finite_objective_ends_the_run_with_its_trace(solve):
     # finite data whose squared error overflows: f(X0) is inf
     P, _ = gen_synthetic((10, 9, 8), (2, 2, 2), 0.3, seed=1)
-    huge = dataclasses.replace(P, omega=P.omega.with_values(P.omega.vals * 1e300))
+    huge = dataclasses.replace(
+        P, omega=P.omega.with_values(P.omega.vals * 1e300))
     X0 = random_tucker(P.dims, (2, 2, 2), np.random.default_rng(1))
     with np.errstate(over="ignore"):
         X, trace = solve(completion_objective(huge), X0, (2, 2, 2),

@@ -489,7 +489,8 @@ def test_all_matrix_contraction_matches_dense(monkeypatch, block):
             got = multi_mode_contract(S, U, skip)
             ref = dense_reference("multi_mode_contract", S, U, skip)
             assert got.shape == ref.shape
-            assert np.allclose(got, ref, rtol=0, atol=1e-13 * np.abs(ref).max())
+            assert np.allclose(got, ref, rtol=0,
+                               atol=1e-13 * np.abs(ref).max())
             if skip < d:
                 assert not got[1].any()         # the unobserved slice
             assert np.array_equal(multi_mode_contract(empty, U, skip),
@@ -499,6 +500,28 @@ def test_all_matrix_contraction_matches_dense(monkeypatch, block):
                     for j, (n, M) in enumerate(zip(S.dims, U))]
             assert multi_mode_contract(S, zero, skip).shape == (
                 S.dims[skip - 1], 0)
+
+
+def test_chunks_pad_slices_within_a_block(monkeypatch):
+    # mode-1 slices of 18 and of 1 tuple: a chunk pads its slices to its
+    # longest, and holds at most `step` slots unless one slice is longer
+    monkeypatch.setattr(tensor_core, "_SCATTER_BLOCK", 64)
+    rng = np.random.default_rng(33)
+    dims = (12, 8, 7)
+    idx = np.vstack([np.column_stack([np.full(k, i + 1), *(
+        np.unravel_index(rng.choice(56, k, replace=False), (8, 7)))])
+        + [0, 1, 1] for i, k in enumerate([18, 1, 1] * 4)])
+    S = SparseCooTensor(dims, idx, rng.standard_normal(len(idx)))
+    U = [rng.standard_normal((n, q)) for n, q in zip(dims, (2, 2, 3))]
+    slots = []
+    full = np.full
+    monkeypatch.setattr(np, "full", lambda n, v: slots.append(n) or full(n, v))
+    got = multi_mode_contract(S, U, 1)
+    monkeypatch.undo()
+    step = 64 // 3                  # the last mode has the most columns
+    assert slots and all(n <= step or n == 18 for n in slots)
+    ref = dense_reference("multi_mode_contract", S, U, 1)
+    assert np.allclose(got, ref, rtol=0, atol=1e-13 * np.abs(ref).max())
 
 
 def test_no_all_matrix_pattern_reaches_the_scatter(monkeypatch):

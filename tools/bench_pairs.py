@@ -125,10 +125,10 @@ def main(argv=None) -> int:
         args.out.write_text(json.dumps(record, indent=1) + "\n")
     for workload, data in record["workloads"].items():
         for key, m in data["summary"].items():
-            print(f"{workload:<10} {key:<14} parent {m['parent']['median']:.6g}"
-                  f" [{m['parent']['q1']:.6g}, {m['parent']['q3']:.6g}]  "
-                  f"change {m['change']['median']:.6g} "
-                  f"[{m['change']['q1']:.6g}, {m['change']['q3']:.6g}]  "
+            sides = "  ".join(
+                f"{s} {m[s]['median']:.6g} [{m[s]['q1']:.6g}, "
+                f"{m[s]['q3']:.6g}]" for s in SIDES)
+            print(f"{workload:<10} {key:<14} {sides}  "
                   f"change wins {m['change_wins']}/{m['pairs']}")
     return 1 if failed else 0
 
