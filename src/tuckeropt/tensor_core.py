@@ -293,7 +293,7 @@ def numerical_rank(M: np.ndarray, tau: float = DEFAULT_RANK_TOL) -> int:
 # index tuples and never densify the ambient tensor.
 
 # Elements per block of the sparse contraction kernels, and so the length of
-# their largest per-entry temporaries (per value vector when batched).
+# their largest per-entry temporaries.
 _SCATTER_BLOCK = 1 << 15
 
 
@@ -336,25 +336,23 @@ def multi_mode_contract(S: SparseCooTensor, factors, skip: int) -> np.ndarray:
     """Compute (S x_{j != skip} U_j^T)_(skip) exploiting sparsity.
 
     ``factors`` holds one matrix per mode (entry for the skipped mode is
-    ignored, and None means the identity).  The result is (n_skip, prod q_j)
-    with q_j the column counts of the matrix modes only, the first listed
-    mode's column fastest.
+    ignored, and None means the identity).  A matrix mode j contributes
+    q_j columns, an identity mode n_j, the first listed mode fastest.
 
-    When every mode but ``skip`` carries a matrix, the result is slab 0 of
-    :func:`batched_mode_contract` for the one value vector ``S.vals``: a
-    single contraction and a batched slab are one code path, bit for bit.
+    With a matrix on every mode but ``skip``, the result is slab 0 of
+    :func:`batched_mode_contract` for the one vector ``S.vals``, bit for
+    bit: single and batched contractions are one code path.
 
     A pattern with an identity mode (a deficient mode of the iterate) is
-    scattered instead.  Its output has n_j columns per identity mode j, one
-    per index, and each entry reaches only its own; a per-slice GEMM would
-    multiply by those n_j-wide blocks of the identity, where the scatter
-    adds each entry's prod q_j products once.  An identity mode j
-    enters the scatter index at column offset (i_j - 1) * stride_j and never
-    widens the per-entry Kronecker rows.  The entries are walked in blocks
-    of about ``_SCATTER_BLOCK`` Kronecker elements, each held entry-fastest
-    as (Kronecker column, entry); ``np.add.at`` adds unbuffered and in
-    order, so the result is bit-identical to one flat ``bincount`` over all
-    entries.
+    scattered instead.  An entry reaches only the columns of its own
+    identity indices, so the scatter adds its prod q_j products once (q_j
+    over the matrix modes), where a per-slice GEMM would multiply by n_j-wide
+    identity blocks.  An identity mode j enters the scatter index at column
+    offset (i_j - 1) * stride_j and never widens the per-entry Kronecker
+    rows.  The entries are walked in blocks of about ``_SCATTER_BLOCK``
+    Kronecker elements, each held entry-fastest as (Kronecker column,
+    entry); ``np.add.at`` adds unbuffered and in order, so the result is
+    bit-identical to one flat ``bincount`` over all entries.
     """
     d = len(S.dims)
     if not 1 <= skip <= d:
@@ -419,13 +417,13 @@ def batched_mode_contract(plan: IndexPlan, dims, vals, factors,
     small GEMM per vector: the last matrix mode's rows on the segment,
     weighted by the values, times the Kronecker rows of the other matrix
     modes.  A chunk of whole segments pads each with zero weights to its
-    longest one, so that one ``np.matmul`` call makes the GEMMs of all its
-    segments and vectors.  It holds at most about ``_SCATTER_BLOCK``
-    elements per vector in each temporary, however the segment lengths
-    vary, unless one segment alone is longer; so no temporary grows with
-    len(plan).  Vector c's GEMMs read the same operand shapes and strides
-    whatever n_c is, so its slab does not depend on the other vectors: a
-    slab is bit-identical to the kernel's result for that vector alone.
+    longest one, so that one ``np.matmul`` call per vector makes the GEMMs
+    of all its segments.  No temporary holds more than about
+    ``_SCATTER_BLOCK`` elements, however the segment lengths vary, unless
+    one segment alone is longer, so none grows with len(plan) or n_c.
+    Vector c's GEMMs read the same operand shapes and strides whatever n_c
+    is, so its slab does not depend on the other vectors: a slab is
+    bit-identical to the kernel's result for that vector alone.
     """
     d = len(plan.cols)
     if not 1 <= skip <= d:
@@ -441,10 +439,6 @@ def batched_mode_contract(plan: IndexPlan, dims, vals, factors,
     if not (q and nv and m):
         return out
     Ult = np.ascontiguousarray(Ul.T)
-    # the values, and a zero (column m) that every pad slot reads
-    V = np.zeros((nv, m + 1))
-    for i, v in enumerate(vals):
-        V[i, :m] = v
     order, starts, keys = plan.segments(skip - 1)
     lens = np.diff(starts)
     step = max(1, _SCATTER_BLOCK // max(ql, q // ql))
@@ -458,24 +452,28 @@ def batched_mode_contract(plan: IndexPlan, dims, vals, factors,
         n, width = e - s, int(widths[e - s - 1])
         a, b, slots = int(starts[s]), int(starts[e]), n * width
         # segment t fills slots t * width ... t * width + lens[t] - 1 with
-        # its tuples; a pad slot holds m, whose factor rows are clipped to
-        # tuple m - 1 and whose value is 0
+        # its tuples; a pad slot holds m, which gathers tuple m - 1 and
+        # weighs it with 0
         sel = np.full(slots, m)
         sel[np.arange(a, b) + np.repeat(np.arange(0, slots, width)
                                         - starts[s:e], lens[s:e])] = order[a:b]
-        # (vector, last mode's column, slot), slots fastest for the products
-        A = (Ult.take(cl.take(sel, mode="clip"), axis=1)[None, :, :]
-             * V.take(sel, axis=1)[:, None, :])
+        pads = sel == m
+        sel[pads] = m - 1
+        # (last mode's column, slot), slots fastest for the products, and
         # (slot, Kronecker column) rows of the other modes, the first listed
         # mode's column fastest; a column of ones when there are none
+        L = Ult.take(cl.take(sel), axis=1)
         K = np.ones((slots, 1))
         for i, (U, c) in enumerate(rest):
-            rows = U.take(c.take(sel, mode="clip"), axis=0)
+            rows = U.take(c.take(sel), axis=0)
             K = rows if i == 0 else (rows[:, :, None]
                                      * K[:, None, :]).reshape(slots, -1)
-        R = np.matmul(A.reshape(nv, ql, n, width).transpose(0, 2, 1, 3),
-                      K.reshape(n, width, -1))
-        out[:, keys[s:e]] = R.reshape(nv, n, q)
+        K = K.reshape(n, width, -1)
+        for c, v in enumerate(vals):
+            g = v.take(sel)
+            g[pads] = 0.0
+            A = (L * g).reshape(ql, n, width).transpose(1, 0, 2)
+            out[c, keys[s:e]] = np.matmul(A, K).reshape(n, q)
         s = e
     return out
 
