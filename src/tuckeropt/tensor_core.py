@@ -240,9 +240,9 @@ def thin_svd(M: np.ndarray) -> SvdResult:
     """Thin SVD with the deterministic sign convention of :class:`SvdResult`.
 
     M is not scanned for non-finite entries: data is checked where it
-    enters (:class:`~tuckeropt.completion.CompletionProblem`), and a solver
-    stops with termination ``"non_finite"`` before a non-finite f or
-    gradient reaches an SVD.
+    enters (:class:`~tuckeropt.completion.CompletionProblem`,
+    :func:`load_dense`), and a solver stops with termination
+    ``"non_finite"`` before a non-finite f or gradient reaches an SVD.
     """
     U, s, Vt = np.linalg.svd(M, full_matrices=False)
     V = Vt.T
@@ -418,9 +418,11 @@ def batched_mode_contract(plan: IndexPlan, dims, vals, factors,
     weighted by the values, times the Kronecker rows of the other matrix
     modes.  A chunk of whole segments pads each with zero weights to its
     longest one, so that one ``np.matmul`` call per vector makes the GEMMs
-    of all its segments.  No temporary holds more than about
-    ``_SCATTER_BLOCK`` elements, however the segment lengths vary, unless
-    one segment alone is longer, so none grows with len(plan) or n_c.
+    of all its segments.  The gathered operands of a chunk hold at most
+    about ``_SCATTER_BLOCK`` elements, however the segment lengths vary,
+    unless one segment alone is longer; a chunk's GEMM result has one row
+    per segment, so it is bounded by the output's rows.  No temporary
+    grows with len(plan) or n_c.
     Vector c's GEMMs read the same operand shapes and strides whatever n_c
     is, so its slab does not depend on the other vectors: a slab is
     bit-identical to the kernel's result for that vector alone.
@@ -526,10 +528,12 @@ def read_binary_values(path, data, head: int, count: int,
 
 
 def load_dense(path) -> np.ndarray:
-    """Read a tensor that :func:`save_dense` wrote; a malformed file raises
-    a ``ValueError`` that names it."""
+    """Read a tensor that :func:`save_dense` wrote; a malformed file or a
+    non-finite value raises a ``ValueError`` that names it."""
     data, dims, head = read_binary_header(path, _DENSE_MAGIC, "dense tensor", 1)
     vals = read_binary_values(path, data, head, math.prod(dims), "dense tensor")
+    if not np.isfinite(vals).all():
+        raise ValueError(f"{path}: non-finite values in the dense tensor")
     return vals.reshape(dims, order="F").copy()
 
 

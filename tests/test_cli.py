@@ -164,6 +164,17 @@ def test_hosvd_command_rejects_a_truncated_file(tmp_path, capsys):
     assert err.startswith("error:") and "truncated dense tensor header" in err
 
 
+def test_hosvd_command_rejects_a_non_finite_value(tmp_path, capsys):
+    A = RNG.standard_normal((3, 3, 3))
+    A[1, 2, 0] = np.nan
+    src = tmp_path / "a.tdns"
+    save_dense(A, src)
+    code = main(["hosvd", str(src), "--rank", "2,2,2"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"{src}: non-finite values" in err
+
+
 def test_check_command(capsys):
     code = main(["check", "--suite", "hosvd", "--restarts", "5", "--seed", "1"])
     assert code == 0

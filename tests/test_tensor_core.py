@@ -218,6 +218,16 @@ def test_dense_rejects_garbage(tmp_path):
         load_dense(path)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_load_dense_rejects_non_finite_values(tmp_path, bad):
+    X = RNG.standard_normal((3, 4, 2))
+    X[2, 1, 1] = bad
+    path = tmp_path / "x.tdns"
+    save_dense(X, path)
+    with pytest.raises(ValueError, match=re.escape(f"{path}: non-finite")):
+        load_dense(path)
+
+
 def _dense_bytes(X):
     return b"TDNS1" + np.array([X.ndim, *X.shape], dtype="<u4").tobytes() + \
         np.asarray(X, dtype="<f8").ravel(order="F").tobytes()
