@@ -4,17 +4,18 @@ Run from the repository root, with a checkout of the parent commit beside
 it (a ``git worktree`` or a clone):
 
     python3 tools/bench_pairs.py --parent ../parent --change . \\
-        --seed 7 --pairs 10 --out BENCH_<n>.json
+        --seed 7 --out BENCH_<n>.json
 
-For each workload, pair i runs ``perfbench/run.py --workload W --seed S
---trace 0`` once in each checkout, at the benchmark's default run length;
-even pairs start with the parent, odd pairs with the change.  Each run is
+For each of the two workloads, each of ten pairs i runs
+``perfbench/run.py --workload W --seed S --trace 0`` once in each checkout,
+at the benchmark's default run length; even pairs start with the parent,
+odd pairs with the change.  Each run is
 its own process, started in its checkout, so each side benchmarks its own
 sources with its own harness.  The JSON written to ``--out`` holds every
 run's metrics, each side's median and quartiles per metric, how many
 pairs the change won per metric (ties count for neither side; the better
-direction of a metric is read from the change's ``BENCHMARK.json``, else
-lower is better), both commits and the environment line of the first run.
+direction of a metric is read from the change's ``BENCHMARK.json``), both
+commits and the environment line of the first run.
 The exit code is 1 when any run fails its checks.
 """
 
@@ -30,6 +31,7 @@ from pathlib import Path
 
 WORKLOADS = ("true-rank", "over-rank")
 SIDES = ("parent", "change")
+PAIRS = 10
 
 
 def run_once(checkout: Path, workload: str, seed: int) -> dict:
@@ -62,7 +64,7 @@ def summarize(runs, better) -> dict:
         by_pair.setdefault(run["pair"], {})[run["side"]] = run["metrics"]
     out = {}
     for key in runs[0]["metrics"]:
-        sign = 1.0 if better.get(key, "lower") == "lower" else -1.0
+        sign = 1.0 if better[key] == "lower" else -1.0
         side_values = {s: [r["metrics"][key]["value"] for r in runs
                            if r["side"] == s] for s in SIDES}
         wins = sum(sign * (p["change"][key]["value"]
@@ -88,28 +90,21 @@ def main(argv=None) -> int:
     ap.add_argument("--change", type=Path, required=True,
                     help="checkout of the change")
     ap.add_argument("--seed", type=int, required=True)
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--workload", nargs="+", default=list(WORKLOADS),
-                    choices=WORKLOADS)
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args(argv)
-    if args.pairs < 10:
-        ap.error("at least 10 pairs per workload")
     checkouts = {"parent": args.parent.resolve(),
                  "change": args.change.resolve()}
-    spec = checkouts["change"] / "BENCHMARK.json"
-    better = ({m["name"]: m["better"]
-               for m in json.loads(spec.read_text())["end_to_end"]}
-              if spec.is_file() else {})
+    spec = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     record = {"command": "python3 perfbench/run.py --workload W --seed "
                         f"{args.seed} --trace 0",
-              "seed": args.seed, "pairs": args.pairs,
+              "seed": args.seed, "pairs": PAIRS,
               "commits": {s: commit_of(c) for s, c in checkouts.items()},
               "env": None, "workloads": {}}
     failed = False
-    for workload in args.workload:
+    for workload in WORKLOADS:
         runs = []
-        for pair in range(args.pairs):
+        for pair in range(PAIRS):
             order = SIDES if pair % 2 == 0 else SIDES[::-1]
             for side in order:
                 res = run_once(checkouts[side], workload, args.seed)
