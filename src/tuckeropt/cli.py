@@ -107,7 +107,10 @@ def _initial_point(problem, r, args):
         return X0
     init = getattr(args, "init", "spectral")
     if init == "random":
-        return random_tucker(problem.dims, r, np.random.default_rng(args.seed))
+        # a stream of its own: gen_synthetic draws the truth from
+        # default_rng(seed), which would make the start the ground truth
+        rng = np.random.default_rng([args.seed, 1])
+        return random_tucker(problem.dims, r, rng)
     return _spectral_init(problem, r)
 
 

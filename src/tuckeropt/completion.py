@@ -24,18 +24,6 @@ from .tensor_core import (
 )
 from .tucker import TuckerTensor, entries_at
 
-__all__ = [
-    "CompletionProblem",
-    "objective",
-    "euclidean_gradient",
-    "test_error",
-    "completion_objective",
-    "gen_synthetic",
-    "random_tucker",
-    "save_problem",
-    "load_problem",
-]
-
 
 @dataclass(frozen=True)
 class CompletionProblem:
@@ -107,6 +95,9 @@ def random_tucker(dims, r, rng) -> TuckerTensor:
     """Random Tucker tensor: standard normal core, orthonormalized factors."""
     dims = tuple(int(n) for n in dims)
     r = tuple(int(x) for x in r)
+    if len(r) != len(dims):
+        raise ValueError(f"rank {r} has {len(r)} entries, dims {dims} have "
+                         f"{len(dims)}")
     core = rng.standard_normal(r)
     factors = []
     for n, rk in zip(dims, r):

@@ -29,19 +29,6 @@ from .tensor_core import (
 )
 from .tucker import TuckerTensor
 
-__all__ = [
-    "TangentVector",
-    "StationarityReport",
-    "Contractions",
-    "candidate_contractions",
-    "tangent_norm",
-    "tangent_entries_at",
-    "choose_singular_complement",
-    "approx_project",
-    "partial_project",
-    "stationarity_measure",
-]
-
 
 @dataclass(frozen=True)
 class TangentVector:

@@ -28,20 +28,6 @@ from .geometry import (
 from .tensor_core import SparseCooTensor, fold, inner, unfold
 from .tucker import TuckerTensor, hosvd, to_dense
 
-__all__ = [
-    "OracleReport",
-    "embed",
-    "ambient_inner",
-    "tangent_space_project",
-    "sample_normal",
-    "angle_constants",
-    "exact_tangent_projection_oracle",
-    "finite_diff_gradient",
-    "dense_reference",
-    "run_check_suites",
-    "CHECK_SUITES",
-]
-
 _ORACLE_MAX_DIM = 6
 _ORACLE_MAX_ORDER = 3
 
@@ -95,6 +81,14 @@ def _naive_apply_all(A: np.ndarray, mats) -> np.ndarray:
     out_dims = tuple(M.shape[0] for M in mats)
     M1 = mats[0] @ unfold(A, 1) @ _kron_desc(mats[1:]).T
     return fold(M1, 1, out_dims)
+
+
+def _best_rank_approx(M: np.ndarray, r: int) -> np.ndarray:
+    """Best rank-r approximation of a matrix (Eckart-Young)."""
+    if not 0 <= r <= min(M.shape):
+        raise ValueError(f"rank {r} out of range for {M.shape} matrix")
+    U, s, Vt = np.linalg.svd(M, full_matrices=False)
+    return (U[:, :r] * s[:r]) @ Vt[:r]
 
 
 def _dense_tucker(T: TuckerTensor) -> np.ndarray:

@@ -12,7 +12,7 @@ import itertools
 import json
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,27 +33,6 @@ from .tucker import (
     hosvd_truncations,
     mode_singular_values,
 )
-
-__all__ = [
-    "ObjectiveHandle",
-    "SolverConfig",
-    "IterRecord",
-    "SolverTrace",
-    "LineSearchFailure",
-    "CandidateExhaustion",
-    "LineSearchResult",
-    "armijo_search",
-    "grap_r_index_sets",
-    "rfgrap_r_index_sets",
-    "grap_step",
-    "rfgrap_step",
-    "solve_grap",
-    "solve_rfgrap",
-    "solve_grap_r",
-    "solve_rfgrap_r",
-    "write_trace_csv",
-    "write_summary_json",
-]
 
 
 class LineSearchFailure(RuntimeError):
@@ -389,6 +368,9 @@ def _rank_decrease_step(obj, X, fX, grad, r, cfg, retraction_free,
 
 def _solve(obj, X0, r, cfg, *, retraction_free, rank_decrease, name):
     r = tuple(int(x) for x in r)
+    if len(r) != X0.ndim:
+        raise ValueError(f"rank bound {r} has {len(r)} entries, the start "
+                         f"point has {X0.ndim} modes")
     if any(rl > rk for rl, rk in zip(X0.rank, r)):
         raise ValueError(f"start rank {X0.rank} exceeds bound {r}")
     t_start = time.perf_counter()
@@ -439,24 +421,6 @@ def _solve(obj, X0, r, cfg, *, retraction_free, rank_decrease, name):
         X = Y
     trace.termination = "max_iters"
     return X, trace
-
-
-def grap_step(obj, X, r, cfg):
-    """Single retracted step along the approximate projection of -grad.
-
-    Returns (Y, record of Y) from a :func:`solve_grap` run of one
-    iteration; when that run stops at X (stationary, line-search failure or
-    a zero step), Y is X and the record is X's, with ``iter`` 0.
-    """
-    Y, trace = solve_grap(obj, X, r, replace(cfg, max_iters=1))
-    return Y, trace.final()
-
-
-def rfgrap_step(obj, X, r, cfg):
-    """Single retraction-free step along the chosen partial-projection
-    branch; :func:`grap_step` with :func:`solve_rfgrap`."""
-    Y, trace = solve_rfgrap(obj, X, r, replace(cfg, max_iters=1))
-    return Y, trace.final()
 
 
 def solve_grap(obj, X0, r, cfg):

@@ -19,33 +19,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = [
-    "IndexPlan",
-    "SparseCooTensor",
-    "strictly_increasing",
-    "SvdResult",
-    "unfold",
-    "fold",
-    "mode_product",
-    "inner",
-    "fro_norm",
-    "thin_svd",
-    "best_rank_approx",
-    "delta_rank",
-    "cutoff_rank",
-    "numerical_rank",
-    "index_plan",
-    "mixed_eval",
-    "multi_mode_contract",
-    "batched_mode_contract",
-    "save_dense",
-    "load_dense",
-    "read_binary_header",
-    "read_binary_values",
-    "save_coo",
-    "load_coo",
-]
-
 DEFAULT_RANK_TOL = 1e-12
 
 
@@ -104,6 +77,26 @@ def strictly_increasing(idx: np.ndarray) -> bool:
                 and (np.take_along_axis(step, first[:, None], 1) > 0).all())
 
 
+def _checked_index(idx, dims, m=None) -> np.ndarray:
+    """``idx`` as an (m, len(dims)) int64 array of 1-based index tuples.
+
+    Raises ValueError unless every tuple has length len(dims), with
+    1 <= idx[:, k] <= dims[k], and, when ``m`` is given, there are m of
+    them (one per value).
+    """
+    idx = np.atleast_2d(np.asarray(idx, dtype=np.int64))
+    if idx.size == 0:
+        idx = idx.reshape(0, len(dims))
+    if m is not None and idx.shape != (m, len(dims)):
+        raise ValueError(f"index array shape {idx.shape} inconsistent with "
+                         f"{m} values over {len(dims)} modes")
+    if idx.ndim != 2 or idx.shape[1] != len(dims):
+        raise ValueError("index tuples have wrong length")
+    if idx.size and (idx.min() < 1 or (idx > np.array(dims)).any()):
+        raise ValueError("index out of range")
+    return idx
+
+
 @dataclass(frozen=True)
 class SparseCooTensor:
     """Coordinate-list tensor with 1-based indices, canonically sorted.
@@ -121,15 +114,8 @@ class SparseCooTensor:
 
     def __post_init__(self):
         dims = tuple(int(n) for n in self.dims)
-        idx = np.atleast_2d(np.asarray(self.idx, dtype=np.int64))
         vals = np.asarray(self.vals, dtype=np.float64).ravel()
-        if idx.size == 0:
-            idx = idx.reshape(0, len(dims))
-        if idx.shape != (vals.size, len(dims)):
-            raise ValueError(f"index array shape {idx.shape} inconsistent with "
-                             f"{vals.size} values over {len(dims)} modes")
-        if idx.size and (idx.min(axis=0).min() < 1 or (idx > np.array(dims)).any()):
-            raise ValueError("sparse index out of range")
+        idx = _checked_index(self.idx, dims, vals.size)
         if strictly_increasing(idx):
             # already in canonical order, as save_coo writes it: skip the
             # sort, and copy as the sort's gather did (contiguous, unshared)
@@ -152,9 +138,6 @@ class SparseCooTensor:
     @property
     def nnz(self) -> int:
         return self.vals.size
-
-    def scale(self, c: float) -> "SparseCooTensor":
-        return self.with_values(c * self.vals)
 
     def with_values(self, vals: np.ndarray) -> "SparseCooTensor":
         """Same sparsity pattern, new values; skips re-validation/re-sorting."""
@@ -255,16 +238,6 @@ def thin_svd(M: np.ndarray) -> SvdResult:
     return SvdResult(U=U, sigma=s, V=V)
 
 
-def best_rank_approx(M: np.ndarray, r: int) -> np.ndarray:
-    """Best rank-r approximation (Eckart-Young) via the thin SVD."""
-    if not 0 <= r <= min(M.shape):
-        raise ValueError(f"rank {r} out of range for {M.shape} matrix")
-    if r == 0:
-        return np.zeros_like(M)
-    f = thin_svd(M)
-    return (f.U[:, :r] * f.sigma[:r]) @ f.V[:, :r].T
-
-
 def delta_rank(sigma, delta: float) -> int:
     """min{i >= 0 : sigma_{i+1} <= delta}, with sigma past the end read as 0."""
     if delta <= 0:
@@ -298,20 +271,9 @@ _SCATTER_BLOCK = 1 << 15
 
 
 def index_plan(idx, dims) -> IndexPlan:
-    """Checked :class:`IndexPlan` of plain 1-based index tuples over ``dims``.
-
-    Raises ValueError unless ``idx`` holds tuples of length len(dims) with
-    1 <= idx[:, k] <= dims[k].
-    """
-    dims = tuple(int(n) for n in dims)
-    idx = np.atleast_2d(np.asarray(idx, dtype=np.int64))
-    if idx.size == 0:
-        idx = idx.reshape(0, len(dims))
-    if idx.ndim != 2 or idx.shape[1] != len(dims):
-        raise ValueError("index tuples have wrong length")
-    if idx.size and ((idx < 1).any() or (idx > np.array(dims)).any()):
-        raise ValueError("index out of range")
-    return IndexPlan(idx)
+    """Checked :class:`IndexPlan` of plain 1-based index tuples over ``dims``
+    (see :func:`_checked_index`)."""
+    return IndexPlan(_checked_index(idx, dims))
 
 
 def mixed_eval(core: np.ndarray, mats, plan: IndexPlan) -> np.ndarray:

@@ -28,20 +28,6 @@ from .tensor_core import (
     unfold,
 )
 
-__all__ = [
-    "TuckerTensor",
-    "hosvd",
-    "hosvd_truncate",
-    "hosvd_truncations",
-    "to_dense",
-    "entries_at",
-    "tucker_rank",
-    "mode_singular_values",
-    "add_scaled_tangent",
-    "save_checkpoint",
-    "load_checkpoint",
-]
-
 
 @dataclass(frozen=True)
 class TuckerTensor:

@@ -11,41 +11,51 @@ import time
 import numpy as np
 import pytest
 
-from tuckeropt import (
-    SolverConfig,
-    SparseCooTensor,
-    ambient_inner,
-    angle_constants,
+from tuckeropt.completion import (
+    completion_objective,
+    euclidean_gradient,
+    gen_synthetic,
+    random_tucker,
+)
+from tuckeropt.geometry import (
+    TangentVector,
     approx_project,
     choose_singular_complement,
-    completion_objective,
+    partial_project,
+    stationarity_measure,
+    tangent_norm,
+)
+from tuckeropt.oracles import (
+    ambient_inner,
+    angle_constants,
     dense_reference,
     embed,
-    entries_at,
-    euclidean_gradient,
     exact_tangent_projection_oracle,
     finite_diff_gradient,
-    fro_norm,
-    gen_synthetic,
-    hosvd,
-    hosvd_truncate,
-    inner,
-    multi_mode_contract,
-    partial_project,
-    random_tucker,
     sample_normal,
+)
+from tuckeropt.solvers import (
+    SolverConfig,
     solve_grap,
     solve_grap_r,
     solve_rfgrap,
     solve_rfgrap_r,
-    stationarity_measure,
-    tangent_norm,
-    to_dense,
-    tucker_rank,
+)
+from tuckeropt.tensor_core import (
+    SparseCooTensor,
+    fro_norm,
+    inner,
+    multi_mode_contract,
     unfold,
 )
-from tuckeropt.geometry import TangentVector
-from tuckeropt.tucker import add_scaled_tangent
+from tuckeropt.tucker import (
+    add_scaled_tangent,
+    entries_at,
+    hosvd,
+    hosvd_truncate,
+    to_dense,
+    tucker_rank,
+)
 
 
 def _verdict(num, ok, title, detail=""):

@@ -6,9 +6,11 @@ import json
 import numpy as np
 import pytest
 
-from tuckeropt import gen_synthetic, load_checkpoint, save_dense, save_problem
 from tuckeropt import cli
 from tuckeropt.cli import main
+from tuckeropt.completion import gen_synthetic, random_tucker, save_problem
+from tuckeropt.tensor_core import save_dense
+from tuckeropt.tucker import load_checkpoint, save_checkpoint, to_dense
 
 RNG = np.random.default_rng(42)
 
@@ -93,8 +95,38 @@ def test_bench_refuses_spectral_init_before_writing_the_bundle(
     assert main(args + ["--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith("error:")
     assert not out.exists()
-    assert main(args + ["--out", str(out), "--init", "random"]) in (0, 2)
+    assert main(args + ["--out", str(out), "--init", "random"]) == 0
     assert (out / "true-rank_problem" / "meta.json").exists()
+
+
+def test_bench_random_init_starts_away_from_the_truth(tmp_path, capsys):
+    # the instance and the random start are drawn from the same --seed, but
+    # not from one stream: the start is not the ground truth
+    out = tmp_path / "bench"
+    main(["bench", "true-rank", "--n", "8,8,8", "--true-rank", "2,2,2",
+          "--rank", "2,2,2", "--p", "0.3", "--max-iters", "3",
+          "--init", "random", "--out", str(out)])
+    with open(out / "true-rank_comparison.csv") as f:
+        rows = list(csv.DictReader(f))
+    for name in ("grap", "rfgrap", "grap-r", "rfgrap-r"):
+        mine = [r for r in rows if r["solver"] == name]
+        assert max(int(r["iter"]) for r in mine) >= 1, name
+        assert float(mine[0]["test_error"]) > 0, name
+
+
+@pytest.mark.parametrize("start", ["random", "resume"])
+def test_complete_rejects_a_rank_of_the_wrong_length(problem_dir, tmp_path,
+                                                     capsys, start):
+    if start == "random":
+        args = ["--init", "random"]
+    else:
+        ckpt = tmp_path / "start.ttkr"
+        save_checkpoint(random_tucker((8, 8, 8), (2, 2, 2), RNG), ckpt)
+        args = ["--resume", str(ckpt)]
+    code = main(["complete", str(problem_dir), "--rank", "2,2"] + args)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "has 2 entries" in err
 
 
 def test_bench_under_rank_tiny(tmp_path, capsys):
@@ -140,8 +172,6 @@ def test_candidate_exhaustion_exits_1_with_its_diagnostics(problem_dir,
 
 
 def test_hosvd_command(tmp_path, capsys):
-    from tuckeropt import random_tucker, to_dense
-
     A = to_dense(random_tucker((6, 6, 6), (2, 2, 2), RNG))
     src = tmp_path / "a.tdns"
     save_dense(A, src)

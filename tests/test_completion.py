@@ -5,26 +5,28 @@ import dataclasses
 import numpy as np
 import pytest
 
-from tuckeropt import (
+from tuckeropt import completion
+from tuckeropt.completion import (
     CompletionProblem,
-    SolverConfig,
-    SparseCooTensor,
     completion_objective,
-    entries_at,
     euclidean_gradient,
     gen_synthetic,
     load_problem,
-    multi_mode_contract,
     objective,
     random_tucker,
     save_problem,
-    solve_grap,
-    to_dense,
+    test_error as completion_test_error,
 )
-from tuckeropt import completion
-from tuckeropt import test_error as completion_test_error
 from tuckeropt.oracles import dense_reference
-from tuckeropt.tensor_core import SparseCooTensor, fold, mode_product, unfold
+from tuckeropt.solvers import SolverConfig, solve_grap
+from tuckeropt.tensor_core import (
+    SparseCooTensor,
+    fold,
+    mode_product,
+    multi_mode_contract,
+    unfold,
+)
+from tuckeropt.tucker import entries_at, to_dense
 
 RNG = np.random.default_rng(21)
 
@@ -51,6 +53,13 @@ def test_gen_synthetic_deterministic():
     assert np.array_equal(P1.omega.idx, P2.omega.idx)
     assert np.array_equal(P1.omega.vals, P2.omega.vals)
     assert np.array_equal(t1.core, t2.core)
+
+
+def test_random_tucker_rejects_a_rank_of_the_wrong_length():
+    rng = np.random.default_rng(0)
+    for r in ((2, 2), (2, 2, 2, 2)):
+        with pytest.raises(ValueError, match=rf"has {len(r)} entries.* have 3"):
+            random_tucker((10, 9, 8), r, rng)
 
 
 def test_problem_rejects_non_finite_values():

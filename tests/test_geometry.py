@@ -5,32 +5,39 @@ import itertools
 import numpy as np
 import pytest
 
-from tuckeropt import (
+from tuckeropt import geometry
+from tuckeropt.completion import (
+    completion_objective,
+    gen_synthetic,
+    random_tucker,
+)
+from tuckeropt.geometry import (
     Contractions,
-    SparseCooTensor,
-    ambient_inner,
-    angle_constants,
     approx_project,
     choose_singular_complement,
-    completion_objective,
-    embed,
-    fro_norm,
-    gen_synthetic,
-    hosvd_truncations,
-    inner,
     partial_project,
-    sample_normal,
     stationarity_measure,
     tangent_entries_at,
     tangent_norm,
-    tangent_space_project,
-    to_dense,
-    tucker_rank,
 )
-from tuckeropt import geometry
-from tuckeropt.completion import random_tucker
-from tuckeropt.oracles import _perp, dense_reference
-from tuckeropt.tensor_core import fold, mixed_eval, mode_product
+from tuckeropt.oracles import (
+    _perp,
+    ambient_inner,
+    angle_constants,
+    dense_reference,
+    embed,
+    sample_normal,
+    tangent_space_project,
+)
+from tuckeropt.tensor_core import (
+    SparseCooTensor,
+    fold,
+    fro_norm,
+    inner,
+    mixed_eval,
+    mode_product,
+)
+from tuckeropt.tucker import hosvd_truncations, to_dense, tucker_rank
 
 RNG = np.random.default_rng(7)
 DIMS = (6, 6, 6)
@@ -263,7 +270,8 @@ def test_shared_contractions_match_fresh_ones(pattern):
     for A in (_sparse(rng.standard_normal(DIMS), rng=rng),
               rng.standard_normal(DIMS)):
         X = random_tucker(DIMS, rlow, rng)
-        neg = -A if isinstance(A, np.ndarray) else A.scale(-1.0)
+        neg = (-A if isinstance(A, np.ndarray)
+               else A.with_values(-1.0 * A.vals))
         fresh = (stationarity_measure(X, A, r),
                  choose_singular_complement(X, neg, r),
                  approx_project(X, neg, r), partial_project(X, neg, r))

@@ -1,6 +1,9 @@
-"""The package's modules import one another in one direction only."""
+"""The package's layers import one another in one direction only, and it
+exports only what its scripts and examples use."""
 
 import ast
+import inspect
+import re
 from pathlib import Path
 
 import tuckeropt
@@ -9,6 +12,7 @@ import tuckeropt
 ORDER = ("tensor_core", "tucker", "geometry", "solvers", "completion",
          "oracles", "cli")
 PACKAGE = Path(tuckeropt.__file__).parent
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _package_imports(tree):
@@ -55,18 +59,38 @@ def _names_read(tree):
 def test_geometry_exports_only_what_the_solver_path_calls():
     # dense verification geometry belongs in oracles, not next to the kernels
     tree = ast.parse((PACKAGE / "geometry.py").read_text())
-    exported = next(ast.literal_eval(node.value) for node in tree.body
-                    if isinstance(node, ast.Assign)
-                    and [getattr(t, "id", None) for t in node.targets]
-                    == ["__all__"])
+    defs = [node for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
     read = set()
     for name in ("solvers", "completion"):
         read.update(_names_read(ast.parse((PACKAGE / f"{name}.py").read_text())))
-    defs = [node for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
-    unused = [name for name in exported if name not in read and not any(
-        name in _names_read(node) for node in defs if node.name != name)]
-    assert not unused, f"geometry exports {unused}, which no solver uses"
+    unused = [node.name for node in defs if not node.name.startswith("_")
+              and node.name not in read and not any(
+                  node.name in _names_read(other) for other in defs
+                  if other is not node)]
+    assert not unused, f"geometry defines {unused}, which no solver uses"
+
+
+def _imported_from_package(source):
+    """Names that a script imports from the package itself, not a module."""
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.ImportFrom) and node.level == 0
+                and node.module == "tuckeropt"):
+            yield from (alias.name for alias in node.names
+                        if not (PACKAGE / f"{alias.name}.py").exists())
+
+
+def test_package_exports_what_the_scripts_and_readme_import():
+    # the package exports exactly what tools/, demos/ and the README's
+    # examples import from it; everything else comes from its module
+    sources = [p.read_text() for d in ("tools", "demos")
+               for p in sorted((ROOT / d).glob("*.py"))]
+    readme = (ROOT / "README.md").read_text()
+    sources += re.findall(r"```python\n(.*?)```", readme, re.S)
+    wanted = {name for src in sources for name in _imported_from_package(src)}
+    exported = {name for name, value in vars(tuckeropt).items()
+                if not name.startswith("_") and not inspect.ismodule(value)}
+    assert exported == wanted
 
 
 def test_package_imports_names_from_where_they_are_defined():

@@ -3,19 +3,19 @@
 import numpy as np
 import pytest
 
-from tuckeropt import (
-    approx_project,
+from tuckeropt.completion import random_tucker
+from tuckeropt.geometry import approx_project, tangent_norm
+from tuckeropt.oracles import (
+    CHECK_SUITES,
+    _best_rank_approx,
     dense_reference,
     embed,
     exact_tangent_projection_oracle,
     finite_diff_gradient,
-    fro_norm,
     run_check_suites,
-    tangent_norm,
-    to_dense,
 )
-from tuckeropt.completion import random_tucker
-from tuckeropt.oracles import CHECK_SUITES
+from tuckeropt.tensor_core import fro_norm
+from tuckeropt.tucker import to_dense
 
 RNG = np.random.default_rng(5)
 
@@ -92,3 +92,13 @@ def test_check_suite_selection():
     d = reports[0].to_dict()
     assert d["pass"] is True
     assert "max_violation" in d and "tolerance" in d
+
+
+def test_best_rank_approx_is_eckart_young():
+    M = RNG.standard_normal((6, 8))
+    s = np.linalg.svd(M, compute_uv=False)
+    for r in range(0, 4):
+        err = np.linalg.norm(M - _best_rank_approx(M, r))
+        assert err == pytest.approx(np.sqrt(np.sum(s[r:] ** 2)), rel=1e-12)
+    with pytest.raises(ValueError):
+        _best_rank_approx(M, 7)

@@ -10,16 +10,14 @@ from the iterate's basis.
 import numpy as np
 import pytest
 
-from tuckeropt import (
-    SolverConfig,
+from tuckeropt.completion import (
     completion_objective,
     gen_synthetic,
     random_tucker,
-    solve_grap_r,
-    solve_rfgrap_r,
-    stationarity_measure,
 )
+from tuckeropt.geometry import stationarity_measure
 from tuckeropt.oracles import _ref_stationarity
+from tuckeropt.solvers import SolverConfig, solve_grap_r, solve_rfgrap_r
 
 TERMINATIONS = {"converged", "max_iters", "stalled", "line_search_failure",
                 "candidate_exhaustion"}

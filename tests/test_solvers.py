@@ -7,34 +7,30 @@ import json
 import numpy as np
 import pytest
 
-from tuckeropt import (
-    Contractions,
+from tuckeropt import geometry, solvers
+from tuckeropt.completion import (
+    completion_objective,
+    gen_synthetic,
+    random_tucker,
+)
+from tuckeropt.geometry import Contractions, approx_project, tangent_norm
+from tuckeropt.solvers import (
     IterRecord,
     LineSearchFailure,
     ObjectiveHandle,
     SolverConfig,
-    approx_project,
+    SolverTrace,
     armijo_search,
-    completion_objective,
-    gen_synthetic,
     grap_r_index_sets,
-    grap_step,
-    hosvd,
-    hosvd_truncate,
-    random_tucker,
     rfgrap_r_index_sets,
-    rfgrap_step,
     solve_grap,
     solve_grap_r,
     solve_rfgrap,
     solve_rfgrap_r,
-    tangent_norm,
     write_summary_json,
     write_trace_csv,
 )
-from tuckeropt import geometry, solvers
-from tuckeropt.solvers import SolverTrace
-from tuckeropt.tucker import TuckerTensor
+from tuckeropt.tucker import TuckerTensor, hosvd, hosvd_truncate
 
 RNG = np.random.default_rng(77)
 
@@ -183,27 +179,29 @@ def test_steps_from_rank_zero_candidate():
     _, _, obj, X0 = _completion_setup()
     Z = hosvd_truncate(X0, (0,) + X0.rank[1:])
     assert Z.rank == (0, 0, 0) and Z.fro_norm() == 0.0
-    cfg = SolverConfig()
-    for step in (grap_step, rfgrap_step):
-        Y, _rec = step(obj, Z, X0.rank, cfg)
+    cfg = SolverConfig(max_iters=1)
+    for solve in (solve_grap, solve_rfgrap):
+        Y, _ = solve(obj, Z, X0.rank, cfg)
         assert obj.eval(Y) < obj.eval(Z)
         assert all(a <= b for a, b in zip(Y.rank, X0.rank))
 
 
 def test_single_steps_decrease_objective():
     _, _, obj, X0 = _completion_setup()
-    cfg = SolverConfig()
-    for step in (grap_step, rfgrap_step):
-        Y, rec = step(obj, X0, (2, 2, 2), cfg)
-        assert isinstance(rec, IterRecord)
+    cfg = SolverConfig(max_iters=1)
+    for solve in (solve_grap, solve_rfgrap):
+        Y, trace = solve(obj, X0, (2, 2, 2), cfg)
+        assert isinstance(trace.final(), IterRecord)
         assert obj.eval(Y) < obj.eval(X0)
 
 
 def test_single_step_is_the_first_iteration_of_a_solve():
     _, _, obj, X0 = _completion_setup()
     cfg = SolverConfig(max_iters=30)
-    for step, solve in ((grap_step, solve_grap), (rfgrap_step, solve_rfgrap)):
-        Y, rec = step(obj, X0, (2, 2, 2), cfg)
+    for solve in (solve_grap, solve_rfgrap):
+        Y, one = solve(obj, X0, (2, 2, 2),
+                       dataclasses.replace(cfg, max_iters=1))
+        rec = one.final()
         _, trace = solve(obj, X0, (2, 2, 2), cfg)
         ref = trace.records[1]
         assert rec.iter == 1
@@ -232,9 +230,11 @@ def test_single_step_evaluates_f_once_per_trial_point():
     _, _, obj, X0 = _completion_setup()
     for initial_step in (obj.initial_step, None):
         base = dataclasses.replace(obj, initial_step=initial_step)
-        for step in (grap_step, rfgrap_step):
+        for solve in (solve_grap, solve_rfgrap):
             log = []
-            _, rec = step(_counting(base, log), X0, (3, 3, 3), SolverConfig())
+            _, trace = solve(_counting(base, log), X0, (3, 3, 3),
+                             SolverConfig(max_iters=1))
+            rec = trace.final()
             assert rec.stepsize > 0
             assert log.count("eval") == rec.backtracks + 1
 
@@ -397,6 +397,17 @@ def test_solver_rejects_oversized_start():
     _, _, obj, X0 = _completion_setup()
     with pytest.raises(ValueError):
         solve_grap(obj, X0, (1, 1, 1), SolverConfig())
+
+
+@pytest.mark.parametrize("solve", [solve_grap, solve_rfgrap, solve_grap_r,
+                                   solve_rfgrap_r])
+def test_solver_rejects_a_rank_bound_of_the_wrong_length(solve):
+    # a bound that drops a mode fails before f or grad f is evaluated
+    _, _, obj, X0 = _completion_setup()
+    log = []
+    with pytest.raises(ValueError, match=r"\(2, 2\) has 2 entries.* 3 modes"):
+        solve(_counting(obj, log), X0, (2, 2), SolverConfig())
+    assert log == []
 
 
 def test_armijo_recheck_from_trace():

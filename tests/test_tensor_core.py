@@ -8,34 +8,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tuckeropt import (
-    SparseCooTensor,
-    TuckerTensor,
-    best_rank_approx,
-    delta_rank,
-    fold,
-    fro_norm,
-    inner,
-    load_coo,
-    load_dense,
-    mode_product,
-    numerical_rank,
-    save_coo,
-    save_dense,
-    thin_svd,
-    unfold,
-)
 from tuckeropt import tensor_core
 from tuckeropt.geometry import Contractions
 from tuckeropt.oracles import dense_reference
 from tuckeropt.tensor_core import (
     DEFAULT_RANK_TOL,
+    SparseCooTensor,
     batched_mode_contract,
     cutoff_rank,
+    delta_rank,
+    fold,
+    fro_norm,
     index_plan,
+    inner,
+    load_coo,
+    load_dense,
+    mode_product,
     multi_mode_contract,
+    numerical_rank,
+    save_coo,
+    save_dense,
     strictly_increasing,
+    thin_svd,
+    unfold,
 )
+from tuckeropt.tucker import TuckerTensor
 
 RNG = np.random.default_rng(1234)
 
@@ -117,16 +114,6 @@ def test_thin_svd_reconstruction_and_signs():
     assert np.allclose(f.U.T @ f.U, np.eye(4), atol=1e-12)
     lead = np.argmax(np.abs(f.U), axis=0)
     assert (f.U[lead, np.arange(4)] >= 0).all()
-
-
-def test_best_rank_approx_is_eckart_young():
-    M = RNG.standard_normal((6, 8))
-    s = np.linalg.svd(M, compute_uv=False)
-    for r in range(0, 4):
-        err = np.linalg.norm(M - best_rank_approx(M, r))
-        assert err == pytest.approx(np.sqrt(np.sum(s[r:] ** 2)), rel=1e-12)
-    with pytest.raises(ValueError):
-        best_rank_approx(M, 7)
 
 
 def test_delta_rank():

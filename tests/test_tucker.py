@@ -7,14 +7,21 @@ import struct
 import numpy as np
 import pytest
 
-from tuckeropt import (
+from tuckeropt import tucker
+from tuckeropt.completion import random_tucker
+from tuckeropt.geometry import approx_project
+from tuckeropt.oracles import _best_rank_approx, embed
+from tuckeropt.tensor_core import (
     SparseCooTensor,
+    fold,
+    fro_norm,
+    thin_svd,
+    unfold,
+)
+from tuckeropt.tucker import (
     TuckerTensor,
     add_scaled_tangent,
-    approx_project,
-    embed,
     entries_at,
-    fro_norm,
     hosvd,
     hosvd_truncate,
     hosvd_truncations,
@@ -23,11 +30,7 @@ from tuckeropt import (
     save_checkpoint,
     to_dense,
     tucker_rank,
-    unfold,
 )
-from tuckeropt import tucker
-from tuckeropt.completion import random_tucker
-from tuckeropt.tensor_core import fold, thin_svd
 
 RNG = np.random.default_rng(99)
 
@@ -74,13 +77,11 @@ def test_hosvd_quasi_optimality():
 
 def test_hosvd_matches_sequential_best_approx():
     # ascending sweep: mode-k step is the best rank-r_k matrix approximation
-    from tuckeropt.tensor_core import best_rank_approx, fold
-
     A = RNG.standard_normal((5, 4, 6))
     r = (2, 2, 3)
     cur = A
     for k in (1, 2, 3):
-        cur = fold(best_rank_approx(unfold(cur, k), r[k - 1]), k, cur.shape)
+        cur = fold(_best_rank_approx(unfold(cur, k), r[k - 1]), k, cur.shape)
     T = hosvd(A, r)
     assert np.allclose(to_dense(T), cur, atol=1e-10)
 
@@ -169,7 +170,7 @@ def test_entries_at_index_plan_matches_tuples():
     for k, U in enumerate(T.factors):
         assert np.array_equal(U.take(S.plan.cols[k], axis=0),
                               U[S.idx[:, k] - 1])
-    assert S.scale(2.0).plan is S.plan
+    assert S.with_values(2.0 * S.vals).plan is S.plan
 
 
 def test_entries_at_bounds_check():
