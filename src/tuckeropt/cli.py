@@ -194,12 +194,14 @@ def cmd_bench(args) -> int:
     d = len(n)
     comparison_rows = []
     failures = []
+    codes = []
     for r in ranks:
         label = "x".join(str(x) for x in r)
         for name, solve in sorted(SOLVERS.items()):
             obj = completion_objective(problem)
             X0 = _initial_point(problem, r, args)
             _, trace = solve(obj, X0, r, cfg)
+            codes.append(_exit_code(trace))
             if trace.termination == "candidate_exhaustion":
                 failures.append(f"{name} r={label}: "
                                 + "; ".join(trace.diagnostics))
@@ -225,7 +227,8 @@ def cmd_bench(args) -> int:
             f.write(",".join(str(x) for x in row) + "\n")
     for msg in failures:
         print(f"FAILED: {msg}", file=sys.stderr)
-    return 1 if failures else 0
+    # the worst run decides: any failure, else any exhausted budget
+    return 1 if 1 in codes else max(codes, default=0)
 
 
 def cmd_hosvd(args) -> int:

@@ -35,12 +35,13 @@ class IndexPlan:
     ``len(plan)`` is the number of tuples.
     """
 
-    __slots__ = ("idx", "cols", "_segments")
+    __slots__ = ("idx", "cols", "_segments", "_chunks")
 
     def __init__(self, idx: np.ndarray):
         self.idx = idx
         self.cols = tuple(idx[:, k] - 1 for k in range(idx.shape[1]))
         self._segments = {}
+        self._chunks = {}
 
     def __len__(self) -> int:
         return self.idx.shape[0]
@@ -61,6 +62,52 @@ class IndexPlan:
                 np.zeros(1, dtype=np.int64)
             self._segments[k] = (order, starts, c.take(starts[:-1]))
         return self._segments[k]
+
+    def chunks(self, k: int, step: int):
+        """Padded slot layout of the mode-k segments, in chunks of about
+        ``step`` slots; built on first request per (k, step) and kept
+        (once for all steps that give a single chunk).
+
+        Each chunk is (keys, n, width, sel, pads, gathered): its n whole
+        segments, with 0-based mode-k indices ``keys``, each padded to the
+        longest of them, ``width`` tuples, so that segment t fills slots
+        t * width ... t * width + its length - 1.  A chunk holds at most
+        ``step`` slots unless one segment alone is longer.  ``sel[i]`` is
+        the tuple in slot i; a pad slot selects tuple len(self) - 1, and
+        ``pads`` lists the pad slots, whose weight a kernel sets to 0.
+        ``gathered`` holds ``cols[j].take(sel)`` for every mode j != k in
+        order, or for mode k alone when it is the only mode.
+        """
+        order, starts, keys = self.segments(k)
+        lens = np.diff(starts)
+        # every step from the one that holds all segments at their longest
+        # length up gives one chunk of them all: keep that layout once
+        step = min(step, keys.size * int(lens.max(initial=0)))
+        key = (k, step)
+        if key not in self._chunks:
+            m = len(self)
+            modes = [j for j in range(len(self.cols)) if j != k] or [k]
+            out = []
+            s = 0
+            while s < len(keys):
+                # whole segments s..e-1, each padded to the longest of them
+                widths = np.maximum.accumulate(lens[s:s + step])
+                e = s + max(1, int(np.searchsorted(
+                    widths * np.arange(1, widths.size + 1), step,
+                    side="right")))
+                n, width = e - s, int(widths[e - s - 1])
+                a, b, slots = int(starts[s]), int(starts[e]), n * width
+                sel = np.full(slots, m)
+                sel[np.arange(a, b) + np.repeat(
+                    np.arange(0, slots, width) - starts[s:e],
+                    lens[s:e])] = order[a:b]
+                pads = np.flatnonzero(sel == m)
+                sel[pads] = m - 1
+                out.append((keys[s:e], n, width, sel, pads,
+                            tuple(self.cols[j].take(sel) for j in modes)))
+                s = e
+            self._chunks[key] = out
+        return self._chunks[key]
 
 
 def strictly_increasing(idx: np.ndarray) -> bool:
@@ -392,44 +439,27 @@ def batched_mode_contract(plan: IndexPlan, dims, vals, factors,
     d = len(plan.cols)
     if not 1 <= skip <= d:
         raise ValueError(f"mode {skip} out of range")
-    mats = [(U, plan.cols[j]) for j, U in enumerate(factors) if j != skip - 1]
-    q = math.prod(U.shape[1] for U, _ in mats)
+    mats = [U for j, U in enumerate(factors) if j != skip - 1]
+    q = math.prod(U.shape[1] for U in mats)
     # with no other mode, each slice's values are summed: a column of ones
-    *rest, (Ul, cl) = mats or [(np.ones((dims[skip - 1], 1)),
-                                plan.cols[skip - 1])]
+    *rest, Ul = mats or [np.ones((dims[skip - 1], 1))]
     ql = Ul.shape[1]
     nv, m = len(vals), len(plan)
     out = np.zeros((nv, dims[skip - 1], q))
     if not (q and nv and m):
         return out
     Ult = np.ascontiguousarray(Ul.T)
-    order, starts, keys = plan.segments(skip - 1)
-    lens = np.diff(starts)
     step = max(1, _SCATTER_BLOCK // max(ql, q // ql))
-    s = 0
-    while s < len(keys):
-        # whole segments s..e-1, each padded to the longest of them: at
-        # most `step` slots unless one segment is longer
-        widths = np.maximum.accumulate(lens[s:s + step])
-        e = s + max(1, int(np.searchsorted(
-            widths * np.arange(1, widths.size + 1), step, side="right")))
-        n, width = e - s, int(widths[e - s - 1])
-        a, b, slots = int(starts[s]), int(starts[e]), n * width
-        # segment t fills slots t * width ... t * width + lens[t] - 1 with
-        # its tuples; a pad slot holds m, which gathers tuple m - 1 and
-        # weighs it with 0
-        sel = np.full(slots, m)
-        sel[np.arange(a, b) + np.repeat(np.arange(0, slots, width)
-                                        - starts[s:e], lens[s:e])] = order[a:b]
-        pads = sel == m
-        sel[pads] = m - 1
+    for keys, n, width, sel, pads, gathered in plan.chunks(skip - 1, step):
         # (last mode's column, slot), slots fastest for the products, and
         # (slot, Kronecker column) rows of the other modes, the first listed
         # mode's column fastest; a column of ones when there are none
-        L = Ult.take(cl.take(sel), axis=1)
+        *rest_cols, cl = gathered
+        slots = sel.size
+        L = Ult.take(cl, axis=1)
         K = np.ones((slots, 1))
-        for i, (U, c) in enumerate(rest):
-            rows = U.take(c.take(sel), axis=0)
+        for i, (U, c) in enumerate(zip(rest, rest_cols)):
+            rows = U.take(c, axis=0)
             K = rows if i == 0 else (rows[:, :, None]
                                      * K[:, None, :]).reshape(slots, -1)
         K = K.reshape(n, width, -1)
@@ -437,8 +467,7 @@ def batched_mode_contract(plan: IndexPlan, dims, vals, factors,
             g = v.take(sel)
             g[pads] = 0.0
             A = (L * g).reshape(ql, n, width).transpose(1, 0, 2)
-            out[c, keys[s:e]] = np.matmul(A, K).reshape(n, q)
-        s = e
+            out[c, keys] = np.matmul(A, K).reshape(n, q)
     return out
 
 

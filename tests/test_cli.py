@@ -70,7 +70,7 @@ def test_bench_scaled_tiny(tmp_path, capsys):
     code = main(["bench", "true-rank", "--n", "8,8,8", "--true-rank", "2,2,2",
                  "--rank", "2,2,2", "--p", "0.3", "--max-iters", "40",
                  "--out", str(out)])
-    assert code == 0
+    assert code == 2        # every solver stops at its iteration budget
     comparison = out / "true-rank_comparison.csv"
     with open(comparison) as f:
         rows = list(csv.DictReader(f))
@@ -84,6 +84,19 @@ def test_bench_scaled_tiny(tmp_path, capsys):
     assert (out / "true-rank_problem" / "omega.coo").exists()
 
 
+@pytest.mark.parametrize("max_iters, expected", [("400", 0), ("50", 2)])
+def test_bench_exit_code_is_the_worst_run(tmp_path, capsys, max_iters,
+                                          expected):
+    # grap converges in 34 iterations, rfgrap in 75: at a budget of 50 the
+    # rfgrap runs exhaust it, and their code 2 beats grap's 0
+    code = main(["bench", "true-rank", "--n", "8,8,8", "--true-rank", "2,2,2",
+                 "--rank", "2,2,2", "--p", "0.5", "--tol", "1e-6",
+                 "--max-iters", max_iters, "--out", str(tmp_path / "bench")])
+    assert code == expected
+    out = capsys.readouterr().out
+    assert out.count(": converged after") == (4 if expected == 0 else 2)
+
+
 def test_bench_refuses_spectral_init_before_writing_the_bundle(
         tmp_path, capsys, monkeypatch):
     # a problem too large to densify fails before it is generated, rather
@@ -95,7 +108,7 @@ def test_bench_refuses_spectral_init_before_writing_the_bundle(
     assert main(args + ["--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith("error:")
     assert not out.exists()
-    assert main(args + ["--out", str(out), "--init", "random"]) == 0
+    assert main(args + ["--out", str(out), "--init", "random"]) == 2
     assert (out / "true-rank_problem" / "meta.json").exists()
 
 
@@ -134,7 +147,7 @@ def test_bench_under_rank_tiny(tmp_path, capsys):
     out = tmp_path / "bench"
     code = main(["bench", "under-rank", "--n", "8,7,6", "--true-rank", "4,4,4",
                  "--p", "0.4", "--max-iters", "15", "--out", str(out)])
-    assert code == 0
+    assert code == 2        # every solver stops at its iteration budget
     with open(out / "under-rank_comparison.csv") as f:
         rows = list(csv.DictReader(f))
     assert {r["solver"] for r in rows} == {"grap", "rfgrap", "grap-r",

@@ -625,6 +625,15 @@ def test_index_plan_segments_group_tuples_by_mode_index():
     assert order.tolist() == [1, 3, 0, 2, 4]        # stable within a group
     assert starts.tolist() == [0, 2, 4, 5] and keys.tolist() == [0, 1, 3]
     assert plan.segments(0) is plan.segments(0)     # built once
+    # segments [1, 3], [0, 2], [4]: at 4 slots a chunk, two chunks; at 6,
+    # one chunk of width 2 whose last slot pads segment [4] with tuple 4
+    assert [c[0].tolist() for c in plan.chunks(0, 4)] == [[0, 1], [3]]
+    [(keys, n, width, sel, pads, (c2,))] = plan.chunks(0, 6)
+    assert keys.tolist() == [0, 1, 3] and (n, width) == (3, 2)
+    assert sel.tolist() == [1, 3, 0, 2, 4, 4] and pads.tolist() == [5]
+    assert c2.tolist() == [1, 0, 0, 1, 0, 0]    # mode 2's columns on the slots
+    # kept, once for every step that holds all segments in one chunk
+    assert plan.chunks(0, 6) is plan.chunks(0, 6) is plan.chunks(0, 100)
 
 
 def test_index_plan_checks_its_tuples():

@@ -9,10 +9,14 @@ it (a ``git worktree`` or a clone):
 For each of the two workloads, each of ten pairs i runs
 ``perfbench/run.py --workload W --seed S --trace 0`` once in each checkout,
 at the benchmark's default run length; even pairs start with the parent,
-odd pairs with the change.  Each run is
-its own process, started in its checkout, so each side benchmarks its own
-sources with its own harness.  The JSON written to ``--out`` holds every
-run's metrics, each side's median and quartiles per metric, how many
+odd pairs with the change.  Each run is its own process, started in its
+checkout, so each side benchmarks its own sources with its own harness.
+Before the first pair, each checkout's cached problem bundles
+(``perfbench/.cache/bundles``) are deleted, so that each side generates
+its own: the cache is keyed by workload and seed only, and a bundle that
+other code generated fails the harness's check that it equals the
+generated problem.  The JSON written to ``--out`` holds every run's
+metrics, each side's median and quartiles per metric, how many
 pairs the change won per metric (ties count for neither side; the better
 direction of a metric is read from the change's ``BENCHMARK.json``), both
 commits and the environment line of the first run.
@@ -23,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import shutil
 import statistics
 import subprocess
 import sys
@@ -101,6 +106,9 @@ def main(argv=None) -> int:
               "seed": args.seed, "pairs": PAIRS,
               "commits": {s: commit_of(c) for s, c in checkouts.items()},
               "env": None, "workloads": {}}
+    for checkout in checkouts.values():
+        shutil.rmtree(checkout / "perfbench" / ".cache" / "bundles",
+                      ignore_errors=True)
     failed = False
     for workload in WORKLOADS:
         runs = []
