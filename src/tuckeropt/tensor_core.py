@@ -35,13 +35,14 @@ class IndexPlan:
     ``len(plan)`` is the number of tuples.
     """
 
-    __slots__ = ("idx", "cols", "_segments", "_chunks")
+    __slots__ = ("idx", "cols", "_segments", "_chunks", "_fibres")
 
     def __init__(self, idx: np.ndarray):
         self.idx = idx
         self.cols = tuple(idx[:, k] - 1 for k in range(idx.shape[1]))
         self._segments = {}
         self._chunks = {}
+        self._fibres = {}
 
     def __len__(self) -> int:
         return self.idx.shape[0]
@@ -62,6 +63,21 @@ class IndexPlan:
                 np.zeros(1, dtype=np.int64)
             self._segments[k] = (order, starts, c.take(starts[:-1]))
         return self._segments[k]
+
+    def fibres(self, lead) -> np.ndarray:
+        """Index of each tuple's fibre in a tensor whose leading modes have
+        the sizes ``lead``: sum_{k < s} cols[k] * prod_{j < k} lead[j],
+        with s = len(lead), mode 1 fastest.  Built on first request per
+        ``lead`` and kept."""
+        lead = tuple(lead)
+        if lead not in self._fibres:
+            fib = np.zeros(len(self), dtype=np.int64)
+            stride = 1
+            for c, n in zip(self.cols, lead):
+                fib += c * stride
+                stride *= n
+            self._fibres[lead] = fib
+        return self._fibres[lead]
 
     def chunks(self, k: int, step: int):
         """Padded slot layout of the mode-k segments, in chunks of about
@@ -326,19 +342,49 @@ def index_plan(idx, dims) -> IndexPlan:
 def mixed_eval(core: np.ndarray, mats, plan: IndexPlan) -> np.ndarray:
     """Entries of core x_k mats[k] at the tuples of ``plan``, not densified.
 
-    Entry n is sum_j core[j] * prod_k mats[k][i_k - 1, j_k], contracted one
-    mode at a time over the gathered rows, without per-entry Kronecker rows.
+    The leading s modes are contracted densely, T = core x_1 mats[0] ...
+    x_s mats[s - 1]; each tuple reads its fibre of T (the row at
+    :meth:`IndexPlan.fibres`) and contracts it with its rows of mats[s:].
+    s is the largest value <= d - 1 with n_1 ... n_s <= len(plan), and at
+    least 1 (for d = 1 nothing is left per tuple).  So T has no more
+    fibres than there are tuples unless s = 1, and no temporary exceeds
+    max(n_1, len(plan)) * r_2 ... r_d elements.  The per-tuple stage walks
+    the tuples in blocks of about ``_SCATTER_BLOCK`` gathered elements.  It
+    contracts each mode by one multiply and one in-place add per column of
+    the mode's rows, so each entry's sum runs in the same order whatever
+    the block size, and the result does not depend on it.
     """
-    m = len(plan)
+    m, d = len(plan), core.ndim
     if core.size == 0 or m == 0:
         return np.zeros(m)
-    rows = [M.take(c, axis=0) for M, c in zip(mats, plan.cols)]
-    # (m, rest) with the mode-2 index fastest inside the columns
-    T = rows[0] @ unfold(core, 1)
-    for k in range(1, core.ndim):
-        # C-order reshape of fastest-first columns puts mode k last
-        T = np.einsum("nrq,nq->nr", T.reshape(m, -1, core.shape[k]), rows[k])
-    return T[:, 0]
+    dims = [M.shape[0] for M in mats]
+    s = 1
+    while s < d - 1 and math.prod(dims[:s + 1]) <= m:
+        s += 1
+    # mode k + 1 of the partial is contracted while it is the fastest axis
+    # of T in C order: T goes from (n_k, ..., n_1, r_d, ..., r_{k+1}) to
+    # (n_{k+1}, ..., n_1, r_d, ..., r_{k+2}), so that at the end each fibre
+    # (mode 1 fastest) is one contiguous row with mode s + 1 fastest
+    T = core.transpose()
+    for k in range(s):
+        T = mats[k] @ T.reshape(-1, core.shape[k]).T
+    T = T.reshape(math.prod(dims[:s]), -1)
+    fib = plan.fibres(dims[:s])
+    out = np.empty(m)
+    step = max(1, _SCATTER_BLOCK // T.shape[1])
+    for a in range(0, m, step):
+        b = min(a + step, m)
+        W = T.take(fib[a:b], axis=0)
+        # the slowest of the remaining modes first
+        for k in range(d - 1, s - 1, -1):
+            rows = mats[k].take(plan.cols[k][a:b], axis=0)
+            W = W.reshape(b - a, core.shape[k], -1)
+            acc = W[:, 0] * rows[:, 0, None]
+            for q in range(1, core.shape[k]):
+                acc += W[:, q] * rows[:, q, None]
+            W = acc
+        out[a:b] = W[:, 0]
+    return out
 
 
 def multi_mode_contract(S: SparseCooTensor, factors, skip: int) -> np.ndarray:

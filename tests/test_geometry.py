@@ -37,7 +37,12 @@ from tuckeropt.tensor_core import (
     mixed_eval,
     mode_product,
 )
-from tuckeropt.tucker import hosvd_truncations, to_dense, tucker_rank
+from tuckeropt.tucker import (
+    TuckerTensor,
+    hosvd_truncations,
+    to_dense,
+    tucker_rank,
+)
 
 RNG = np.random.default_rng(7)
 DIMS = (6, 6, 6)
@@ -346,6 +351,21 @@ def test_tangent_entries_at_checks_plain_indices():
                        dense_reference("tangent_entries_at", V, idx),
                        atol=1e-12)
     assert tangent_entries_at(V, np.zeros((0, 3))).shape == (0,)
+
+
+def test_tangent_entries_at_a_rank_zero_anchor():
+    # at the zero tensor the direction is all C, over the complements alone
+    rng = np.random.default_rng(12)
+    dims = (5, 4, 3)
+    X = TuckerTensor(np.zeros((0, 0, 0)), [np.zeros((n, 0)) for n in dims])
+    Ucomp = [np.linalg.qr(rng.standard_normal((n, 2)))[0] for n in dims]
+    V = geometry.TangentVector(X, (2, 2, 2), rng.standard_normal((2, 2, 2)),
+                               [np.zeros((n, 0)) for n in dims], Ucomp)
+    idx = np.argwhere(rng.random(dims) < 0.5) + 1
+    ref = dense_reference("tangent_entries_at", V, idx)
+    got = tangent_entries_at(V, idx)
+    assert np.abs(ref).max() > 0.1
+    assert np.allclose(got, ref, rtol=0, atol=1e-13)
 
 
 def test_contractions_belong_to_their_point():

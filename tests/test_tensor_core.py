@@ -1,5 +1,6 @@
 """Unit tests for dense/sparse containers and multilinear kernels."""
 
+import math
 import re
 import warnings
 
@@ -13,6 +14,7 @@ from tuckeropt.geometry import Contractions
 from tuckeropt.oracles import dense_reference
 from tuckeropt.tensor_core import (
     DEFAULT_RANK_TOL,
+    IndexPlan,
     SparseCooTensor,
     batched_mode_contract,
     cutoff_rank,
@@ -23,6 +25,7 @@ from tuckeropt.tensor_core import (
     inner,
     load_coo,
     load_dense,
+    mixed_eval,
     mode_product,
     multi_mode_contract,
     numerical_rank,
@@ -617,6 +620,88 @@ def test_batched_mode_contract_matches_one_call_per_column(monkeypatch,
     empty = index_plan(np.zeros((0, 4)), S.dims)
     got = batched_mode_contract(empty, S.dims, [np.zeros(0)] * 2, U, 2)
     assert got.shape == (2, 3, 2 * 3 * 1) and not got.any()
+
+
+def _sampled_coo(dims, m, rng, unobserved=True):
+    """m distinct random tuples over ``dims``; with ``unobserved``, none in
+    slice 2 of mode 1."""
+    lin = rng.choice(math.prod(dims), m, replace=False)
+    idx = np.column_stack(np.unravel_index(lin, dims)) + 1
+    if unobserved:
+        idx = idx[idx[:, 0] != 2]
+    return SparseCooTensor(dims, idx, rng.standard_normal(len(idx)))
+
+
+def _leading_modes(monkeypatch):
+    """List that receives the leading dims of every fibre index requested."""
+    leads = []
+    fibres = IndexPlan.fibres
+    monkeypatch.setattr(IndexPlan, "fibres",
+                        lambda plan, lead: leads.append(tuple(lead))
+                        or fibres(plan, lead))
+    return leads
+
+
+# (dims, core shape, number of tuples drawn, modes contracted densely): s is
+# the largest s <= d - 1 with n_1 ... n_s <= len(plan), and at least 1
+_MIXED_EVAL_CASES = [
+    ((7,), (3,), 5, 1),
+    ((6, 5), (3, 2), 20, 1),
+    ((6, 5, 4), (3, 2, 2), 80, 2),       # 30 fibres for about 66 tuples
+    ((6, 5, 4), (3, 2, 2), 20, 1),       # too few tuples for 30 fibres
+    ((4, 3, 5, 3), (2, 2, 3, 1), 120, 3),
+    ((4, 3, 5, 3), (2, 2, 3, 1), 30, 2),
+]
+
+
+@pytest.mark.parametrize("dims, shape, m, s", _MIXED_EVAL_CASES)
+def test_mixed_eval_matches_dense(monkeypatch, dims, shape, m, s):
+    # the dense partial of the leading s modes, its fibres gathered and the
+    # other modes contracted per tuple, against the dense oracle, with
+    # slice 2 of mode 1 unobserved
+    rng = np.random.default_rng(41)
+    S = _sampled_coo(dims, m, rng)
+    core = rng.standard_normal(shape)
+    mats = [rng.standard_normal((n, r)) for n, r in zip(dims, shape)]
+    leads = _leading_modes(monkeypatch)
+    got = mixed_eval(core, mats, S.plan)
+    assert leads == [dims[:s]]
+    ref = dense_reference("entries_at", TuckerTensor(core, mats), S.idx)
+    assert np.allclose(got, ref, rtol=0, atol=1e-13 * np.abs(ref).max())
+    # a plan that shares the pattern shares its fibre index
+    shared = S.with_values(np.zeros(S.nnz)).plan
+    assert shared.fibres(dims[:s]) is S.plan.fibres(dims[:s])
+
+
+@pytest.mark.parametrize("dims, shape, m, s", _MIXED_EVAL_CASES)
+def test_mixed_eval_blocks_are_bit_identical(monkeypatch, dims, shape, m, s):
+    # each tuple's sum runs in the same order whatever its block: blocks of
+    # 7 tuples (the last one shorter) give the same bits as one block
+    rng = np.random.default_rng(42)
+    S = _sampled_coo(dims, m, rng, unobserved=False)
+    core = rng.standard_normal(shape)
+    mats = [rng.standard_normal((n, r)) for n, r in zip(dims, shape)]
+    whole = mixed_eval(core, mats, S.plan)
+    assert S.nnz * math.prod(shape[s:]) <= tensor_core._SCATTER_BLOCK
+    monkeypatch.setattr(tensor_core, "_SCATTER_BLOCK",
+                        7 * math.prod(shape[s:]))
+    assert S.nnz % 7
+    assert np.array_equal(mixed_eval(core, mats, S.plan), whole)
+
+
+def test_mixed_eval_of_empty_operands_is_zero():
+    rng = np.random.default_rng(43)
+    dims = (6, 5, 4)
+    S = _sampled_coo(dims, 40, rng)
+    mats = [rng.standard_normal((n, 2)) for n in dims]
+    # a core with a zero mode, which meets a zero-column factor
+    zero = [M if k != 1 else np.zeros((5, 0)) for k, M in enumerate(mats)]
+    got = mixed_eval(np.zeros((2, 0, 2)), zero, S.plan)
+    assert np.array_equal(got, np.zeros(S.nnz))
+    # an empty plan
+    empty = index_plan(np.zeros((0, 3)), dims)
+    got = mixed_eval(rng.standard_normal((2, 2, 2)), mats, empty)
+    assert got.shape == (0,)
 
 
 def test_index_plan_segments_group_tuples_by_mode_index():
