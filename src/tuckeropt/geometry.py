@@ -125,13 +125,11 @@ class Contractions:
     and per rank candidate and drops it with the point.  It is the only
     place the solver path forms such a contraction.
 
-    :meth:`negated` is a view of the same contractions for -A, which is what
-    the projections of -grad f read.  Layout rule: both views hand out the
-    very array that contracting A directly produces, or its negation ``-D``
-    (exact, and laid out like D), never a re-laid-out copy.  GEMM rounding
-    depends on operand layout, so a C-order copy of a shared contraction
-    would move the iterates in their last bits.  For the same reason a
-    pattern derived from a formed one reads that one's own array.
+    Layout rule: hand out the very array formed, never a re-laid-out
+    copy.  GEMM rounding depends on operand layout, so a C-order copy of a
+    shared contraction would move the iterates in their last bits.  For the
+    same reason a pattern derived from a formed one reads that one's own
+    array.
 
     A sparse A reaches :func:`~tuckeropt.tensor_core.multi_mode_contract`
     at most once per pattern, skipping the mode that goes last; a pattern
@@ -151,37 +149,25 @@ class Contractions:
     to rounding.
     """
 
-    __slots__ = ("anchor", "tensor", "_memo", "_sign", "_basis")
+    __slots__ = ("anchor", "tensor", "_memo", "_basis")
 
     def __init__(self, X: TuckerTensor, A, basis=None):
         self.anchor = X
         self.tensor = A
         self._memo = {}
-        self._sign = 1.0
         self._basis = basis
 
-    def negated(self) -> "Contractions":
-        """The same contractions for -A (sharing what is already formed)."""
-        out = object.__new__(Contractions)
-        out.anchor, out.tensor = self.anchor, self.tensor
-        out._memo, out._basis = self._memo, self._basis
-        out._sign = -self._sign
-        return out
-
     def contract(self, modes) -> np.ndarray:
-        """(+/-A) x_j B_j^T over every mode j, where modes[j] names B_j.
+        """A x_j B_j^T over every mode j, where modes[j] names B_j, formed
+        on first request: served from the basis when there is one, else
+        formed directly.
 
         ``"I"`` leaves mode j as it is, ``"U"`` takes U_j, and an array
         Ucomp_j takes [U_j | Ucomp_j] (U_j itself when Ucomp_j has no
         columns).  A complement is keyed by identity, so pass the same array
         for the same basis.
         """
-        D = self._formed(tuple(modes))
-        return D if self._sign > 0 else -D
-
-    def _formed(self, modes: tuple) -> np.ndarray:
-        """A x_j B_j^T, formed on first request: served from the basis
-        when there is one, else formed directly."""
+        modes = tuple(modes)
         key = tuple(_mode_key(m) for m in modes)
         hit = self._memo.get(key)
         if hit is None:
@@ -210,7 +196,7 @@ class Contractions:
                       for n, M in zip(self.anchor.dims, mats))
         s = int(np.argmax(sizes))
         if mats[s] is not None:
-            parent = self._formed(modes[:s] + ("I",) + modes[s + 1:])
+            parent = self.contract(modes[:s] + ("I",) + modes[s + 1:])
             return mode_product(parent, s + 1, mats[s].T)
         if not isinstance(A, SparseCooTensor):
             out = np.asarray(A)
@@ -228,7 +214,7 @@ class Contractions:
         pattern: U_j of X on the modes keyed "U", the identity elsewhere."""
         base, ws = self._basis
         xmodes = tuple("U" if m == "U" else "I" for m in key)
-        P = base._formed(xmodes)
+        P = base.contract(xmodes)
         for j, (B, m) in enumerate(zip(mats, xmodes)):
             if B is not None:
                 P = mode_product(P, j + 1, (ws[j] if m == "U" else B).T)
@@ -371,6 +357,12 @@ def _project(X: TuckerTensor, A, r, complements, widen: bool):
     Udot_k = (D_k - B_k B_k^T D_k) pinv(G_(k)), where B_k is [U_k Ucomp_k]
     when ``widen`` (:func:`approx_project`) and U_k otherwise
     (:func:`partial_project`).  The complements are chosen here when None.
+
+    Both projections are odd in A: -A has the same complements as A
+    (thin_svd gives -M the same U as M), and its C, Udot and single-factor
+    branch terms are those of A times -1.  That holds bit for bit, except
+    that LAPACK may round the SVD of -M differently when M has exact zeros,
+    such as a sparse gradient's unobserved entries densified.
     """
     r = tuple(int(x) for x in r)
     A = _contractions(X, A)
@@ -387,8 +379,7 @@ def _project(X: TuckerTensor, A, r, complements, widen: bool):
 def approx_project(X: TuckerTensor, A, r, complements=None) -> TangentVector:
     """SVD-based approximate projection of A onto the tangent cone at X.
 
-    A may be the :class:`Contractions` object of X (for -grad f, its
-    :meth:`~Contractions.negated` view).
+    A may be the :class:`Contractions` object of X.
     """
     return TangentVector(X, *_project(X, A, r, complements, widen=True))
 

@@ -157,30 +157,26 @@ class LineSearchResult(tuple):
 
 def armijo_search(obj: ObjectiveHandle, X: TuckerTensor, V: TangentVector,
                   dir_inner: float, sbar: float, cfg: SolverConfig,
-                  retracted: bool, r=None, *, fX=None):
+                  retracted: bool, r, fX: float):
     """Backtracking line search; returns (s, Y, n_backtracks).
 
     Finds the smallest l >= 0 such that s = rho^l * sbar satisfies
-    f(X) - f(Y_s) >= s * a * dir_inner, where Y_s is the truncated step for
-    the retracted variants and the structured exact step otherwise.  ``fX``
-    is f(X) when the caller already has it (else it is evaluated here), so a
-    search makes n_backtracks + 1 evaluations of f.  The result is a
-    :class:`LineSearchResult` that also carries f(Y) as ``f_after``.
+    f(X) - f(Y_s) >= s * a * dir_inner, where Y_s is the step truncated to
+    the rank bound r for the retracted variants and the structured exact
+    step otherwise.  ``fX`` is f(X), so a search makes n_backtracks + 1
+    evaluations of f.  The result is a :class:`LineSearchResult` that also
+    carries f(Y) as ``f_after``.
     """
     if dir_inner <= 0:
         raise ValueError(f"not a descent direction: dir_inner={dir_inner}")
     if sbar <= 0:
         raise ValueError("initial stepsize must be positive")
-    if fX is None:
-        fX = obj.eval(X)
     s = sbar
     backtracks = 0
     while s >= cfg.step_floor:
         Y = add_scaled_tangent(X, s, V)
         if retracted:
-            cap = Y.rank if r is None else tuple(min(a, b)
-                                                 for a, b in zip(r, Y.rank))
-            Y = hosvd_truncate(Y, cap)
+            Y = hosvd_truncate(Y, tuple(min(a, b) for a, b in zip(r, Y.rank)))
         fY = obj.eval(Y)
         if fX - fY >= s * cfg.armijo_a * dir_inner:
             return LineSearchResult(s, Y, backtracks, fY)
@@ -242,12 +238,14 @@ def _direction_step(obj, X, grad, fX, r, cfg, retraction_free):
 
     ``grad`` is the :class:`Contractions` object of grad f(X), whose
     contractions the stationarity measure at X may already have formed.
+    The direction is the projection of -grad f, taken as minus the
+    projection of grad f: both projections are odd in their argument.
     """
-    neg = grad.negated()
     if retraction_free:
-        V, _branch = partial_project(X, neg, r)
+        V, _branch = partial_project(X, grad, r)
     else:
-        V = approx_project(X, neg, r)
+        V = approx_project(X, grad, r)
+    V = TangentVector(X, V.bound, -V.C, tuple(-U for U in V.Udot), V.Ucomp)
     vnorm = tangent_norm(V)
     if vnorm == 0.0:
         return X, _StepInfo(f_after=fX, stepsize=0.0, direction_norm=0.0,

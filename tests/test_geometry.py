@@ -268,7 +268,10 @@ def _same(a, b):
                                                      if bits[k])]])
 def test_shared_contractions_match_fresh_ones(pattern):
     # every kernel gives bit-identical results from one shared Contractions
-    # object (as the solvers use it) and from its own fresh contractions
+    # object of A (as the solvers use it) and from its own fresh
+    # contractions; the projections of -A, which the solvers take as the
+    # negated projections of A, pick the same complements and branch and
+    # negate C and Udot exactly
     rng = np.random.default_rng(31 + len(pattern))
     r = (3, 3, 3)
     rlow = tuple(rk - (k in pattern) for k, rk in enumerate(r))
@@ -282,20 +285,20 @@ def test_shared_contractions_match_fresh_ones(pattern):
                  approx_project(X, neg, r), partial_project(X, neg, r))
         shared = Contractions(X, A)
         got = (stationarity_measure(X, shared, r),
-               choose_singular_complement(X, shared.negated(), r),
-               approx_project(X, shared.negated(), r),
-               partial_project(X, shared.negated(), r))
+               choose_singular_complement(X, shared, r),
+               approx_project(X, shared, r), partial_project(X, shared, r))
         assert got[0] == fresh[0]
         assert _same(got[1], fresh[1])
         for V, W in ((got[2], fresh[2]), (got[3][0], fresh[3][0])):
-            assert _same((V.C, V.Udot, V.Ucomp), (W.C, W.Udot, W.Ucomp))
+            assert _same((-V.C, tuple(-U for U in V.Udot), V.Ucomp),
+                         (W.C, W.Udot, W.Ucomp))
         assert got[3][1] == fresh[3][1]
 
 
 def test_contractions_are_formed_once_per_pattern(monkeypatch):
     # at a full-rank point the stationarity measure makes d sparse
     # contractions (the core term comes from the first mode term), which
-    # the projections then read negated
+    # the projections then read as they are
     X = random_tucker(DIMS, (3, 3, 3), RNG)
     G = _sparse(RNG.standard_normal(DIMS))
     calls = []
@@ -305,8 +308,8 @@ def test_contractions_are_formed_once_per_pattern(monkeypatch):
     shared = Contractions(X, G)
     stationarity_measure(X, shared, (3, 3, 3))
     assert calls == [1, 2, 3]
-    approx_project(X, shared.negated(), (3, 3, 3))
-    partial_project(X, shared.negated(), (3, 3, 3))
+    approx_project(X, shared, (3, 3, 3))
+    partial_project(X, shared, (3, 3, 3))
     assert calls == [1, 2, 3]
 
 
@@ -337,7 +340,6 @@ def test_derived_contractions_equal_direct_ones():
                 ref = mode_product(mode_product(A, 2, mats[1].T), 3,
                                    mats[2].T)
             assert np.array_equal(got, ref)
-            assert np.array_equal(-got, shared.negated().contract(modes))
 
 
 def test_tangent_entries_at_checks_plain_indices():
@@ -415,10 +417,9 @@ def _served_patterns(X, cands, make_grad, r):
     served = geometry.candidate_contractions(
         X, [(Xc, ws, A) for (Xc, ws), A in zip(truncs, grads)])
     for C in served:
-        neg = C.negated()
-        comps = choose_singular_complement(C.anchor, neg, r)
-        approx_project(C.anchor, neg, r, comps)
-        partial_project(C.anchor, neg, r, comps)
+        comps = choose_singular_complement(C.anchor, C, r)
+        approx_project(C.anchor, C, r, comps)
+        partial_project(C.anchor, C, r, comps)
     fresh = [Contractions(Xc, A) for (Xc, _), A in zip(truncs, grads)]
     return served, fresh
 

@@ -66,11 +66,11 @@ def test_armijo_accepts_descent():
     A = RNG.standard_normal((5, 5, 5))
     obj = _dense_objective(A)
     X = random_tucker((5, 5, 5), (2, 2, 2), RNG)
-    V = approx_project(X, Contractions(X, obj.grad(X)).negated(), (2, 2, 2))
+    V = approx_project(X, Contractions(X, -obj.grad(X)), (2, 2, 2))
     vn = tangent_norm(V)
     cfg = SolverConfig()
     s, Y, bt = armijo_search(obj, X, V, vn * vn, 1.0 / vn, cfg, retracted=True,
-                             r=(2, 2, 2))
+                             r=(2, 2, 2), fX=obj.eval(X))
     assert obj.eval(X) - obj.eval(Y) >= s * cfg.armijo_a * vn * vn
     assert all(a <= 2 for a in Y.rank)
 
@@ -81,7 +81,8 @@ def test_armijo_rejects_ascent_direction():
     X = random_tucker((4, 4, 4), (2, 2, 2), RNG)
     V = approx_project(X, obj.grad(X), (2, 2, 2))  # +grad: ascent
     with pytest.raises(ValueError):
-        armijo_search(obj, X, V, -1.0, 1.0, SolverConfig(), retracted=True)
+        armijo_search(obj, X, V, -1.0, 1.0, SolverConfig(), retracted=True,
+                      r=(2, 2, 2), fX=obj.eval(X))
 
 
 def test_armijo_failure_reports_diagnostics():
@@ -93,7 +94,7 @@ def test_armijo_failure_reports_diagnostics():
     vn = tangent_norm(V)
     with pytest.raises(LineSearchFailure) as e:
         armijo_search(obj, X, V, vn * vn, 1.0, SolverConfig(step_floor=1e-4),
-                      retracted=True)
+                      retracted=True, r=(2, 2, 2), fX=obj.eval(X))
     assert e.value.sbar == 1.0
     assert e.value.backtracks > 0
 

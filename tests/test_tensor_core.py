@@ -117,6 +117,22 @@ def test_thin_svd_reconstruction_and_signs():
     assert np.allclose(f.U.T @ f.U, np.eye(4), atol=1e-12)
     lead = np.argmax(np.abs(f.U), axis=0)
     assert (f.U[lead, np.arange(4)] >= 0).all()
+    # the sign convention makes thin_svd odd in V alone, bit for bit, which
+    # the solvers rely on when they negate the projection of grad f: -M has
+    # the same U and sigma as M.  Cases include the rank-deficient
+    # (I - U U^T) B that choose_singular_complement decomposes.  (LAPACK
+    # may round -M differently when M has exact zeros, so none has any.)
+    rng = np.random.default_rng(5)
+    cases = [M, M.T]
+    for n in (900, 90, 9):
+        U = np.linalg.qr(rng.standard_normal((30, 2)))[0]
+        B = rng.standard_normal((30, n))
+        cases.append(B - U @ (U.T @ B))
+    for M in cases:
+        f, g = thin_svd(M), thin_svd(-M)
+        assert np.array_equal(g.U, f.U)
+        assert np.array_equal(g.sigma, f.sigma)
+        assert np.array_equal(g.V, -f.V)
 
 
 def test_delta_rank():
