@@ -208,14 +208,20 @@ def save_problem(P: CompletionProblem, directory, seed=None, r_true=None) -> Non
 
 
 def load_problem(directory) -> CompletionProblem:
-    """Read a bundle that :func:`save_problem` wrote; data that a
-    :class:`CompletionProblem` rejects raises a ``ValueError`` that names
+    """Read a bundle that :func:`save_problem` wrote; a meta.json without
+    integer ``dims`` and a numeric ``p``, or data that a
+    :class:`CompletionProblem` rejects, raises a ``ValueError`` that names
     the bundle."""
     directory = Path(directory)
-    meta = json.loads((directory / "meta.json").read_text())
     omega = load_coo(directory / "omega.coo")
     gamma = load_coo(directory / "gamma.coo")
     try:
+        meta = json.loads((directory / "meta.json").read_text())
+        if not (isinstance(meta, dict) and isinstance(meta.get("dims"), list)
+                and all(type(n) is int for n in meta["dims"])
+                and type(meta.get("p")) in (int, float)):
+            raise ValueError(f"meta.json needs integer dims and a number p, "
+                             f"not {meta!r}")
         return CompletionProblem(tuple(meta["dims"]), omega, gamma, meta["p"])
     except ValueError as e:
         raise ValueError(f"{directory}: {e}") from e

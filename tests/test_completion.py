@@ -1,6 +1,7 @@
 """Unit tests for the tensor-completion objective and synthetic instances."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -84,6 +85,17 @@ def test_load_problem_names_the_bundle_of_non_finite_data(tmp_path):
                         tmp_path / "prob" / "omega.coo")
     with pytest.raises(ValueError, match="prob: non-finite values in the "
                                          "training set Omega"):
+        load_problem(tmp_path / "prob")
+
+
+@pytest.mark.parametrize("meta", [{"dims": [5, 4, 3]},
+                                  {"dims": [5, 4, 3], "p": "0.3"}, []])
+def test_load_problem_names_the_bundle_of_a_malformed_meta(tmp_path, meta):
+    P, _ = _problem()
+    save_problem(P, tmp_path / "prob")
+    (tmp_path / "prob" / "meta.json").write_text(json.dumps(meta))
+    with pytest.raises(ValueError, match="prob: meta.json needs integer dims "
+                                         "and a number p"):
         load_problem(tmp_path / "prob")
 
 
