@@ -17,7 +17,6 @@ import numpy as np
 from .tensor_core import (
     IndexPlan,
     SparseCooTensor,
-    batched_mode_contract,
     cutoff_rank,
     fold,
     index_plan,
@@ -132,16 +131,17 @@ class Contractions:
     array.
 
     A sparse A reaches :func:`~tuckeropt.tensor_core.multi_mode_contract`
-    at most once per pattern, skipping the mode that goes last; a pattern
-    with a matrix on every other mode is then one slab of
-    :func:`~tuckeropt.tensor_core.batched_mode_contract`, so the mode terms
-    that :func:`candidate_contractions` puts in from a batch are the very
-    arrays that forming them here would give.
+    only for patterns with one matrix mode, at most once per pattern.
+    Every pattern with more is derived from one with fewer (see
+    :meth:`_direct`), so that at a full-rank point in d = 3 the d mode
+    terms and the core term all come from the two patterns (I, I, U) and
+    (I, U, I), and a rank candidate's complement patterns are the ones its
+    mode terms come from.
 
     A rank candidate X_c of an iterate X, whose factors are U_j W_j with
     U_j those of X (see :func:`~tuckeropt.tucker.hosvd_truncations`), may
     be served from X's basis instead: ``basis`` is then the pair
-    (Contractions(X, A), ws), as :func:`candidate_contractions` makes it.
+    (Contractions(X, A), ws).
     A pattern is read off that object's X-basis pattern (U_j on the "U"
     modes, the identity elsewhere) by dense mode products: W_j^T on "U"
     modes and [U_j W_j | Ucomp_j]^T on complement modes.  That equals
@@ -185,29 +185,32 @@ class Contractions:
     def _direct(self, modes: tuple, mats) -> np.ndarray:
         """A x_j B_j^T for B_j = mats[j] (None: identity) from A itself.
 
-        The mode s with the largest output size, the first among ties, goes
-        last.  When it carries B_s, the result is B_s^T applied to the
-        pattern with mode s left as it is, which is formed (once) first: the
-        mode terms at a full-rank point give the core term.  A sparse A
-        otherwise reaches the kernel once, skipping mode s.
+        A pattern with two or more matrix modes, or with no identity mode,
+        is B_s^T applied to the pattern with its first matrix mode s left
+        as it is, which is formed (once) first.  A pattern with one matrix
+        mode is that mode's product with a dense A, or one kernel call on a
+        sparse A; the kernel skips the last identity mode when it follows
+        the matrix mode, else the first one, so that its partial is
+        already the unfolding it returns.
         """
         A = self.tensor
-        sizes = tuple(n if M is None else M.shape[1]
-                      for n, M in zip(self.anchor.dims, mats))
-        s = int(np.argmax(sizes))
-        if mats[s] is not None:
+        matrix = [j for j, M in enumerate(mats) if M is not None]
+        eye = [j for j, M in enumerate(mats) if M is None]
+        if len(matrix) > 1 or not eye:
+            s = matrix[0]
             parent = self.contract(modes[:s] + ("I",) + modes[s + 1:])
             return mode_product(parent, s + 1, mats[s].T)
-        if not isinstance(A, SparseCooTensor):
-            out = np.asarray(A)
-            for k, M in enumerate(mats, start=1):
-                if M is not None:
-                    out = mode_product(out, k, M.T)
-            return out
-        if all(M is None for M in mats):
-            return A.to_dense()
+        sparse = isinstance(A, SparseCooTensor)
+        if not matrix:
+            return A.to_dense() if sparse else np.asarray(A)
+        m = matrix[0]
+        if not sparse:
+            return mode_product(np.asarray(A), m + 1, mats[m].T)
+        skip = eye[-1] if eye[-1] > m else eye[0]
+        sizes = tuple(n if M is None else M.shape[1]
+                      for n, M in zip(self.anchor.dims, mats))
         # the module global, so that a wrapper installed on it sees the call
-        return fold(multi_mode_contract(A, mats, s + 1), s + 1, sizes)
+        return fold(multi_mode_contract(A, mats, skip + 1), skip + 1, sizes)
 
     def _served(self, key: tuple, mats) -> np.ndarray:
         """A x_j B_j^T for B_j = mats[j] (None: identity) from the X-basis
@@ -219,39 +222,6 @@ class Contractions:
             if B is not None:
                 P = mode_product(P, j + 1, (ws[j] if m == "U" else B).T)
         return P
-
-
-def candidate_contractions(X: TuckerTensor, candidates) -> list:
-    """:class:`Contractions` of rank candidates of X, served from X's basis.
-
-    ``candidates`` holds one (X_c, ws, A_c) per candidate, where X_c is X
-    truncated with factors U_j ws[j] and A_c is the tensor to contract
-    (the gradient at X_c).  Each candidate's basis is the pair
-    (Contractions(X, A_c), ws), whose "U"/"I" patterns are the X-basis
-    patterns.  When every A_c is sparse on one index plan, the d mode terms
-    A_c x_{j != k} U_j^T of all candidates are formed by d calls of
-    :func:`~tuckeropt.tensor_core.batched_mode_contract` and put into those
-    objects, bit-identical to forming each alone; other patterns, and every
-    pattern of dense or differently planned tensors, are formed per
-    candidate on first request.
-    """
-    out = [Contractions(Xc, A, (Contractions(X, A), ws))
-           for Xc, ws, A in candidates]
-    grads = [A for _, _, A in candidates]
-    if not grads or not all(isinstance(A, SparseCooTensor)
-                            and A.plan is grads[0].plan for A in grads):
-        return out
-    plan = grads[0].plan
-    vals = [A.vals for A in grads]
-    d = X.ndim
-    for k in range(d):
-        terms = batched_mode_contract(plan, X.dims, vals, X.factors, k + 1)
-        dims = tuple(n if j == k else q for j, (n, q) in
-                     enumerate(zip(X.dims, X.rank)))
-        modes = tuple("I" if j == k else "U" for j in range(d))
-        for C, T in zip(out, terms):
-            C._basis[0]._memo[modes] = (fold(T, k + 1, dims), modes)
-    return out
 
 
 def _mode_key(m):

@@ -20,7 +20,6 @@ from .geometry import (
     Contractions,
     TangentVector,
     approx_project,
-    candidate_contractions,
     partial_project,
     stationarity_measure,
     tangent_norm,
@@ -296,10 +295,6 @@ def _candidate_ranks(X, r, cfg, retraction_free, delta_eff):
     return list(itertools.product(*sets))
 
 
-# rank candidates whose gradients are held, and contracted, at one time
-_CANDIDATE_BATCH = 8
-
-
 def _rank_decrease_step(obj, X, fX, grad, r, cfg, retraction_free,
                         delta_eff):
     """Evaluate every lower-rank candidate, keep the best; returns (Y, info, n).
@@ -317,9 +312,10 @@ def _rank_decrease_step(obj, X, fX, grad, r, cfg, retraction_free,
     already has.  Only the other distinct ranks evaluate f and grad f.
 
     Those other candidates are served from X's basis: their factors are
-    U_k W_k, so their contractions are X-basis contractions followed by
-    small W products (:func:`candidate_contractions`), and the mode terms of
-    up to ``_CANDIDATE_BATCH`` candidates are formed together.
+    U_k W_k, so their contractions are X-basis contractions of their own
+    gradient followed by small W products (see :class:`Contractions`).
+    Each candidate forms its patterns on demand and drops them after its
+    step.
     """
     cands = _candidate_ranks(X, r, cfg, retraction_free, delta_eff)
     distinct = {}
@@ -330,33 +326,22 @@ def _rank_decrease_step(obj, X, fX, grad, r, cfg, retraction_free,
     best_key = None
     best = None
     failures = []
-    items = list(distinct.values())
-    for a in range(0, len(items), _CANDIDATE_BATCH):
-        batch = items[a:a + _CANDIDATE_BATCH]
-        others = [(Xc, ws) + _f_and_grad(obj, Xc)
-                  for _, Xc, ws in batch if Xc.rank != X.rank]
-        served = candidate_contractions(
-            X, [(Xc, ws, gc) for Xc, ws, _, gc in others])
-        # taken one at a time, so that each candidate's contractions are
-        # freed after its step rather than held for the whole batch
-        queue = [(Xc, fc, gc) for (Xc, _, fc, _), gc in zip(others, served)]
-        queue.reverse()
-        del others, served
-        for rl, Xc, _ in batch:
-            if Xc.rank == X.rank:
-                Xc, fc, gc = X, fX, grad
-            else:
-                Xc, fc, gc = queue.pop()
-            try:
-                Yc, info = _direction_step(obj, Xc, gc, fc, r, cfg,
-                                           retraction_free)
-            except LineSearchFailure as e:
-                failures.append(f"candidate {rl}: {e}")
-                continue
-            key = (info.f_after, sum(rl), rl)
-            if best_key is None or key < best_key:
-                best_key = key
-                best = (Yc, info)
+    for rl, Xc, ws in distinct.values():
+        if Xc.rank == X.rank:
+            Xc, fc, gc = X, fX, grad
+        else:
+            fc, A = _f_and_grad(obj, Xc)
+            gc = Contractions(Xc, A, (Contractions(X, A), ws))
+        try:
+            Yc, info = _direction_step(obj, Xc, gc, fc, r, cfg,
+                                       retraction_free)
+        except LineSearchFailure as e:
+            failures.append(f"candidate {rl}: {e}")
+            continue
+        key = (info.f_after, sum(rl), rl)
+        if best_key is None or key < best_key:
+            best_key = key
+            best = (Yc, info)
     if best is None:
         raise CandidateExhaustion(
             f"all {len(cands)} rank candidates failed the line search",

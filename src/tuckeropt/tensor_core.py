@@ -35,95 +35,30 @@ class IndexPlan:
     ``len(plan)`` is the number of tuples.
     """
 
-    __slots__ = ("idx", "cols", "_segments", "_chunks", "_fibres")
+    __slots__ = ("idx", "cols", "_fibres")
 
     def __init__(self, idx: np.ndarray):
         self.idx = idx
         self.cols = tuple(idx[:, k] - 1 for k in range(idx.shape[1]))
-        self._segments = {}
-        self._chunks = {}
         self._fibres = {}
 
     def __len__(self) -> int:
         return self.idx.shape[0]
 
-    def segments(self, k: int):
-        """(order, starts, keys) of the tuples grouped by their mode-k index.
-
-        ``order`` is the stable sort of ``cols[k]``; in that order the
-        tuples with 0-based mode-k index keys[s] fill positions
-        starts[s]:starts[s + 1] (the last starts is len(self)).  Built on
-        first request and kept.
-        """
-        if k not in self._segments:
-            order = np.argsort(self.cols[k], kind="stable")
-            c = self.cols[k].take(order)
-            first = np.flatnonzero(c[1:] != c[:-1]) + 1
-            starts = np.concatenate([[0], first, [c.size]]) if c.size else \
-                np.zeros(1, dtype=np.int64)
-            self._segments[k] = (order, starts, c.take(starts[:-1]))
-        return self._segments[k]
-
-    def fibres(self, lead) -> np.ndarray:
-        """Index of each tuple's fibre in a tensor whose leading modes have
-        the sizes ``lead``: sum_{k < s} cols[k] * prod_{j < k} lead[j],
-        with s = len(lead), mode 1 fastest.  Built on first request per
-        ``lead`` and kept."""
-        lead = tuple(lead)
-        if lead not in self._fibres:
+    def fibres(self, modes, sizes) -> np.ndarray:
+        """Index of each tuple's fibre in a tensor over the 0-based modes
+        ``modes``, of sizes ``sizes``, the first listed mode fastest:
+        sum_i cols[modes[i]] * prod_{j < i} sizes[j].  Built on first
+        request per (modes, sizes) and kept."""
+        key = (tuple(modes), tuple(sizes))
+        if key not in self._fibres:
             fib = np.zeros(len(self), dtype=np.int64)
             stride = 1
-            for c, n in zip(self.cols, lead):
-                fib += c * stride
+            for k, n in zip(*key):
+                fib += self.cols[k] * stride
                 stride *= n
-            self._fibres[lead] = fib
-        return self._fibres[lead]
-
-    def chunks(self, k: int, step: int):
-        """Padded slot layout of the mode-k segments, in chunks of about
-        ``step`` slots; built on first request per (k, step) and kept
-        (once for all steps that give a single chunk).
-
-        Each chunk is (keys, n, width, sel, pads, gathered): its n whole
-        segments, with 0-based mode-k indices ``keys``, each padded to the
-        longest of them, ``width`` tuples, so that segment t fills slots
-        t * width ... t * width + its length - 1.  A chunk holds at most
-        ``step`` slots unless one segment alone is longer.  ``sel[i]`` is
-        the tuple in slot i; a pad slot selects tuple len(self) - 1, and
-        ``pads`` lists the pad slots, whose weight a kernel sets to 0.
-        ``gathered`` holds ``cols[j].take(sel)`` for every mode j != k in
-        order, or for mode k alone when it is the only mode.
-        """
-        order, starts, keys = self.segments(k)
-        lens = np.diff(starts)
-        # every step from the one that holds all segments at their longest
-        # length up gives one chunk of them all: keep that layout once
-        step = min(step, keys.size * int(lens.max(initial=0)))
-        key = (k, step)
-        if key not in self._chunks:
-            m = len(self)
-            modes = [j for j in range(len(self.cols)) if j != k] or [k]
-            out = []
-            s = 0
-            while s < len(keys):
-                # whole segments s..e-1, each padded to the longest of them
-                widths = np.maximum.accumulate(lens[s:s + step])
-                e = s + max(1, int(np.searchsorted(
-                    widths * np.arange(1, widths.size + 1), step,
-                    side="right")))
-                n, width = e - s, int(widths[e - s - 1])
-                a, b, slots = int(starts[s]), int(starts[e]), n * width
-                sel = np.full(slots, m)
-                sel[np.arange(a, b) + np.repeat(
-                    np.arange(0, slots, width) - starts[s:e],
-                    lens[s:e])] = order[a:b]
-                pads = np.flatnonzero(sel == m)
-                sel[pads] = m - 1
-                out.append((keys[s:e], n, width, sel, pads,
-                            tuple(self.cols[j].take(sel) for j in modes)))
-                s = e
-            self._chunks[key] = out
-        return self._chunks[key]
+            self._fibres[key] = fib
+        return self._fibres[key]
 
 
 def strictly_increasing(idx: np.ndarray) -> bool:
@@ -328,8 +263,8 @@ def numerical_rank(M: np.ndarray, tau: float = DEFAULT_RANK_TOL) -> int:
 # Sparse contraction engine: kernels that work on the IndexPlan of a set of
 # index tuples and never densify the ambient tensor.
 
-# Elements per block of the sparse contraction kernels, and so the length of
-# their largest per-entry temporaries.
+# Elements per block of mixed_eval's per-tuple stage, and so the length of
+# its largest per-entry temporaries.
 _SCATTER_BLOCK = 1 << 15
 
 
@@ -344,15 +279,16 @@ def mixed_eval(core: np.ndarray, mats, plan: IndexPlan) -> np.ndarray:
 
     The leading s modes are contracted densely, T = core x_1 mats[0] ...
     x_s mats[s - 1]; each tuple reads its fibre of T (the row at
-    :meth:`IndexPlan.fibres`) and contracts it with its rows of mats[s:].
-    s is the largest value <= d - 1 with n_1 ... n_s <= len(plan), and at
-    least 1 (for d = 1 nothing is left per tuple).  So T has no more
-    fibres than there are tuples unless s = 1, and no temporary exceeds
-    max(n_1, len(plan)) * r_2 ... r_d elements.  The per-tuple stage walks
-    the tuples in blocks of about ``_SCATTER_BLOCK`` gathered elements.  It
-    contracts each mode by one multiply and one in-place add per column of
-    the mode's rows, so each entry's sum runs in the same order whatever
-    the block size, and the result does not depend on it.
+    :meth:`IndexPlan.fibres` of modes 1..s) and contracts it with its rows
+    of mats[s:].  s is the largest value <= d - 1 with n_1 ... n_s <=
+    len(plan), and at least 1 (for d = 1 nothing is left per tuple).  So T
+    has no more fibres than there are tuples unless s = 1, and no temporary
+    exceeds max(n_1, len(plan)) * r_2 ... r_d elements.  The per-tuple stage
+    walks the tuples in blocks of about ``_SCATTER_BLOCK`` gathered
+    elements.  It contracts each mode by one multiply and one in-place add
+    per column of the mode's rows, so each entry's sum runs in the same
+    order whatever the block size, and the result does not depend on it.
+    :func:`multi_mode_contract` is the adjoint of this kernel.
     """
     m, d = len(plan), core.ndim
     if core.size == 0 or m == 0:
@@ -369,7 +305,7 @@ def mixed_eval(core: np.ndarray, mats, plan: IndexPlan) -> np.ndarray:
     for k in range(s):
         T = mats[k] @ T.reshape(-1, core.shape[k]).T
     T = T.reshape(math.prod(dims[:s]), -1)
-    fib = plan.fibres(dims[:s])
+    fib = plan.fibres(range(s), dims[:s])
     out = np.empty(m)
     step = max(1, _SCATTER_BLOCK // T.shape[1])
     for a in range(0, m, step):
@@ -394,20 +330,16 @@ def multi_mode_contract(S: SparseCooTensor, factors, skip: int) -> np.ndarray:
     ignored, and None means the identity).  A matrix mode j contributes
     q_j columns, an identity mode n_j, the first listed mode fastest.
 
-    With a matrix on every mode but ``skip``, the result is slab 0 of
-    :func:`batched_mode_contract` for the one vector ``S.vals``, bit for
-    bit: single and batched contractions are one code path.
-
-    A pattern with an identity mode (a deficient mode of the iterate) is
-    scattered instead.  An entry reaches only the columns of its own
-    identity indices, so the scatter adds its prod q_j products once (q_j
-    over the matrix modes), where a per-slice GEMM would multiply by n_j-wide
-    identity blocks.  An identity mode j enters the scatter index at column
-    offset (i_j - 1) * stride_j and never widens the per-entry Kronecker
-    rows.  The entries are walked in blocks of about ``_SCATTER_BLOCK``
-    Kronecker elements, each held entry-fastest as (Kronecker column,
-    entry); ``np.add.at`` adds unbuffered and in order, so the result is
-    bit-identical to one flat ``bincount`` over all entries.
+    The kernel is the adjoint of :func:`mixed_eval`.  The last t matrix
+    modes are contracted per tuple: each value, times its rows of those
+    modes' factors, goes into the dense partial over the other modes, at
+    the tuple's fibre (:meth:`IndexPlan.fibres`, the skipped mode first),
+    by one ``np.bincount`` per Kronecker column of the rows.  ``bincount``
+    adds the tuples in their order, so each sum runs in a fixed order.  t
+    is the fewest, and at least 1 when there is a matrix mode, that keeps
+    the partial's fibres within max(|S|, output size): one at d = 3.  The
+    other matrix modes are then applied to the partial by dense mode
+    products.  No temporary exceeds len(S) elements besides the partial.
     """
     d = len(S.dims)
     if not 1 <= skip <= d:
@@ -416,105 +348,39 @@ def multi_mode_contract(S: SparseCooTensor, factors, skip: int) -> np.ndarray:
         if j != skip - 1 and U is not None and U.shape[0] != S.dims[j]:
             raise ValueError(f"factor {j + 1} has {U.shape[0]} rows, mode has "
                              f"size {S.dims[j]}")
-    if all(factors[j] is not None for j in range(d) if j != skip - 1):
-        return batched_mode_contract(S.plan, S.dims, [S.vals], factors,
-                                     skip)[0]
-    cols = S.plan.cols
-    mats_t, mat_cols = [], []
-    ncols = 1
-    # output column of each Kronecker column, and each entry's identity offset
-    kron_cols = np.zeros(1, dtype=np.int64)
-    offset = np.zeros(S.nnz, dtype=np.int64)
-    for j in range(d):
-        if j == skip - 1:
-            continue
-        U = factors[j]
-        if U is None:
-            offset += cols[j] * ncols
-            ncols *= S.dims[j]
-            continue
-        mats_t.append(np.ascontiguousarray(U.T))
-        mat_cols.append(cols[j])
-        kron_cols = (np.arange(U.shape[1])[:, None] * ncols
-                     + kron_cols[None, :]).ravel()
-        ncols *= U.shape[1]
+    mats = [None if j == skip - 1 else U for j, U in enumerate(factors)]
+    sizes = [n if U is None else U.shape[1] for n, U in zip(S.dims, mats)]
     nrows = S.dims[skip - 1]
-    out = np.zeros(nrows * ncols)
-    if S.nnz == 0 or kron_cols.size == 0:
-        return out.reshape(nrows, ncols)
-    base = cols[skip - 1] * ncols + offset
-    step = max(1, _SCATTER_BLOCK // kron_cols.size)
-    for a in range(0, S.nnz, step):
-        b = min(a + step, S.nnz)
-        # (Kronecker column, entry) block, entries fastest and the first
-        # listed mode's column fastest among the Kronecker columns
-        kron = np.ones((1, b - a))
-        for Ut, c in zip(mats_t, mat_cols):
-            rows = Ut.take(c[a:b], axis=1)
-            kron = (rows[:, None, :] * kron[None, :, :]).reshape(-1, b - a)
-        flat = kron_cols[:, None] + base[None, a:b]
-        np.add.at(out, flat.ravel(), (kron * S.vals[None, a:b]).ravel())
-    return out.reshape(nrows, ncols)
-
-
-def batched_mode_contract(plan: IndexPlan, dims, vals, factors,
-                          skip: int) -> np.ndarray:
-    """(S_c x_{j != skip} U_j^T)_(skip) for every vector c of ``vals``.
-
-    ``vals`` is a sequence of n_c value vectors; S_c has the values vals[c]
-    on the tuples of ``plan``, and every mode but ``skip`` carries a matrix
-    (``factors[skip - 1]`` is ignored).  The result is (n_c, n_skip,
-    prod q_j), laid out as :func:`multi_mode_contract`'s, which returns
-    slab 0 of this kernel for one vector.
-
-    The tuples that share a mode-skip index (one segment of
-    :meth:`IndexPlan.segments`) reduce to one row of the result by one
-    small GEMM per vector: the last matrix mode's rows on the segment,
-    weighted by the values, times the Kronecker rows of the other matrix
-    modes.  A chunk of whole segments pads each with zero weights to its
-    longest one, so that one ``np.matmul`` call per vector makes the GEMMs
-    of all its segments.  The gathered operands of a chunk hold at most
-    about ``_SCATTER_BLOCK`` elements, however the segment lengths vary,
-    unless one segment alone is longer; a chunk's GEMM result has one row
-    per segment, so it is bounded by the output's rows.  No temporary
-    grows with len(plan) or n_c.
-    Vector c's GEMMs read the same operand shapes and strides whatever n_c
-    is, so its slab does not depend on the other vectors: a slab is
-    bit-identical to the kernel's result for that vector alone.
-    """
-    d = len(plan.cols)
-    if not 1 <= skip <= d:
-        raise ValueError(f"mode {skip} out of range")
-    mats = [U for j, U in enumerate(factors) if j != skip - 1]
-    q = math.prod(U.shape[1] for U in mats)
-    # with no other mode, each slice's values are summed: a column of ones
-    *rest, Ul = mats or [np.ones((dims[skip - 1], 1))]
-    ql = Ul.shape[1]
-    nv, m = len(vals), len(plan)
-    out = np.zeros((nv, dims[skip - 1], q))
-    if not (q and nv and m):
-        return out
-    Ult = np.ascontiguousarray(Ul.T)
-    step = max(1, _SCATTER_BLOCK // max(ql, q // ql))
-    for keys, n, width, sel, pads, gathered in plan.chunks(skip - 1, step):
-        # (last mode's column, slot), slots fastest for the products, and
-        # (slot, Kronecker column) rows of the other modes, the first listed
-        # mode's column fastest; a column of ones when there are none
-        *rest_cols, cl = gathered
-        slots = sel.size
-        L = Ult.take(cl, axis=1)
-        K = np.ones((slots, 1))
-        for i, (U, c) in enumerate(zip(rest, rest_cols)):
-            rows = U.take(c, axis=0)
-            K = rows if i == 0 else (rows[:, :, None]
-                                     * K[:, None, :]).reshape(slots, -1)
-        K = K.reshape(n, width, -1)
-        for c, v in enumerate(vals):
-            g = v.take(sel)
-            g[pads] = 0.0
-            A = (L * g).reshape(ql, n, width).transpose(1, 0, 2)
-            out[c, keys] = np.matmul(A, K).reshape(n, q)
-    return out
+    if S.nnz == 0 or 0 in sizes:
+        return np.zeros((nrows, math.prod(sizes) // nrows))
+    matrix = [j for j in range(d) if mats[j] is not None]
+    bound = max(S.nnz, math.prod(sizes))
+    t = min(1, len(matrix))
+    while t < len(matrix) and math.prod(
+            n for j, n in enumerate(S.dims) if j not in matrix[-t:]) > bound:
+        t += 1
+    trail = matrix[len(matrix) - t:]
+    lead = [skip - 1] + [j for j in range(d)
+                         if j != skip - 1 and j not in trail]
+    nfib = math.prod(S.dims[j] for j in lead)
+    fib = S.plan.fibres(lead, [S.dims[j] for j in lead])
+    rows = [np.ascontiguousarray(mats[j].T) for j in trail]
+    qs = [sizes[j] for j in trail]
+    # (Kronecker column, fibre), the first trailing mode's column fastest
+    part = np.empty((math.prod(qs), nfib))
+    for c, col in enumerate(np.ndindex(*qs[::-1])):
+        w = S.vals
+        for Ut, j, a in zip(rows, trail, col[::-1]):
+            w = Ut[a].take(S.plan.cols[j]) * w
+        part[c] = np.bincount(fib, weights=w, minlength=nfib)
+    # part in Fortran order is the tensor over lead + trail; its axes in
+    # mode order, then the other matrix modes applied densely
+    P = part.reshape(qs[::-1] + [S.dims[j] for j in lead[::-1]]).transpose()
+    P = P.transpose(np.argsort(lead + trail))
+    for j in lead[1:]:
+        if mats[j] is not None:
+            P = mode_product(P, j + 1, mats[j].T)
+    return unfold(P, skip)
 
 
 # ---------------------------------------------------------------------------

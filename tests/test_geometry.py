@@ -296,9 +296,9 @@ def test_shared_contractions_match_fresh_ones(pattern):
 
 
 def test_contractions_are_formed_once_per_pattern(monkeypatch):
-    # at a full-rank point the stationarity measure makes d sparse
-    # contractions (the core term comes from the first mode term), which
-    # the projections then read as they are
+    # at a full-rank point the stationarity measure makes two sparse
+    # contractions, (I, I, U) and (I, U, I), which give the d mode terms
+    # and the core term; the projections then read them as they are
     X = random_tucker(DIMS, (3, 3, 3), RNG)
     G = _sparse(RNG.standard_normal(DIMS))
     calls = []
@@ -307,38 +307,42 @@ def test_contractions_are_formed_once_per_pattern(monkeypatch):
                         lambda *a: calls.append(a[2]) or contract(*a))
     shared = Contractions(X, G)
     stationarity_measure(X, shared, (3, 3, 3))
-    assert calls == [1, 2, 3]
+    assert calls == [1, 3]
     approx_project(X, shared, (3, 3, 3))
     partial_project(X, shared, (3, 3, 3))
-    assert calls == [1, 2, 3]
+    assert calls == [1, 3]
 
 
 def test_derived_contractions_equal_direct_ones():
-    # a pattern whose last-contracted mode (here mode 1) carries a matrix is
-    # formed from the memoized pattern with that mode left as it is; the
-    # result is the one a fresh parent gives, bit for bit, and a pattern
-    # with mode 1 left as it is comes straight from the kernel
+    # a pattern with two or more matrix modes is formed from the memoized
+    # pattern with its first matrix mode left as it is; the result is the
+    # one a fresh parent gives, bit for bit, and a pattern with one matrix
+    # mode comes straight from the kernel (A sparse) or one mode product
     rng = np.random.default_rng(41)
     X = random_tucker(DIMS, (3, 2, 3), rng)
     comp = choose_singular_complement(X, rng.standard_normal(DIMS),
                                       (3, 3, 3))[1]
     for A in (_sparse(rng.standard_normal(DIMS), rng=rng),
               rng.standard_normal(DIMS)):
-        for modes in (("U", "U", "U"), ("U", comp, "U"), ("I", comp, "U")):
+        for modes in (("U", "U", "U"), ("U", comp, "U"), ("I", comp, "U"),
+                      ("I", "I", "U"), ("I", comp, "I")):
             shared = Contractions(X, A)
             mats = [geometry._mode_matrix(U, m)
                     for U, m in zip(X.factors, modes)]
+            matrix = [j for j, M in enumerate(mats) if M is not None]
             got = shared.contract(modes)
-            assert len(shared._memo) == 1 + (mats[0] is not None)
-            if mats[0] is not None:
-                parent = Contractions(X, A).contract(("I",) + modes[1:])
-                ref = mode_product(parent, 1, mats[0].T)
+            assert len(shared._memo) == len(matrix)
+            if len(matrix) > 1:
+                s = matrix[0]
+                parent = Contractions(X, A).contract(
+                    modes[:s] + ("I",) + modes[s + 1:])
+                ref = mode_product(parent, s + 1, mats[s].T)
             elif isinstance(A, SparseCooTensor):
-                ref = fold(geometry.multi_mode_contract(A, mats, 1), 1,
+                skip = 3 if matrix == [1] else 1
+                ref = fold(geometry.multi_mode_contract(A, mats, skip), skip,
                            got.shape)
             else:
-                ref = mode_product(mode_product(A, 2, mats[1].T), 3,
-                                   mats[2].T)
+                ref = mode_product(A, matrix[0] + 1, mats[matrix[0]].T)
             assert np.array_equal(got, ref)
 
 
@@ -414,8 +418,8 @@ def _served_patterns(X, cands, make_grad, r):
     complement choice and both projections have read every pattern."""
     truncs = hosvd_truncations(X, cands)
     grads = [make_grad(Xc) for Xc, _ in truncs]
-    served = geometry.candidate_contractions(
-        X, [(Xc, ws, A) for (Xc, ws), A in zip(truncs, grads)])
+    served = [Contractions(Xc, A, (Contractions(X, A), ws))
+              for (Xc, ws), A in zip(truncs, grads)]
     for C in served:
         comps = choose_singular_complement(C.anchor, C, r)
         approx_project(C.anchor, C, r, comps)
@@ -433,11 +437,11 @@ def _assert_close_patterns(served, fresh):
             assert np.linalg.norm(D - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
-def test_batched_candidate_patterns_match_fresh_ones(monkeypatch):
+def test_served_candidate_patterns_match_fresh_ones():
     # a candidate served from X's basis hands out, for every pattern its
     # complement choice and projections read, what contracting its own
-    # gradient gives: every deficiency set, rank-0 (zero-width W) candidates,
-    # sparse gradients on one plan, on two plans, and dense ones
+    # gradient gives: every deficiency set, rank-0 (zero-width W)
+    # candidates, sparse gradients on one plan, on two plans, and dense ones
     rng = np.random.default_rng(23)
     dims, r = (7, 6, 5), (3, 3, 3)
     X = random_tucker(dims, r, rng)
@@ -445,22 +449,14 @@ def test_batched_candidate_patterns_match_fresh_ones(monkeypatch):
     cands += [(0, 3, 3), (3, 1, 0)]
     plan_a = _sparse(rng.standard_normal(dims), rng=rng)
     plan_b = _sparse(rng.standard_normal(dims), rng=rng)
-    batched = []
-    contract = geometry.batched_mode_contract
-    monkeypatch.setattr(geometry, "batched_mode_contract",
-                        lambda *a: batched.append(a[-1]) or contract(*a))
 
     def sparse_on(S):
         return lambda Xc: S.with_values(rng.standard_normal(S.nnz))
 
     alternating = itertools.cycle([plan_a, plan_b])
-    for make_grad, batches in (
-            (sparse_on(plan_a), [1, 2, 3]),
-            (lambda Xc: rng.standard_normal(dims), []),
-            (lambda Xc: sparse_on(next(alternating))(Xc), [])):
-        batched.clear()
+    for make_grad in (sparse_on(plan_a), lambda Xc: rng.standard_normal(dims),
+                      lambda Xc: sparse_on(next(alternating))(Xc)):
         served, fresh = _served_patterns(X, cands, make_grad, r)
-        assert batched == batches
         _assert_close_patterns(served, fresh)
     # the zero-width candidates really are rank 0 in a mode
     assert {C.anchor.rank for C in served} >= {(0, 0, 0)}

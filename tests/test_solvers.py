@@ -301,59 +301,54 @@ def test_rank_decrease_solvers_match_plain_ones_at_true_rank():
         assert _records(a) == _records(b)
 
 
-def test_full_rank_iteration_contracts_d_times(monkeypatch):
-    # the projection reads the contractions the stationarity measure formed,
-    # and the core term is formed from the first mode term
-    _, _, obj, X0 = _completion_setup()
+def _kernel_log(monkeypatch):
+    """List that receives "iteration" at each stationarity measure and, at
+    each sparse contraction kernel call, the 0-based modes that carry a
+    matrix."""
     log = []
     contract = geometry.multi_mode_contract
-    measure = solvers.stationarity_measure
-
-    def logged_contract(*args):
-        log.append("contract")
-        return contract(*args)
-
-    def logged_measure(*args):
-        log.append("iteration")
-        return measure(*args)
-    monkeypatch.setattr(geometry, "multi_mode_contract", logged_contract)
-    monkeypatch.setattr(solvers, "stationarity_measure", logged_measure)
-    _, trace = solve_grap(obj, X0, X0.rank, SolverConfig(max_iters=3))
-    assert trace.final().iter == 3
-    starts = [i for i, e in enumerate(log) if e == "iteration"] + [len(log)]
-    for a, b in zip(starts, starts[1:]):
-        assert log[a + 1:b] == ["contract"] * X0.ndim
-
-
-def test_multi_candidate_iteration_batches_the_mode_terms(monkeypatch):
-    # rfgrap-r at rank (3, 3, 3) under bound (3, 3, 3), every mode offering
-    # {2, 3}: besides the iterate's own d contractions, the 7 other
-    # candidates take d batched mode-term contractions between them, plus
-    # one contraction for each candidate deficient in exactly two modes
-    # (their complement pattern); the one deficient everywhere densifies
-    P, _ = gen_synthetic((10, 9, 8), (2, 2, 2), 0.3, seed=5)
-    X0 = random_tucker(P.dims, (3, 3, 3), np.random.default_rng(6))
-    cfg = SolverConfig(max_iters=1, delta=1e6, delta_absolute=True)
-    log = []
-    contract, batched = geometry.multi_mode_contract, geometry.batched_mode_contract
     measure = solvers.stationarity_measure
 
     def logged_measure(*args):
         log.append("iteration")
         return measure(*args)
     monkeypatch.setattr(geometry, "multi_mode_contract",
-                        lambda *a: log.append("contract") or contract(*a))
-    monkeypatch.setattr(geometry, "batched_mode_contract",
-                        lambda *a: log.append(("batched", a[-1])) or batched(*a))
+                        lambda S, mats, skip: log.append(tuple(
+                            j for j, M in enumerate(mats)
+                            if M is not None and j != skip - 1))
+                        or contract(S, mats, skip))
     monkeypatch.setattr(solvers, "stationarity_measure", logged_measure)
+    return log
+
+
+def test_full_rank_iteration_contracts_twice(monkeypatch):
+    # the mode terms and the core term come from the patterns (I, I, U) and
+    # (I, U, I), and the projection reads what the stationarity measure formed
+    _, _, obj, X0 = _completion_setup()
+    log = _kernel_log(monkeypatch)
+    _, trace = solve_grap(obj, X0, X0.rank, SolverConfig(max_iters=3))
+    assert trace.final().iter == 3
+    starts = [i for i, e in enumerate(log) if e == "iteration"] + [len(log)]
+    for a, b in zip(starts, starts[1:]):
+        assert log[a + 1:b] == [(2,), (1,)]
+
+
+def test_multi_candidate_iteration_kernel_calls(monkeypatch):
+    # rfgrap-r at rank (3, 3, 3) under bound (3, 3, 3), every mode offering
+    # {2, 3}: the iterate and each of the 7 other candidates, served from
+    # the iterate's basis, make the two contractions (I, I, U) and (I, U, I)
+    # that their mode terms come from; the candidate deficient in modes 2
+    # and 3 also needs (U, I, I) for its complement, and the one deficient
+    # everywhere densifies its gradient for it
+    P, _ = gen_synthetic((10, 9, 8), (2, 2, 2), 0.3, seed=5)
+    X0 = random_tucker(P.dims, (3, 3, 3), np.random.default_rng(6))
+    cfg = SolverConfig(max_iters=1, delta=1e6, delta_absolute=True)
+    log = _kernel_log(monkeypatch)
     _, trace = solve_rfgrap_r(completion_objective(P), X0, (3, 3, 3), cfg)
     assert trace.records[1].n_candidates == 8
     start, end = (i for i, e in enumerate(log) if e == "iteration")
     block = log[start + 1:end]
-    d = X0.ndim
-    two_deficient = 3
-    assert block == (["contract"] * d + [("batched", k) for k in (1, 2, 3)]
-                     + ["contract"] * two_deficient)
+    assert sorted(block) == [(0,)] + [(1,)] * 8 + [(2,)] * 8
 
 
 def test_rank_decrease_reuses_the_iterate_for_its_own_rank():

@@ -9,14 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tuckeropt import tensor_core
+from tuckeropt import geometry, tensor_core
 from tuckeropt.geometry import Contractions
 from tuckeropt.oracles import dense_reference
 from tuckeropt.tensor_core import (
     DEFAULT_RANK_TOL,
     IndexPlan,
     SparseCooTensor,
-    batched_mode_contract,
     cutoff_rank,
     delta_rank,
     fold,
@@ -435,48 +434,21 @@ def _random_coo(dims, frac, rng):
     return SparseCooTensor(dims, idx, rng.standard_normal(idx.shape[0]))
 
 
-@pytest.mark.parametrize("block", [1, 7, None])
-def test_blocked_scatter_is_bit_identical_to_one_bincount(monkeypatch, block):
-    # every pattern with an identity mode is scattered; all-matrix patterns
-    # take the segment-GEMM kernel (test_all_matrix_contraction_matches_dense)
-    if block is not None:
-        monkeypatch.setattr(tensor_core, "_SCATTER_BLOCK", block)
+def test_one_matrix_mode_scatter_is_bit_identical_to_one_bincount():
+    # a pattern with at most one matrix mode is one bincount per column in
+    # tuple order: the same sums, in the same order, as one flat bincount
+    # over all entries, whatever the skipped mode and the factor layout
     rng = np.random.default_rng(5)
     dims = (4, 3, 5, 2)
     S = _random_coo(dims, 0.5, rng)
-    empty = SparseCooTensor(dims, np.zeros((0, 4), dtype=np.int64),
-                            np.zeros(0))
     U = [rng.standard_normal((n, q)) for n, q in zip(dims, (2, 3, 2, 2))]
-    # identity modes before, after and on both sides of every skipped mode
     for skip in range(1, 5):
-        for bits in np.ndindex(2, 2, 2, 2):
-            if not any(bits[j] for j in range(4) if j != skip - 1):
-                continue
-            mats = [None if bits[j] else U[j] for j in range(4)]
-            for T in (S, empty):
-                got = multi_mode_contract(T, mats, skip)
-                assert np.array_equal(got, _bincount_contract(T, mats, skip))
-    # a zero-column factor gives an empty unfolding
-    mats = [U[0], np.zeros((3, 0)), None, U[3]]
-    for skip in (1, 2):
-        got = multi_mode_contract(S, mats, skip)
-        assert got.shape == (dims[skip - 1], 0 if skip != 2 else 20)
-        assert np.array_equal(got, _bincount_contract(S, mats, skip))
-    # several blocks even at the default size, |S| not a multiple of a block
-    big = _random_coo((40, 30, 30), 0.3, rng)
-    qs = (5, 6, 4)
-    V = [rng.standard_normal((n, q)) for n, q in zip(big.dims, qs)]
-    # factors in Fortran order, and column-sliced views as f.U[:, :keep]
-    wide = [rng.standard_normal((n, q + 2)) for n, q in zip(big.dims, qs)]
-    for layout in (V, [np.asfortranarray(M) for M in V],
-                   [M[:, :q] for M, q in zip(wide, qs)]):
-        for skip, eye in ((1, 2), (2, 1), (3, 1)):
-            if block is None:
-                step = tensor_core._SCATTER_BLOCK // qs[6 - skip - eye - 1]
-                assert big.nnz > step and big.nnz % step
-            mats = [None if j == eye - 1 else M for j, M in enumerate(layout)]
-            assert np.array_equal(multi_mode_contract(big, mats, skip),
-                                  _bincount_contract(big, mats, skip))
+        for m in [None] + [j for j in range(4) if j != skip - 1]:
+            for M in (U, [np.asfortranarray(M) for M in U],
+                      [np.hstack([M, M])[:, :M.shape[1]] for M in U]):
+                mats = [M[j] if j == m else None for j in range(4)]
+                assert np.array_equal(multi_mode_contract(S, mats, skip),
+                                      _bincount_contract(S, mats, skip))
 
 
 def _all_matrix_cases(rng):
@@ -492,8 +464,10 @@ def _all_matrix_cases(rng):
 
 @pytest.mark.parametrize("block", [1, 7, None])
 def test_all_matrix_contraction_matches_dense(monkeypatch, block):
-    # one small GEMM per slice: checked against the dense oracle, with
-    # chunks of one or a few whole slices at small blocks
+    # checked against the dense oracle, and as the adjoint of mixed_eval:
+    # <mixed_eval(G, U, Omega), v> = <G, S_v x_k U_k^T> for S_v the values v
+    # on Omega, with mixed_eval's per-tuple stage in blocks of 1, 7 or the
+    # default number of elements
     if block is not None:
         monkeypatch.setattr(tensor_core, "_SCATTER_BLOCK", block)
     rng = np.random.default_rng(31)
@@ -516,51 +490,72 @@ def test_all_matrix_contraction_matches_dense(monkeypatch, block):
                     for j, (n, M) in enumerate(zip(S.dims, U))]
             assert multi_mode_contract(S, zero, skip).shape == (
                 S.dims[skip - 1], 0)
+            G = rng.standard_normal(tuple(M.shape[1] for M in U))
+            shape = G.shape[:skip - 1] + (S.dims[skip - 1],) + G.shape[skip:]
+            full = mode_product(fold(got, skip, shape), skip, U[skip - 1].T)
+            lhs = float(mixed_eval(G, U, S.plan) @ S.vals)
+            rhs = float(np.dot(G.ravel(), full.ravel()))
+            assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
 
 
-def test_chunks_pad_slices_within_a_block(monkeypatch):
-    # mode-1 slices of 18 and of 1 tuple: a chunk pads its slices to its
-    # longest, and holds at most `step` slots unless one slice is longer
-    monkeypatch.setattr(tensor_core, "_SCATTER_BLOCK", 64)
-    rng = np.random.default_rng(33)
-    dims = (12, 8, 7)
-    idx = np.vstack([np.column_stack([np.full(k, i + 1), *(
-        np.unravel_index(rng.choice(56, k, replace=False), (8, 7)))])
-        + [0, 1, 1] for i, k in enumerate([18, 1, 1] * 4)])
-    S = SparseCooTensor(dims, idx, rng.standard_normal(len(idx)))
-    U = [rng.standard_normal((n, q)) for n, q in zip(dims, (2, 2, 3))]
-    slots = []
-    full = np.full
-    monkeypatch.setattr(np, "full", lambda n, v: slots.append(n) or full(n, v))
-    got = multi_mode_contract(S, U, 1)
-    monkeypatch.undo()
-    step = 64 // 3                  # the last mode has the most columns
-    assert slots and all(n <= step or n == 18 for n in slots)
-    ref = dense_reference("multi_mode_contract", S, U, 1)
-    assert np.allclose(got, ref, rtol=0, atol=1e-13 * np.abs(ref).max())
+def _patterns(d):
+    """Every identity/matrix pattern over d modes, as bits (1: identity)."""
+    return list(np.ndindex(*(2,) * d))
+
+
+def test_multi_mode_contract_matches_dense_for_every_pattern():
+    # every identity/matrix pattern and skipped mode at d = 2, 3 and 4, with
+    # slice 2 of every mode but the last unobserved, against the dense
+    # oracle; an empty tensor gives zeros, a zero-width factor an empty
+    # unfolding
+    rng = np.random.default_rng(34)
+    for S, U in _all_matrix_cases(rng):
+        d = len(S.dims)
+        empty = SparseCooTensor(S.dims, np.zeros((0, d), dtype=np.int64),
+                                np.zeros(0))
+        for bits in _patterns(d):
+            mats = [None if b else M for b, M in zip(bits, U)]
+            for skip in range(1, d + 1):
+                got = multi_mode_contract(S, mats, skip)
+                ref = dense_reference("multi_mode_contract", S, mats, skip)
+                assert got.shape == ref.shape
+                assert np.allclose(got, ref, rtol=0,
+                                   atol=1e-13 * np.abs(ref).max())
+                if skip < d:
+                    assert not got[1].any()     # the unobserved slice
+                assert np.array_equal(multi_mode_contract(empty, mats, skip),
+                                      np.zeros(ref.shape))
+                for j in range(d):
+                    if j != skip - 1 and mats[j] is not None:
+                        zero = list(mats)
+                        zero[j] = np.zeros((S.dims[j], 0))
+                        assert multi_mode_contract(S, zero, skip).shape == (
+                            S.dims[skip - 1], 0)
 
 
 def test_no_all_matrix_pattern_reaches_the_scatter(monkeypatch):
-    scattered = []
-
-    class NumpyWithoutScatter:
-        """numpy, but ``np.add.at`` is logged instead of run."""
-
-        add = type("add", (), {"at": staticmethod(
-            lambda *a: scattered.append(a[0].size))})
-
-        def __getattr__(self, name):
-            return getattr(np, name)
-
-    monkeypatch.setattr(tensor_core, "np", NumpyWithoutScatter())
+    # Contractions sends the kernel only patterns with one matrix mode and
+    # derives every other one, at d = 2, 3 and 4
+    calls = []
+    contract = geometry.multi_mode_contract
+    monkeypatch.setattr(geometry, "multi_mode_contract",
+                        lambda S, mats, skip: calls.append(
+                            [j for j, M in enumerate(mats)
+                             if M is not None and j != skip - 1])
+                        or contract(S, mats, skip))
     rng = np.random.default_rng(32)
     for S, U in _all_matrix_cases(rng):
-        for skip in range(1, len(S.dims) + 1):
-            multi_mode_contract(S, U, skip)
-    assert scattered == []
-    # while a pattern with an identity mode is scattered
-    multi_mode_contract(S, [None] + U[1:], 2)
-    assert scattered
+        d = len(S.dims)
+        calls.clear()
+        shared = Contractions(_anchored(U), S)
+        for bits in _patterns(d):
+            got = shared.contract(["I" if b else "U" for b in bits])
+            ref = dense_reference("contract", S, [None if b else M
+                                                  for b, M in zip(bits, U)])
+            assert np.allclose(got, ref, rtol=0,
+                               atol=1e-13 * np.abs(ref).max())
+        # one call per one-matrix pattern, none for the others
+        assert sorted(calls) == [[j] for j in range(d)]
 
 
 def _anchored(U):
@@ -585,8 +580,10 @@ def test_contract_matches_dense_reference():
 
 
 def test_contract_with_a_formed_parent_is_bit_identical():
-    # the last mode (the first among equal output sizes) goes through
-    # B_s^T on the pattern that leaves it, formed fresh or read from a memo
+    # a pattern with two or more matrix modes goes through B_s^T, s its
+    # first matrix mode, on the pattern that leaves mode s, formed fresh or
+    # read from a memo; the kernel skips the last identity mode when it
+    # follows the matrix mode, else the first, and its result is the pattern
     rng = np.random.default_rng(9)
     dims = (6, 5, 7)
     S = _random_coo(dims, 0.4, rng)
@@ -596,46 +593,18 @@ def test_contract_with_a_formed_parent_is_bit_identical():
         parent = Contractions(X, A).contract(("I", "U", "U"))
         got = Contractions(X, A).contract(("U", "U", "U"))
         assert np.array_equal(got, mode_product(parent, 1, U[0].T))
-    # the sparse result is the one GEMM on the kernel's own output, and the
-    # identity-final pattern is that output folded
-    M = multi_mode_contract(S, U, 1)
     shared = Contractions(X, S)
-    assert np.array_equal(shared.contract(("U", "U", "U")),
-                          fold(U[0].T @ M, 1, (3, 3, 3)))
+    last = multi_mode_contract(S, [None, None, U[2]], 1)
+    middle = multi_mode_contract(S, [None, U[1], None], 3)
+    assert np.array_equal(shared.contract(("I", "I", "U")),
+                          fold(last, 1, (6, 5, 3)))
+    assert np.array_equal(shared.contract(("I", "U", "I")),
+                          fold(middle, 3, (6, 3, 7)))
     assert np.array_equal(shared.contract(("I", "U", "U")),
-                          fold(M, 1, (6, 3, 3)))
-
-
-@pytest.mark.parametrize("block", [5, None])
-def test_batched_mode_contract_matches_one_call_per_column(monkeypatch,
-                                                           block):
-    # every column's slab is the kernel's result for that column alone, bit
-    # for bit; unobserved slices stay zero, chunks hold whole segments
-    if block is not None:
-        monkeypatch.setattr(tensor_core, "_SCATTER_BLOCK", block)
-    rng = np.random.default_rng(12)
-    for dims, qs in (((7, 5), (3, 2)), ((6, 9, 4), (2, 3, 2)),
-                     ((4, 3, 5, 3), (2, 2, 3, 1))):
-        S = _random_coo(dims, 0.3, rng)
-        idx = S.idx[S.idx[:, 0] != 2]           # slice 2 of mode 1 unobserved
-        S = SparseCooTensor(dims, idx, np.ones(len(idx)))
-        U = [rng.standard_normal((n, q)) for n, q in zip(dims, qs)]
-        vals = list(rng.standard_normal((4, S.nnz)))
-        for skip in range(1, len(dims) + 1):
-            got = batched_mode_contract(S.plan, dims, vals, U, skip)
-            assert got.shape[0] == 4
-            for c in range(4):
-                ref = multi_mode_contract(S.with_values(vals[c]), U, skip)
-                assert got[c].shape == ref.shape
-                assert np.array_equal(got[c], ref)
-            if skip == 1:
-                assert not got[:, 1].any()
-    # a zero-width factor and an empty plan give zeros of the right shape
-    U[1] = np.zeros((3, 0))
-    assert batched_mode_contract(S.plan, S.dims, vals, U, 1).shape == (4, 4, 0)
-    empty = index_plan(np.zeros((0, 4)), S.dims)
-    got = batched_mode_contract(empty, S.dims, [np.zeros(0)] * 2, U, 2)
-    assert got.shape == (2, 3, 2 * 3 * 1) and not got.any()
+                          mode_product(fold(last, 1, (6, 5, 3)), 2, U[1].T))
+    assert np.array_equal(shared.contract(("U", "U", "I")),
+                          mode_product(fold(middle, 3, (6, 3, 7)), 1,
+                                       U[0].T))
 
 
 def _sampled_coo(dims, m, rng, unobserved=True):
@@ -653,8 +622,9 @@ def _leading_modes(monkeypatch):
     leads = []
     fibres = IndexPlan.fibres
     monkeypatch.setattr(IndexPlan, "fibres",
-                        lambda plan, lead: leads.append(tuple(lead))
-                        or fibres(plan, lead))
+                        lambda plan, modes, sizes: leads.append(
+                            (tuple(modes), tuple(sizes)))
+                        or fibres(plan, modes, sizes))
     return leads
 
 
@@ -681,12 +651,13 @@ def test_mixed_eval_matches_dense(monkeypatch, dims, shape, m, s):
     mats = [rng.standard_normal((n, r)) for n, r in zip(dims, shape)]
     leads = _leading_modes(monkeypatch)
     got = mixed_eval(core, mats, S.plan)
-    assert leads == [dims[:s]]
+    assert leads == [(tuple(range(s)), dims[:s])]
     ref = dense_reference("entries_at", TuckerTensor(core, mats), S.idx)
     assert np.allclose(got, ref, rtol=0, atol=1e-13 * np.abs(ref).max())
     # a plan that shares the pattern shares its fibre index
     shared = S.with_values(np.zeros(S.nnz)).plan
-    assert shared.fibres(dims[:s]) is S.plan.fibres(dims[:s])
+    assert shared.fibres(range(s), dims[:s]) is S.plan.fibres(range(s),
+                                                               dims[:s])
 
 
 @pytest.mark.parametrize("dims, shape, m, s", _MIXED_EVAL_CASES)
@@ -720,21 +691,14 @@ def test_mixed_eval_of_empty_operands_is_zero():
     assert got.shape == (0,)
 
 
-def test_index_plan_segments_group_tuples_by_mode_index():
-    plan = index_plan([[2, 1], [1, 2], [2, 2], [1, 1], [4, 1]], (4, 2))
-    order, starts, keys = plan.segments(0)
-    assert order.tolist() == [1, 3, 0, 2, 4]        # stable within a group
-    assert starts.tolist() == [0, 2, 4, 5] and keys.tolist() == [0, 1, 3]
-    assert plan.segments(0) is plan.segments(0)     # built once
-    # segments [1, 3], [0, 2], [4]: at 4 slots a chunk, two chunks; at 6,
-    # one chunk of width 2 whose last slot pads segment [4] with tuple 4
-    assert [c[0].tolist() for c in plan.chunks(0, 4)] == [[0, 1], [3]]
-    [(keys, n, width, sel, pads, (c2,))] = plan.chunks(0, 6)
-    assert keys.tolist() == [0, 1, 3] and (n, width) == (3, 2)
-    assert sel.tolist() == [1, 3, 0, 2, 4, 4] and pads.tolist() == [5]
-    assert c2.tolist() == [1, 0, 0, 1, 0, 0]    # mode 2's columns on the slots
-    # kept, once for every step that holds all segments in one chunk
-    assert plan.chunks(0, 6) is plan.chunks(0, 6) is plan.chunks(0, 100)
+def test_index_plan_fibres_index_any_mode_subset():
+    plan = index_plan([[2, 1, 3], [1, 2, 1], [4, 2, 2]], (4, 2, 3))
+    # modes 3 and 1, mode 3 fastest: i_3 - 1 + 3 (i_1 - 1)
+    assert plan.fibres((2, 0), (3, 4)).tolist() == [5, 0, 10]
+    assert plan.fibres([0, 1], [4, 2]).tolist() == [1, 4, 7]
+    # built once per (modes, sizes) and kept
+    assert plan.fibres((2, 0), (3, 4)) is plan.fibres([2, 0], [3, 4])
+    assert len(plan.fibres((), ())) == 3 and not plan.fibres((), ()).any()
 
 
 def test_index_plan_checks_its_tuples():
