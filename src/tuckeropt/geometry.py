@@ -149,13 +149,14 @@ class Contractions:
     to rounding.
     """
 
-    __slots__ = ("anchor", "tensor", "_memo", "_basis")
+    __slots__ = ("anchor", "tensor", "_memo", "_basis", "_residuals")
 
     def __init__(self, X: TuckerTensor, A, basis=None):
         self.anchor = X
         self.tensor = A
         self._memo = {}
         self._basis = basis
+        self._residuals = {}
 
     def contract(self, modes) -> np.ndarray:
         """A x_j B_j^T over every mode j, where modes[j] names B_j, formed
@@ -181,6 +182,23 @@ class Contractions:
             hit = (D, modes)
             self._memo[key] = hit
         return hit[0]
+
+    def mode_residual(self, k: int, comp=None) -> np.ndarray:
+        """D - B (B^T D) for D the mode-(k+1) unfolding of the mode term
+        A x_{j != k} U_j^T and B = [U_k | comp] (U_k itself when comp is
+        None or has no columns).  The U_k-only residual, which the
+        stationarity measure and both projections read, is formed once per
+        mode."""
+        U = self.anchor.factors[k]
+        B = U if comp is None else _mode_matrix(U, comp)
+        R = self._residuals.get(k) if B is U else None
+        if R is None:
+            modes = ["I" if j == k else "U" for j in range(self.anchor.ndim)]
+            D = unfold(self.contract(modes), k + 1)
+            R = D - B @ (B.T @ D)
+            if B is U:
+                self._residuals[k] = R
+        return R
 
     def _direct(self, modes: tuple, mats) -> np.ndarray:
         """A x_j B_j^T for B_j = mats[j] (None: identity) from A itself.
@@ -311,15 +329,6 @@ def _core_pinv(X: TuckerTensor, k: int) -> np.ndarray:
     return (f.V[:, :q] / f.sigma[:q]) @ f.U[:, :q].T
 
 
-def _mode_residual(X: TuckerTensor, A: Contractions, k: int,
-                   B: np.ndarray) -> np.ndarray:
-    """D - B (B^T D) for D the mode-(k+1) unfolding of the mode term
-    A x_{j != k} U_j^T at X."""
-    modes = ["I" if j == k else "U" for j in range(X.ndim)]
-    D = unfold(A.contract(modes), k + 1)
-    return D - B @ (B.T @ D)
-
-
 def _project(X: TuckerTensor, A, r, complements, widen: bool):
     """The per-iterate core of both tangent-cone projections of A at X.
 
@@ -339,10 +348,8 @@ def _project(X: TuckerTensor, A, r, complements, widen: bool):
     if complements is None:
         complements = choose_singular_complement(X, A, r)
     C = A.contract(complements)
-    udots = []
-    for k, (U, Uc) in enumerate(zip(X.factors, complements)):
-        B = _mode_matrix(U, Uc) if widen else U
-        udots.append(_mode_residual(X, A, k, B) @ _core_pinv(X, k + 1))
+    udots = [A.mode_residual(k, Uc if widen else None) @ _core_pinv(X, k + 1)
+             for k, Uc in enumerate(complements)]
     return r, C, tuple(udots), tuple(complements)
 
 
@@ -394,7 +401,7 @@ def stationarity_measure(X: TuckerTensor, grad, r) -> StationarityReport:
         if (k + 1) in deficient:
             mode_resid.append(0.0)
             continue
-        M = _mode_residual(X, grad, k, X.factors[k])
+        M = grad.mode_residual(k)
         mode_resid.append(float(np.linalg.norm(M @ unfold(X.core, k + 1).T)))
     value = float(np.sqrt(core_resid ** 2 + np.sum(np.square(mode_resid))))
     return StationarityReport(value=value, core_residual=core_resid,

@@ -308,9 +308,14 @@ def test_contractions_are_formed_once_per_pattern(monkeypatch):
     shared = Contractions(X, G)
     stationarity_measure(X, shared, (3, 3, 3))
     assert calls == [1, 3]
+    # so are the U-only mode residuals D_k - U_k (U_k^T D_k)
+    residuals = [shared.mode_residual(k) for k in range(3)]
     approx_project(X, shared, (3, 3, 3))
     partial_project(X, shared, (3, 3, 3))
     assert calls == [1, 3]
+    assert all(shared.mode_residual(k) is R for k, R in enumerate(residuals))
+    comp = np.zeros((DIMS[0], 0))
+    assert shared.mode_residual(0, comp) is residuals[0]
 
 
 def test_derived_contractions_equal_direct_ones():
