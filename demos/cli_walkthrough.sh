@@ -16,9 +16,11 @@ tuckeropt complete "$OUT/bench/over-rank_problem" --solver grap-r \
     --trace "$OUT/trace.csv" --summary "$OUT/summary.json" \
     --save "$OUT/solution.ckpt" || [ $? -eq 2 ]
 
-# 3. Resume from the checkpoint for a few more iterations.
+# 3. Resume from the checkpoint for ten more iterations: the run goes on
+#    from iteration 40 with the same rank-decrease threshold, and
+#    --max-iters bounds the iteration index it reaches.
 tuckeropt complete "$OUT/bench/over-rank_problem" --solver grap-r \
-    --rank 4,4,4 --delta 0.5 --max-iters 10 \
+    --rank 4,4,4 --delta 0.5 --max-iters 50 \
     --resume "$OUT/solution.ckpt" || [ $? -eq 2 ]
 
 # 4. Brute-force verification suites (exact projections, gradients, bounds).

@@ -95,16 +95,19 @@ def _spectral_init(problem, r):
     return hosvd(dense, r)
 
 
+def _resumed_point(problem, r, path):
+    """(X0, start, delta_eff) of the checkpoint at ``path``, truncated to
+    the rank bound r where it exceeds it."""
+    X0, start, delta_eff = load_checkpoint(path)
+    if X0.dims != problem.dims:
+        raise ValueError(f"checkpoint dims {X0.dims} do not match problem "
+                         f"dims {problem.dims}")
+    if any(a > b for a, b in zip(X0.rank, r)):
+        X0 = hosvd_truncate(X0, tuple(min(a, b) for a, b in zip(X0.rank, r)))
+    return X0, start, delta_eff
+
+
 def _initial_point(problem, r, args):
-    if getattr(args, "resume", None):
-        X0 = load_checkpoint(args.resume)
-        if X0.dims != problem.dims:
-            raise ValueError(f"checkpoint dims {X0.dims} do not match problem "
-                             f"dims {problem.dims}")
-        if any(a > b for a, b in zip(X0.rank, r)):
-            X0 = hosvd_truncate(X0, tuple(min(a, b)
-                                          for a, b in zip(X0.rank, r)))
-        return X0
     init = getattr(args, "init", "spectral")
     if init == "random":
         # a stream of its own: gen_synthetic draws the truth from
@@ -116,9 +119,11 @@ def _initial_point(problem, r, args):
 
 def _run_solver(problem, r, args, cfg):
     obj = completion_objective(problem)
-    X0 = _initial_point(problem, r, args)
     solve = SOLVERS[args.solver]
-    return solve(obj, X0, r, cfg)
+    if args.resume:
+        X0, start, delta_eff = _resumed_point(problem, r, args.resume)
+        return solve(obj, X0, r, cfg, start=start, delta_eff=delta_eff)
+    return solve(obj, _initial_point(problem, r, args), r, cfg)
 
 
 def _exit_code(trace) -> int:
@@ -140,7 +145,7 @@ def cmd_complete(args) -> int:
     if args.summary:
         write_summary_json(trace, args.summary)
     if args.save:
-        save_checkpoint(X, args.save)
+        save_checkpoint(X, args.save, trace.final().iter, trace.delta_eff)
     rec = trace.final()
     print(f"{args.solver}: {trace.termination} after {rec.iter} iterations, "
           f"f={rec.f_value:.6e}, stationarity={rec.stationarity:.3e}, "
@@ -272,7 +277,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--init", choices=["spectral", "random"],
                    default="spectral")
     p.add_argument("--save", type=Path, help="write final Tucker checkpoint")
-    p.add_argument("--resume", type=Path, help="start from a checkpoint")
+    p.add_argument("--resume", type=Path,
+                   help="continue the run a checkpoint was saved from")
     p.set_defaults(fn=cmd_complete)
 
     p = sub.add_parser("bench", help="run a synthetic benchmark suite")

@@ -128,13 +128,16 @@ class SolverTrace:
     ``"candidate_exhaustion"`` it is the message, then one line per rank
     candidate that failed its line search.  A run ends ``"non_finite"``,
     with a last record whose stationarity is NaN, when f(X) or
-    ||grad f(X)|| is not finite.
+    ||grad f(X)|| is not finite.  ``delta_eff`` is the rank-decrease
+    threshold the run used (None for a plain solver not handed one), which
+    a checkpoint keeps so that a resumed run uses it too.
     """
 
     solver: str
     records: list = field(default_factory=list)
     termination: str = "running"
     diagnostics: tuple = ()
+    delta_eff: float | None = None
 
     @property
     def iters(self) -> int:
@@ -349,7 +352,17 @@ def _rank_decrease_step(obj, X, fX, grad, r, cfg, retraction_free,
     return best[0], best[1], len(cands)
 
 
-def _solve(obj, X0, r, cfg, *, retraction_free, rank_decrease, name):
+def _solve(obj, X0, r, cfg, *, retraction_free, rank_decrease, name,
+           start=0, delta_eff=None):
+    """Run one solver from X0; returns (X, SolverTrace).
+
+    ``start`` and ``delta_eff`` continue a run from its iterate X0 at
+    iteration ``start`` (see :func:`~tuckeropt.tucker.save_checkpoint`):
+    the records are numbered from ``start``, ``cfg.max_iters`` still bounds
+    the iteration index, and the rank-decrease threshold is ``delta_eff``
+    rather than the default delta * sigma_max(X0).  A run resumed at an
+    index at or past ``cfg.max_iters`` records its start point and ends.
+    """
     r = tuple(int(x) for x in r)
     if len(r) != X0.ndim:
         raise ValueError(f"rank bound {r} has {len(r)} entries, the start "
@@ -357,12 +370,13 @@ def _solve(obj, X0, r, cfg, *, retraction_free, rank_decrease, name):
     if any(rl > rk for rl, rk in zip(X0.rank, r)):
         raise ValueError(f"start rank {X0.rank} exceeds bound {r}")
     t_start = time.perf_counter()
-    trace = SolverTrace(solver=name)
-    delta_eff = _effective_delta(X0, cfg) if rank_decrease else None
+    if rank_decrease and delta_eff is None:
+        delta_eff = _effective_delta(X0, cfg)
+    trace = SolverTrace(solver=name, delta_eff=delta_eff)
     X = X0
     pending = _NO_STEP
     n_candidates = 0
-    for t in range(cfg.max_iters + 1):
+    for t in range(start, max(start, cfg.max_iters) + 1):
         fX, grad = _f_and_grad(obj, X)
         gnorm = fro_norm(grad)
         if not (math.isfinite(fX) and math.isfinite(gnorm)):
@@ -378,7 +392,7 @@ def _solve(obj, X0, r, cfg, *, retraction_free, rank_decrease, name):
         if stat <= cfg.stat_tol:
             trace.termination = "converged"
             return X, trace
-        if t == cfg.max_iters:
+        if t >= cfg.max_iters:
             trace.termination = "max_iters"
             return X, trace
         if rank_decrease:
@@ -406,24 +420,28 @@ def _solve(obj, X0, r, cfg, *, retraction_free, rank_decrease, name):
     return X, trace
 
 
-def solve_grap(obj, X0, r, cfg):
+def solve_grap(obj, X0, r, cfg, *, start=0, delta_eff=None):
     return _solve(obj, X0, r, cfg, retraction_free=False,
-                  rank_decrease=False, name="grap")
+                  rank_decrease=False, name="grap", start=start,
+                  delta_eff=delta_eff)
 
 
-def solve_rfgrap(obj, X0, r, cfg):
+def solve_rfgrap(obj, X0, r, cfg, *, start=0, delta_eff=None):
     return _solve(obj, X0, r, cfg, retraction_free=True,
-                  rank_decrease=False, name="rfgrap")
+                  rank_decrease=False, name="rfgrap", start=start,
+                  delta_eff=delta_eff)
 
 
-def solve_grap_r(obj, X0, r, cfg):
+def solve_grap_r(obj, X0, r, cfg, *, start=0, delta_eff=None):
     return _solve(obj, X0, r, cfg, retraction_free=False,
-                  rank_decrease=True, name="grap-r")
+                  rank_decrease=True, name="grap-r", start=start,
+                  delta_eff=delta_eff)
 
 
-def solve_rfgrap_r(obj, X0, r, cfg):
+def solve_rfgrap_r(obj, X0, r, cfg, *, start=0, delta_eff=None):
     return _solve(obj, X0, r, cfg, retraction_free=True,
-                  rank_decrease=True, name="rfgrap-r")
+                  rank_decrease=True, name="rfgrap-r", start=start,
+                  delta_eff=delta_eff)
 
 
 # ---------------------------------------------------------------------------

@@ -398,16 +398,17 @@ def save_dense(X: np.ndarray, path) -> None:
         f.write(np.asarray(X, dtype="<f8").ravel(order="F").tobytes())
 
 
-def read_binary_header(path, magic: bytes, what: str, fields: int):
-    """(data, header, head) of a binary file: ``magic``, a u32 order d and
-    fields * d u32 values (``header``) that end at byte ``head``.
+def read_binary_header(path, magics, what: str, fields: int):
+    """(data, header, head) of a binary file: one of the 5-byte ``magics``,
+    a u32 order d and fields * d u32 values (``header``) that end at byte
+    ``head``.
 
     A wrong magic, a truncated header and order 0 raise a ``ValueError``
     that names the file.  ``what`` names the format in the message.
     """
     with open(path, "rb") as f:
         data = f.read()
-    if data[:5] != magic:
+    if data[:5] not in magics:
         raise ValueError(f"{path}: not a {what} file")
     d = struct.unpack_from("<I", data, 5)[0] if len(data) >= 9 else 0
     head = 9 + 4 * fields * d
@@ -433,7 +434,8 @@ def read_binary_values(path, data, head: int, count: int,
 def load_dense(path) -> np.ndarray:
     """Read a tensor that :func:`save_dense` wrote; a malformed file or a
     non-finite value raises a ``ValueError`` that names it."""
-    data, dims, head = read_binary_header(path, _DENSE_MAGIC, "dense tensor", 1)
+    data, dims, head = read_binary_header(path, (_DENSE_MAGIC,),
+                                           "dense tensor", 1)
     vals = read_binary_values(path, data, head, math.prod(dims), "dense tensor")
     if not np.isfinite(vals).all():
         raise ValueError(f"{path}: non-finite values in the dense tensor")

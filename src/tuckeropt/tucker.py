@@ -251,36 +251,63 @@ def add_scaled_tangent(T: TuckerTensor, s: float, V) -> TuckerTensor:
 # ---------------------------------------------------------------------------
 # Checkpoint format
 
-_CKPT_MAGIC = b"TTKR1"
+_CKPT_MAGIC = b"TTKR2"
+# the format before the run state: it resumes as a new run from its point
+_CKPT_MAGIC_V1 = b"TTKR1"
 
 
-def save_checkpoint(T: TuckerTensor, path) -> None:
-    """Binary checkpoint: magic, dims, core dims, core values, factors."""
+def save_checkpoint(T: TuckerTensor, path, iteration: int = 0,
+                    delta_eff: float | None = None) -> None:
+    """Binary checkpoint: magic, dims, core dims, the run state, core
+    values, factors.
+
+    The run state is the u64 iteration index of T and the f64
+    rank-decrease threshold delta_eff the run used (NaN for none), so that
+    a solver resumed from T continues the same iterate sequence.
+    """
     with open(path, "wb") as f:
         f.write(_CKPT_MAGIC)
         f.write(struct.pack("<I", T.ndim))
         f.write(struct.pack(f"<{T.ndim}I", *T.dims))
         f.write(struct.pack(f"<{T.ndim}I", *T.rank))
+        f.write(struct.pack("<Qd", iteration,
+                            math.nan if delta_eff is None else delta_eff))
         f.write(np.asarray(T.core, dtype="<f8").ravel(order="F").tobytes())
         for U in T.factors:
             f.write(np.asarray(U, dtype="<f8").ravel(order="F").tobytes())
 
 
-def load_checkpoint(path) -> TuckerTensor:
-    """Read a checkpoint that :func:`save_checkpoint` wrote.
+def load_checkpoint(path):
+    """Read a checkpoint that :func:`save_checkpoint` wrote; returns
+    (T, iteration, delta_eff), with delta_eff None when the run had none.
 
-    A header of order 0 or with a rank above its mode size, and a file
-    shorter or longer than its header declares, raise a ``ValueError`` that
-    names the file.
+    A checkpoint in the format before the run state reads as iteration 0
+    with no delta_eff.  A header of order 0, with a rank above its mode
+    size or with a delta_eff that is neither NaN nor positive and finite,
+    and a file shorter or longer than its header declares, raise a
+    ``ValueError`` that names the file.
     """
     what = "Tucker checkpoint"
-    data, header, head = read_binary_header(path, _CKPT_MAGIC, what, 2)
+    data, header, head = read_binary_header(
+        path, (_CKPT_MAGIC, _CKPT_MAGIC_V1), what, 2)
     dims, rank = header[:len(header) // 2], header[len(header) // 2:]
     if any(r > n for r, n in zip(rank, dims)):
         raise ValueError(f"{path}: checkpoint rank {rank} exceeds its dims {dims}")
+    iteration, delta_eff = 0, None
+    if data[:5] == _CKPT_MAGIC:
+        if len(data) < head + 16:
+            raise ValueError(f"{path}: truncated {what} header")
+        iteration, delta_eff = struct.unpack_from("<Qd", data, head)
+        head += 16
+        if math.isnan(delta_eff):
+            delta_eff = None
+        elif not (math.isfinite(delta_eff) and delta_eff > 0):
+            raise ValueError(f"{path}: checkpoint threshold {delta_eff} is "
+                             f"not positive and finite")
     sizes = [math.prod(rank)] + [n * r for n, r in zip(dims, rank)]
     vals = read_binary_values(path, data, head, sum(sizes), what)
     core, *factors = np.split(vals, np.cumsum(sizes)[:-1])
-    return TuckerTensor(core.reshape(rank, order="F").copy(),
-                        tuple(U.reshape((n, r), order="F").copy()
-                              for U, n, r in zip(factors, dims, rank)))
+    T = TuckerTensor(core.reshape(rank, order="F").copy(),
+                     tuple(U.reshape((n, r), order="F").copy()
+                           for U, n, r in zip(factors, dims, rank)))
+    return T, iteration, delta_eff

@@ -39,18 +39,44 @@ def test_complete_runs_and_writes_outputs(problem_dir, tmp_path, capsys):
     assert rows and rows[0]["iter"] == "0"
     s = json.loads(summary.read_text())
     assert s["solver"] == "grap" and s["termination"] == "converged"
-    X = load_checkpoint(ckpt)
+    X, iteration, delta_eff = load_checkpoint(ckpt)
     assert X.dims == (8, 8, 8)
+    assert iteration == s["iters"] and delta_eff is None     # grap
+
+
+def _csv_rows(path):
+    """The rows of a trace CSV without their wall times."""
+    with open(path) as f:
+        return [{k: v for k, v in row.items() if k != "time_s"}
+                for row in csv.DictReader(f)]
 
 
 def test_complete_resume(problem_dir, tmp_path):
+    # 3 + 9 iterations through a checkpoint give the records and the
+    # termination of one 12-iteration run (the resumed run's first record
+    # is the checkpointed point, which has taken no step yet)
+    common = [str(problem_dir), "--solver", "grap-r", "--rank", "3,3,3",
+              "--delta", "0.2"]
+
+    def run(name, iters, *extra):
+        code = main(["complete", *common, "--max-iters", str(iters),
+                     "--trace", str(tmp_path / f"{name}.csv"), *extra])
+        return code, _csv_rows(tmp_path / f"{name}.csv")
+
     ckpt = tmp_path / "mid.ttkr"
-    code = main(["complete", str(problem_dir), "--rank", "2,2,2",
-                 "--max-iters", "3", "--save", str(ckpt)])
+    code_full, full = run("full", 12)
+    code, first = run("first", 3, "--save", str(ckpt))
     assert code == 2  # max_iters
-    code = main(["complete", str(problem_dir), "--rank", "2,2,2",
-                 "--max-iters", "400", "--resume", str(ckpt)])
-    assert code == 0
+    code, resumed = run("resumed", 12, "--resume", str(ckpt))
+    assert code == code_full
+    assert first == full[:4] and len(resumed) == len(full) - 3
+    for a, b in zip(full[3:], resumed):
+        moved = {"dir_norm", "step", "backtracks", "candidates"}
+        assert {k: v for k, v in a.items() if k not in moved} == \
+            {k: v for k, v in b.items() if k not in moved}
+    assert [r["candidates"] for r in full[4:]] == \
+        [r["candidates"] for r in resumed[1:]]
+    assert any(int(r["candidates"]) > 1 for r in full)
 
 
 def test_complete_exit_code_on_bad_input(tmp_path, capsys):
@@ -193,7 +219,7 @@ def test_hosvd_command(tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "rank: (2, 2, 2)" in out
-    T = load_checkpoint(ckpt)
+    T, _, _ = load_checkpoint(ckpt)
     assert np.allclose(to_dense(T), A, atol=1e-10)
 
 

@@ -30,7 +30,13 @@ from tuckeropt.solvers import (
     write_summary_json,
     write_trace_csv,
 )
-from tuckeropt.tucker import TuckerTensor, hosvd, hosvd_truncate
+from tuckeropt.tucker import (
+    TuckerTensor,
+    hosvd,
+    hosvd_truncate,
+    load_checkpoint,
+    save_checkpoint,
+)
 
 RNG = np.random.default_rng(77)
 
@@ -359,6 +365,35 @@ def test_rank_decrease_reuses_the_iterate_for_its_own_rank():
     assert [rec.n_candidates for rec in trace.records] == [0] + [1] * 5
     # the only evaluations of the gradient are the iterates' own
     assert log.count("eval_grad") == len(trace.records)
+
+
+@pytest.mark.parametrize("solve", [solve_grap, solve_rfgrap, solve_grap_r,
+                                   solve_rfgrap_r])
+def test_resumed_run_continues_the_same_iterate_sequence(solve, tmp_path):
+    # the over-rank instance at delta = 0.2, split 4 + 8 through a
+    # checkpoint: the iteration index and delta_eff it keeps make the
+    # resumed records those of one 12-iteration run, bit for bit (the first
+    # resumed record is the checkpointed point, before any step)
+    P, _ = gen_synthetic((30, 30, 30), (2, 2, 2), 0.3, seed=29)
+    X0 = random_tucker(P.dims, (3, 3, 3), np.random.default_rng(1029))
+    r = (3, 3, 3)
+
+    def cfg(n):
+        return SolverConfig(max_iters=n, stat_tol=1e-14, delta=0.2,
+                            candidate_cap=150)
+    _, full = solve(completion_objective(P), X0, r, cfg(12))
+    X4, first = solve(completion_objective(P), X0, r, cfg(4))
+    path = tmp_path / "x4.ttkr"
+    save_checkpoint(X4, path, first.final().iter, first.delta_eff)
+    X, start, delta_eff = load_checkpoint(path)
+    assert (start, delta_eff) == (4, full.delta_eff)
+    _, resumed = solve(completion_objective(P), X, r, cfg(12), start=start,
+                       delta_eff=delta_eff)
+    assert resumed.termination == full.termination
+    assert [(rec.iter, rec.f_value, rec.rank) for rec in resumed.records] == \
+        [(rec.iter, rec.f_value, rec.rank) for rec in full.records[4:]]
+    assert [rec.n_candidates for rec in resumed.records[1:]] == \
+        [rec.n_candidates for rec in full.records[5:]]
 
 
 def test_solver_monotone_decrease_and_convergence():

@@ -1,6 +1,7 @@
 """Unit tests for the Tucker representation, HOSVD, and the exact step."""
 
 import itertools
+import math
 import re
 import struct
 
@@ -215,12 +216,20 @@ def test_add_scaled_tangent_full_bound():
 def test_checkpoint_roundtrip(tmp_path):
     T = random_tucker((5, 4, 6), (2, 3, 2), RNG)
     path = tmp_path / "x.ttkr"
-    save_checkpoint(T, path)
-    S = load_checkpoint(path)
-    assert S.dims == T.dims and S.rank == T.rank
-    assert np.array_equal(S.core, T.core)
-    for a, b in zip(S.factors, T.factors):
-        assert np.array_equal(a, b)
+    for state in ((0, None), (7, 0.125)):
+        save_checkpoint(T, path, *state)
+        S, *got = load_checkpoint(path)
+        assert S.dims == T.dims and S.rank == T.rank
+        assert np.array_equal(S.core, T.core)
+        for a, b in zip(S.factors, T.factors):
+            assert np.array_equal(a, b)
+        assert tuple(got) == state
+    # the format before the run state reads as a new run from its point
+    data = path.read_bytes()
+    head = 9 + 8 * 3
+    path.write_bytes(b"TTKR1" + data[5:head] + data[head + 16:])
+    S, *got = load_checkpoint(path)
+    assert np.array_equal(S.core, T.core) and tuple(got) == (0, None)
 
 
 def test_checkpoint_rejects_garbage(tmp_path):
@@ -233,15 +242,19 @@ def test_checkpoint_rejects_garbage(tmp_path):
 def test_checkpoint_rejects_malformed_files(tmp_path):
     T = random_tucker((5, 4, 6), (2, 3, 2), RNG)
     good = tmp_path / "x.ttkr"
-    save_checkpoint(T, good)
+    save_checkpoint(T, good, 3, 0.5)
     data = good.read_bytes()
     head = 5 + 4 + 8 * 3
     order0 = data[:5] + struct.pack("<I", 0)
     # rank 5 above n_2 = 4, with as many values as that header declares
-    over = data[:9] + struct.pack("<6I", 5, 4, 6, 2, 5, 2) + bytes(8 * 62)
-    bad = [data[:7], data[:head - 2], data[:head], data[:-8], data[:-3],
-           data + b"\x00", data + data[-8:], order0, order0 + data[9:],
-           over]
+    over = (data[:9] + struct.pack("<6I", 5, 4, 6, 2, 5, 2)
+            + data[head:head + 16] + bytes(8 * 62))
+    # a threshold that is neither NaN nor positive and finite
+    delta = [data[:head + 8] + struct.pack("<d", x) + data[head + 16:]
+             for x in (0.0, -1.0, math.inf)]
+    bad = [data[:7], data[:head - 2], data[:head], data[:head + 12],
+           data[:-8], data[:-3], data + b"\x00", data + data[-8:], order0,
+           order0 + data[9:], over, *delta]
     for i, blob in enumerate(bad):
         path = tmp_path / f"bad{i}.ttkr"
         path.write_bytes(blob)
