@@ -72,11 +72,6 @@ def _residual(P: CompletionProblem, X: TuckerTensor) -> np.ndarray:
     return entries_at(X, P.omega.plan) - P.omega.vals
 
 
-def objective(P: CompletionProblem, X: TuckerTensor) -> float:
-    resid = _residual(P, X)
-    return 0.5 * float(resid @ resid)
-
-
 def euclidean_gradient(P: CompletionProblem, X: TuckerTensor) -> SparseCooTensor:
     """Gradient of the training objective; supported on Omega."""
     return P.omega.with_values(_residual(P, X))

@@ -253,12 +253,6 @@ def cutoff_rank(sigma: np.ndarray, tau: float = DEFAULT_RANK_TOL) -> int:
     return int(np.count_nonzero(sigma > tau * sigma[0]))
 
 
-def numerical_rank(M: np.ndarray, tau: float = DEFAULT_RANK_TOL) -> int:
-    if not 0 < tau < 1:
-        raise ValueError("tau must lie in (0, 1)")
-    return cutoff_rank(np.linalg.svd(M, compute_uv=False), tau)
-
-
 # ---------------------------------------------------------------------------
 # Sparse contraction engine: kernels that work on the IndexPlan of a set of
 # index tuples and never densify the ambient tensor.

@@ -21,7 +21,6 @@ from .tensor_core import (
     index_plan,
     mixed_eval,
     mode_product,
-    numerical_rank,
     read_binary_header,
     read_binary_values,
     thin_svd,
@@ -188,7 +187,12 @@ def entries_at(T: TuckerTensor, idx) -> np.ndarray:
 
 
 def tucker_rank(A: np.ndarray, tau: float = DEFAULT_RANK_TOL) -> tuple:
-    return tuple(numerical_rank(unfold(A, k), tau) for k in range(1, A.ndim + 1))
+    """Numerical rank of every unfolding A_(k): the count of its singular
+    values above tau * sigma_1 (:func:`cutoff_rank`)."""
+    if not 0 < tau < 1:
+        raise ValueError("tau must lie in (0, 1)")
+    return tuple(cutoff_rank(np.linalg.svd(unfold(A, k), compute_uv=False),
+                             tau) for k in range(1, A.ndim + 1))
 
 
 def mode_singular_values(T: TuckerTensor):

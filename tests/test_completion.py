@@ -13,7 +13,6 @@ from tuckeropt.completion import (
     euclidean_gradient,
     gen_synthetic,
     load_problem,
-    objective,
     random_tucker,
     save_problem,
     test_error as completion_test_error,
@@ -149,14 +148,14 @@ def test_problem_overlap_check_matches_unique(dims):
 def test_objective_and_gradient_consistent():
     P, truth = _problem()
     X = random_tucker(P.dims, (2, 2, 2), RNG)
-    f = objective(P, X)
+    f = completion_objective(P).eval(X)
     resid = entries_at(X, P.omega.idx) - P.omega.vals
     assert f == pytest.approx(0.5 * resid @ resid)
     g = euclidean_gradient(P, X)
     assert np.array_equal(g.idx, P.omega.idx)
     assert np.allclose(g.vals, resid)
     # zero at the ground truth
-    assert objective(P, truth) < 1e-20
+    assert completion_objective(P).eval(truth) < 1e-20
     assert np.linalg.norm(euclidean_gradient(P, truth).vals) < 1e-10
 
 
@@ -233,7 +232,8 @@ def test_completion_objective_handle():
     P, truth = _problem()
     obj = completion_objective(P)
     X = random_tucker(P.dims, (2, 2, 2), RNG)
-    assert obj.eval(X) == pytest.approx(objective(P, X))
+    resid = entries_at(X, P.omega.idx) - P.omega.vals
+    assert obj.eval(X) == pytest.approx(0.5 * resid @ resid)
     assert obj.test_metric is not None
     assert obj.test_metric(X) == pytest.approx(completion_test_error(P, X))
 

@@ -27,14 +27,13 @@ from tuckeropt.tensor_core import (
     mixed_eval,
     mode_product,
     multi_mode_contract,
-    numerical_rank,
     save_coo,
     save_dense,
     strictly_increasing,
     thin_svd,
     unfold,
 )
-from tuckeropt.tucker import TuckerTensor
+from tuckeropt.tucker import TuckerTensor, tucker_rank
 
 RNG = np.random.default_rng(1234)
 
@@ -147,10 +146,14 @@ def test_delta_rank():
 def test_numerical_rank():
     U = np.linalg.qr(RNG.standard_normal((8, 8)))[0]
     M = U[:, :3] @ np.diag([1.0, 1e-3, 1e-14]) @ U[:, 3:6].T
-    assert numerical_rank(M) == 2
-    assert numerical_rank(M, 1e-4) == 2
-    assert numerical_rank(M, 1e-2) == 1
-    assert numerical_rank(np.zeros((3, 3))) == 0
+    # a matrix is an order-2 tensor whose two unfoldings share its rank
+    assert tucker_rank(M) == (2, 2)
+    assert tucker_rank(M, 1e-4) == (2, 2)
+    assert tucker_rank(M, 1e-2) == (1, 1)
+    assert tucker_rank(np.zeros((3, 3))) == (0, 0)
+    for tau in (0.0, 1.0):
+        with pytest.raises(ValueError):
+            tucker_rank(M, tau)
 
 
 def test_sparse_coo_sorting_and_dense():
