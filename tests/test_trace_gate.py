@@ -71,6 +71,9 @@ def test_plain_solver_failure_reports_what_held(gate, tmp_path, capsys):
         "candidates, backtracks and termination; max |df|/f_0 3.55e-15, "
         "max |d test error| 0.00e+00")
     assert "iteration 1: backtracks differ" in lines["FAIL criterion9/grap"]
+    # the last line counts how the runs moved
+    assert lines["8 runs"] == ("8 runs: 6 bit-identical, 1 rounding-only, "
+                               "1 with a changed trajectory")
 
 
 def test_rank_decrease_solver_within_tolerance_passes(gate, tmp_path):
@@ -94,4 +97,8 @@ def test_missing_key_fails(gate, tmp_path, capsys):
     new = _recording()
     del new["criterion8/rfgrap-r"]
     assert _compare(gate, tmp_path, _recording(), new) == 1
-    assert "FAIL criterion8/rfgrap-r: missing" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "FAIL criterion8/rfgrap-r: missing" in out
+    assert out.splitlines()[-1] == ("8 runs: 7 bit-identical, "
+                                    "0 rounding-only, "
+                                    "1 with a changed trajectory")

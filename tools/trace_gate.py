@@ -24,6 +24,11 @@ thread variables are already set.
 * elsewhere, grap-r and rfgrap-r keep the old iterations, ranks, candidate
   counts, backtracks and termination, with |df| <= 1e-12 f_0 and
   |d test error| <= 1e-12 at every iteration.
+
+Its last line counts the runs that are bit-identical to the old recording,
+that moved in rounding only (iterations, ranks, candidates, backtracks and
+termination held), and that changed their trajectory (a run missing from
+one recording counts there).  The line does not change the exit code.
 """
 
 from __future__ import annotations
@@ -181,18 +186,31 @@ def _verdict(old, new, key):
         + _deviation(old[key], new[key]))
 
 
+def _movement(old, new) -> str:
+    """How one run moved from the old recording to the new one."""
+    if old is None or new is None or _trajectory_errors(old, new):
+        return "with a changed trajectory"
+    return "bit-identical" if new == old else "rounding-only"
+
+
 def compare(old_path: Path, new_path: Path) -> int:
     old = json.loads(old_path.read_text())
     new = json.loads(new_path.read_text())
     failed = False
-    for key in sorted(set(old) | set(new)):
+    keys = sorted(set(old) | set(new))
+    moved = dict.fromkeys(("bit-identical", "rounding-only",
+                           "with a changed trajectory"), 0)
+    for key in keys:
         if key not in old or key not in new:
             errs, held = ["missing from one recording"], ""
         else:
             errs, held = _verdict(old, new, key)
         failed = failed or bool(errs)
+        moved[_movement(old.get(key), new.get(key))] += 1
         print(f"FAIL {key}: " + "; ".join(errs[:5]) if errs
               else f"ok   {key}: {held}")
+    print(f"{len(keys)} runs: "
+          + ", ".join(f"{n} {how}" for how, n in moved.items()))
     return 1 if failed else 0
 
 
