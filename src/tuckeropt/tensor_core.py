@@ -333,7 +333,8 @@ def multi_mode_contract(S: SparseCooTensor, factors, skip: int) -> np.ndarray:
     is the fewest, and at least 1 when there is a matrix mode, that keeps
     the partial's fibres within max(|S|, output size): one at d = 3.  The
     other matrix modes are then applied to the partial by dense mode
-    products.  No temporary exceeds len(S) elements besides the partial.
+    products.  Besides the partial and its dense products, the kernel
+    holds one len(S)-long vector at a time.
     """
     d = len(S.dims)
     if not 1 <= skip <= d:
@@ -360,13 +361,22 @@ def multi_mode_contract(S: SparseCooTensor, factors, skip: int) -> np.ndarray:
     fib = S.plan.fibres(lead, [S.dims[j] for j in lead])
     rows = [np.ascontiguousarray(mats[j].T) for j in trail]
     qs = [sizes[j] for j in trail]
+
+    def weights(col):
+        """The values times their rows of the trailing modes' column col,
+        weighted in place: one len(S) temporary at a time, so that the
+        allocator reuses it rather than return memory between columns."""
+        w = S.vals
+        for Ut, j, a in zip(rows, trail, col[::-1]):
+            g = Ut[a].take(S.plan.cols[j])
+            g *= w
+            w = g
+        return w
+
     # (Kronecker column, fibre), the first trailing mode's column fastest
     part = np.empty((math.prod(qs), nfib))
     for c, col in enumerate(np.ndindex(*qs[::-1])):
-        w = S.vals
-        for Ut, j, a in zip(rows, trail, col[::-1]):
-            w = Ut[a].take(S.plan.cols[j]) * w
-        part[c] = np.bincount(fib, weights=w, minlength=nfib)
+        part[c] = np.bincount(fib, weights=weights(col), minlength=nfib)
     # part in Fortran order is the tensor over lead + trail; its axes in
     # mode order, then the other matrix modes applied densely
     P = part.reshape(qs[::-1] + [S.dims[j] for j in lead[::-1]]).transpose()
