@@ -95,18 +95,6 @@ def _spectral_init(problem, r):
     return hosvd(dense, r)
 
 
-def _resumed_point(problem, r, path):
-    """(X0, start, delta_eff) of the checkpoint at ``path``, truncated to
-    the rank bound r where it exceeds it."""
-    X0, start, delta_eff = load_checkpoint(path)
-    if X0.dims != problem.dims:
-        raise ValueError(f"checkpoint dims {X0.dims} do not match problem "
-                         f"dims {problem.dims}")
-    if any(a > b for a, b in zip(X0.rank, r)):
-        X0 = hosvd_truncate(X0, tuple(min(a, b) for a, b in zip(X0.rank, r)))
-    return X0, start, delta_eff
-
-
 def _initial_point(problem, r, args):
     init = getattr(args, "init", "spectral")
     if init == "random":
@@ -120,10 +108,15 @@ def _initial_point(problem, r, args):
 def _run_solver(problem, r, args, cfg):
     obj = completion_objective(problem)
     solve = SOLVERS[args.solver]
-    if args.resume:
-        X0, start, delta_eff = _resumed_point(problem, r, args.resume)
-        return solve(obj, X0, r, cfg, start=start, delta_eff=delta_eff)
-    return solve(obj, _initial_point(problem, r, args), r, cfg)
+    if not args.resume:
+        return solve(obj, _initial_point(problem, r, args), r, cfg)
+    X0, start, delta_eff = load_checkpoint(args.resume)
+    if X0.dims != problem.dims:
+        raise ValueError(f"checkpoint dims {X0.dims} do not match problem "
+                         f"dims {problem.dims}")
+    if any(a > b for a, b in zip(X0.rank, r)):
+        X0 = hosvd_truncate(X0, tuple(min(a, b) for a, b in zip(X0.rank, r)))
+    return solve(obj, X0, r, cfg, start=start, delta_eff=delta_eff)
 
 
 def _exit_code(trace) -> int:

@@ -11,7 +11,6 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import io
 import math
 import struct
 import warnings
