@@ -404,8 +404,8 @@ def test_unfold_norm_invariant(n1, n2, n3, seed):
 # Sparse contraction engine
 
 def _bincount_contract(S, factors, skip):
-    """The one-shot scatter that the blocked engine replaces: one flat
-    bincount over all entries at once.  Reference for bit-equality."""
+    """One flat bincount over all entries and their Kronecker rows at
+    once: the reference for the scatter's bit-equality."""
     cols = [S.idx[:, j] - 1 for j in range(len(S.dims))]
     kron = np.ones((S.nnz, 1))
     kron_cols = np.zeros(1, dtype=np.int64)
