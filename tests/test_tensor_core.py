@@ -437,21 +437,34 @@ def _random_coo(dims, frac, rng):
     return SparseCooTensor(dims, idx, rng.standard_normal(idx.shape[0]))
 
 
-def test_one_matrix_mode_scatter_is_bit_identical_to_one_bincount():
+@pytest.mark.parametrize("block", [1, 7, None])
+def test_blocked_scatter_is_bit_identical_to_one_bincount(monkeypatch, block):
     # a pattern with at most one matrix mode is one bincount per column in
     # tuple order: the same sums, in the same order, as one flat bincount
-    # over all entries, whatever the skipped mode and the factor layout
+    # over all entries, whatever the skipped mode and the factor layout.
+    # The scatter walks all tuples at once: mixed_eval's block of 1, 7 or
+    # the default number of elements leaves its bits as they are
+    if block is not None:
+        monkeypatch.setattr(tensor_core, "_SCATTER_BLOCK", block)
     rng = np.random.default_rng(5)
     dims = (4, 3, 5, 2)
     S = _random_coo(dims, 0.5, rng)
+    empty = SparseCooTensor(dims, np.zeros((0, 4), dtype=np.int64),
+                            np.zeros(0))
     U = [rng.standard_normal((n, q)) for n, q in zip(dims, (2, 3, 2, 2))]
     for skip in range(1, 5):
         for m in [None] + [j for j in range(4) if j != skip - 1]:
             for M in (U, [np.asfortranarray(M) for M in U],
                       [np.hstack([M, M])[:, :M.shape[1]] for M in U]):
                 mats = [M[j] if j == m else None for j in range(4)]
-                assert np.array_equal(multi_mode_contract(S, mats, skip),
-                                      _bincount_contract(S, mats, skip))
+                for T in (S, empty):
+                    assert np.array_equal(multi_mode_contract(T, mats, skip),
+                                          _bincount_contract(T, mats, skip))
+    # a zero-column factor gives an empty unfolding
+    mats = [None, np.zeros((3, 0)), None, None]
+    got = multi_mode_contract(S, mats, 1)
+    assert got.shape == (dims[0], 0)
+    assert np.array_equal(got, _bincount_contract(S, mats, 1))
 
 
 def _all_matrix_cases(rng):
