@@ -317,72 +317,56 @@ def mixed_eval(core: np.ndarray, mats, plan: IndexPlan) -> np.ndarray:
 
 
 def multi_mode_contract(S: SparseCooTensor, factors, skip: int) -> np.ndarray:
-    """Compute (S x_{j != skip} U_j^T)_(skip) exploiting sparsity.
+    """Compute (S x_m U_m^T)_(skip) for the one matrix mode m, exploiting
+    sparsity.
 
-    ``factors`` holds one matrix per mode (entry for the skipped mode is
-    ignored, and None means the identity).  A matrix mode j contributes
-    q_j columns, an identity mode n_j, the first listed mode fastest.
+    ``factors`` holds one entry per mode: the matrix U_m on exactly one mode
+    m other than ``skip``, and None (the identity) on every other mode; the
+    entry for the skipped mode is ignored.  The columns run over the modes
+    other than ``skip``, the first listed fastest, mode m contributing q_m
+    of them.  No matrix mode, or two or more, raise a ``ValueError``:
+    :class:`~tuckeropt.geometry.Contractions` derives every other pattern
+    from this one by dense mode products.
 
-    The kernel is the adjoint of :func:`mixed_eval`.  The last t matrix
-    modes are contracted per tuple: each value, times its rows of those
-    modes' factors, goes into the dense partial over the other modes, at
-    the tuple's fibre (:meth:`IndexPlan.fibres`, the skipped mode first),
-    by one ``np.bincount`` per Kronecker column of the rows.  ``bincount``
-    adds the tuples in their order, so each sum runs in a fixed order.  t
-    is the fewest, and at least 1 when there is a matrix mode, that keeps
-    the partial's fibres within max(|S|, output size): one at d = 3.  The
-    other matrix modes are then applied to the partial by dense mode
-    products.  Besides the partial and its dense products, the kernel
-    holds one len(S)-long vector at a time.
+    The kernel is the adjoint of :func:`mixed_eval`.  Each value, times its
+    row of U_m, goes into the dense partial over the other modes, at the
+    tuple's fibre (:meth:`IndexPlan.fibres`, the skipped mode first), by
+    one ``np.bincount`` per column of U_m.  ``bincount`` adds the tuples in
+    their order, so each sum runs in a fixed order.  Besides the partial,
+    which is the output, the kernel holds one len(S)-long vector at a time.
     """
     d = len(S.dims)
     if not 1 <= skip <= d:
         raise ValueError(f"mode {skip} out of range")
-    for j, U in enumerate(factors):
-        if j != skip - 1 and U is not None and U.shape[0] != S.dims[j]:
-            raise ValueError(f"factor {j + 1} has {U.shape[0]} rows, mode has "
-                             f"size {S.dims[j]}")
-    mats = [None if j == skip - 1 else U for j, U in enumerate(factors)]
-    sizes = [n if U is None else U.shape[1] for n, U in zip(S.dims, mats)]
-    nrows = S.dims[skip - 1]
-    if S.nnz == 0 or 0 in sizes:
-        return np.zeros((nrows, math.prod(sizes) // nrows))
-    matrix = [j for j in range(d) if mats[j] is not None]
-    bound = max(S.nnz, math.prod(sizes))
-    t = min(1, len(matrix))
-    while t < len(matrix) and math.prod(
-            n for j, n in enumerate(S.dims) if j not in matrix[-t:]) > bound:
-        t += 1
-    trail = matrix[len(matrix) - t:]
-    lead = [skip - 1] + [j for j in range(d)
-                         if j != skip - 1 and j not in trail]
+    matrix = [j for j, U in enumerate(factors)
+              if j != skip - 1 and U is not None]
+    if len(matrix) != 1:
+        raise ValueError(f"expected one matrix mode besides mode {skip}, "
+                         f"got {len(matrix)}")
+    m = matrix[0]
+    U = factors[m]
+    if U.shape[0] != S.dims[m]:
+        raise ValueError(f"factor {m + 1} has {U.shape[0]} rows, mode has "
+                         f"size {S.dims[m]}")
+    q = U.shape[1]
+    lead = [skip - 1] + [j for j in range(d) if j not in (skip - 1, m)]
     nfib = math.prod(S.dims[j] for j in lead)
+    if S.nnz == 0 or q == 0:
+        return np.zeros((S.dims[skip - 1], q * nfib // S.dims[skip - 1]))
     fib = S.plan.fibres(lead, [S.dims[j] for j in lead])
-    rows = [np.ascontiguousarray(mats[j].T) for j in trail]
-    qs = [sizes[j] for j in trail]
-
-    def weights(col):
-        """The values times their rows of the trailing modes' column col,
-        weighted in place: one len(S) temporary at a time, so that the
-        allocator reuses it rather than return memory between columns."""
-        w = S.vals
-        for Ut, j, a in zip(rows, trail, col[::-1]):
-            g = Ut[a].take(S.plan.cols[j])
-            g *= w
-            w = g
-        return w
-
-    # (Kronecker column, fibre), the first trailing mode's column fastest
-    part = np.empty((math.prod(qs), nfib))
-    for c, col in enumerate(np.ndindex(*qs[::-1])):
-        part[c] = np.bincount(fib, weights=weights(col), minlength=nfib)
-    # part in Fortran order is the tensor over lead + trail; its axes in
-    # mode order, then the other matrix modes applied densely
-    P = part.reshape(qs[::-1] + [S.dims[j] for j in lead[::-1]]).transpose()
-    P = P.transpose(np.argsort(lead + trail))
-    for j in lead[1:]:
-        if mats[j] is not None:
-            P = mode_product(P, j + 1, mats[j].T)
+    Ut = np.ascontiguousarray(U.T)
+    # (column of U_m, fibre); each column's weights are formed in place, one
+    # len(S) temporary at a time, so that the allocator reuses it rather
+    # than return memory between columns
+    part = np.empty((q, nfib))
+    for a in range(q):
+        w = Ut[a].take(S.plan.cols[m])
+        w *= S.vals
+        part[a] = np.bincount(fib, weights=w, minlength=nfib)
+    # part in Fortran order is the tensor over lead + [m]; its axes in mode
+    # order
+    P = part.reshape([q] + [S.dims[j] for j in lead[::-1]]).transpose()
+    P = P.transpose(np.argsort(lead + [m]))
     return unfold(P, skip)
 
 

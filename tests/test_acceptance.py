@@ -18,6 +18,7 @@ from tuckeropt.completion import (
     random_tucker,
 )
 from tuckeropt.geometry import (
+    Contractions,
     TangentVector,
     approx_project,
     choose_singular_complement,
@@ -45,10 +46,10 @@ from tuckeropt.tensor_core import (
     SparseCooTensor,
     fro_norm,
     inner,
-    multi_mode_contract,
     unfold,
 )
 from tuckeropt.tucker import (
+    TuckerTensor,
     add_scaled_tangent,
     entries_at,
     hosvd,
@@ -365,8 +366,10 @@ def test_criterion_10_structured_vs_dense():
         worst = max(worst, rel(fro_norm(got - reft), T.fro_norm()))
 
         U = [rng.standard_normal((n, 2)) for n in dims]
+        shared = Contractions(TuckerTensor(np.zeros((2, 2, 2)), tuple(U)), S)
         for skip in (1, 2, 3):
-            got = multi_mode_contract(S, U, skip)
+            got = unfold(shared.contract(["I" if j == skip - 1 else "U"
+                                          for j in range(3)]), skip)
             refm = dense_reference("multi_mode_contract", S, U, skip)
             worst = max(worst, rel(fro_norm(got - refm),
                                    max(fro_norm(refm), fro_norm(S))))

@@ -17,16 +17,16 @@ from tuckeropt.completion import (
     save_problem,
     test_error as completion_test_error,
 )
+from tuckeropt.geometry import Contractions
 from tuckeropt.oracles import dense_reference
 from tuckeropt.solvers import SolverConfig, solve_grap
 from tuckeropt.tensor_core import (
     SparseCooTensor,
     fold,
     mode_product,
-    multi_mode_contract,
     unfold,
 )
-from tuckeropt.tucker import entries_at, to_dense
+from tuckeropt.tucker import TuckerTensor, entries_at, to_dense
 
 RNG = np.random.default_rng(21)
 
@@ -181,12 +181,23 @@ def test_objective_gradient_finite_difference():
         assert fd == pytest.approx(g[i], abs=1e-6)
 
 
+def _contract(S, mats):
+    """S x_j mats[j]^T over the modes where mats[j] is not None, formed by
+    the Contractions object of a point with those factors."""
+    factors = tuple(np.zeros((n, 0)) if M is None else M
+                    for n, M in zip(S.dims, mats))
+    X = TuckerTensor(np.zeros(tuple(M.shape[1] for M in factors)), factors)
+    return Contractions(X, S).contract(["I" if M is None else "U"
+                                        for M in mats])
+
+
 def test_multi_mode_contract_matches_dense():
     P, _ = _problem(dims=(5, 4, 6), p=0.4)
     S = P.omega
     U = [RNG.standard_normal((n, 2)) for n in S.dims]
     for skip in (1, 2, 3):
-        got = multi_mode_contract(S, U, skip)
+        got = unfold(_contract(S, [None if j == skip - 1 else M
+                                   for j, M in enumerate(U)]), skip)
         ref = S.to_dense()
         for j in range(3):
             if j != skip - 1:
@@ -198,14 +209,14 @@ def test_multi_mode_contract_identity_factor():
     P, _ = _problem(dims=(4, 4, 4), p=0.5)
     S = P.omega
     U = [None, RNG.standard_normal((4, 2)), RNG.standard_normal((4, 3))]
-    got = multi_mode_contract(S, U, 1)
+    got = unfold(_contract(S, U), 1)
     ref = mode_product(mode_product(S.to_dense(), 2, U[1].T), 3, U[2].T)
     assert np.allclose(got, unfold(ref, 1), atol=1e-12)
 
 
 @pytest.mark.parametrize("identity", [(1,), (0, 2), (1, 3), (0, 1, 3)])
 def test_multi_mode_contract_identity_modes_match_dense(identity):
-    # None at modes other than the skipped one goes through the scatter index
+    # None at modes other than the unfolded one stays in the contraction
     dims = (4, 3, 5, 2)
     mask = RNG.random(dims) < 0.4
     idx = np.argwhere(mask) + 1
@@ -213,9 +224,10 @@ def test_multi_mode_contract_identity_modes_match_dense(identity):
     empty = SparseCooTensor(dims, np.zeros((0, 4), dtype=np.int64), np.zeros(0))
     U = [None if j in identity else RNG.standard_normal((n, q))
          for j, (n, q) in enumerate(zip(dims, (2, 1, 3, 2)))]
-    for skip in range(1, 5):
-        for T in (S, empty):
-            got = multi_mode_contract(T, U, skip)
+    for T in (S, empty):
+        D = _contract(T, U)
+        for skip in (j + 1 for j in identity):
+            got = unfold(D, skip)
             ref = dense_reference("multi_mode_contract", T, U, skip)
             assert got.shape == ref.shape
             assert np.allclose(got, ref, atol=1e-12)

@@ -439,9 +439,10 @@ def _random_coo(dims, frac, rng):
 
 @pytest.mark.parametrize("block", [1, 7, None])
 def test_blocked_scatter_is_bit_identical_to_one_bincount(monkeypatch, block):
-    # a pattern with at most one matrix mode is one bincount per column in
-    # tuple order: the same sums, in the same order, as one flat bincount
-    # over all entries, whatever the skipped mode and the factor layout.
+    # a pattern with one matrix mode is one bincount per column in tuple
+    # order: the same sums, in the same order, as one flat bincount over
+    # all entries, whatever the skipped mode, the matrix mode and the
+    # factor layout.
     # The scatter walks all tuples at once: mixed_eval's block of 1, 7 or
     # the default number of elements leaves its bits as they are
     if block is not None:
@@ -453,7 +454,7 @@ def test_blocked_scatter_is_bit_identical_to_one_bincount(monkeypatch, block):
                             np.zeros(0))
     U = [rng.standard_normal((n, q)) for n, q in zip(dims, (2, 3, 2, 2))]
     for skip in range(1, 5):
-        for m in [None] + [j for j in range(4) if j != skip - 1]:
+        for m in [j for j in range(4) if j != skip - 1]:
             for M in (U, [np.asfortranarray(M) for M in U],
                       [np.hstack([M, M])[:, :M.shape[1]] for M in U]):
                 mats = [M[j] if j == m else None for j in range(4)]
@@ -478,12 +479,46 @@ def _all_matrix_cases(rng):
         yield S, [rng.standard_normal((n, q)) for n, q in zip(dims, qs)]
 
 
+def test_multi_mode_contract_takes_one_matrix_mode():
+    # no matrix mode besides the skipped one, or two or more, is refused:
+    # Contractions derives those patterns from one-matrix ones
+    rng = np.random.default_rng(6)
+    dims = (4, 3, 5, 2)
+    S = _random_coo(dims, 0.5, rng)
+    U = [rng.standard_normal((n, 2)) for n in dims]
+    for skip in range(1, 5):
+        with pytest.raises(ValueError, match="got 0"):
+            multi_mode_contract(S, [None] * 4, skip)
+        # the skipped mode's entry is ignored
+        only = [U[j] if j == skip - 1 else None for j in range(4)]
+        with pytest.raises(ValueError, match="got 0"):
+            multi_mode_contract(S, only, skip)
+        with pytest.raises(ValueError, match="got 3"):
+            multi_mode_contract(S, U, skip)
+        two = [U[j] if j in (skip % 4, (skip + 1) % 4) else None
+               for j in range(4)]
+        with pytest.raises(ValueError, match="got 2"):
+            multi_mode_contract(S, two, skip)
+
+
+def _all_matrix_cases(rng):
+    """(S, factors) at d = 2, 3 and 4, with slice 2 of every mode but the
+    last unobserved and one factor of rank 1."""
+    for dims, qs in (((7, 5), (3, 2)), ((6, 9, 4), (2, 3, 1)),
+                     ((4, 3, 5, 3), (2, 2, 3, 1))):
+        S = _random_coo(dims, 0.5, rng)
+        keep = (S.idx[:, :-1] != 2).all(axis=1)
+        S = SparseCooTensor(dims, S.idx[keep], S.vals[keep])
+        yield S, [rng.standard_normal((n, q)) for n, q in zip(dims, qs)]
+
+
 @pytest.mark.parametrize("block", [1, 7, None])
 def test_all_matrix_contraction_matches_dense(monkeypatch, block):
-    # checked against the dense oracle, and as the adjoint of mixed_eval:
-    # <mixed_eval(G, U, Omega), v> = <G, S_v x_k U_k^T> for S_v the values v
-    # on Omega, with mixed_eval's per-tuple stage in blocks of 1, 7 or the
-    # default number of elements
+    # the pattern with every mode but the skipped one a matrix mode, formed
+    # by Contractions, checked against the dense oracle, and as the adjoint
+    # of mixed_eval: <mixed_eval(G, U, Omega), v> = <G, S_v x_k U_k^T> for
+    # S_v the values v on Omega, with mixed_eval's per-tuple stage in
+    # blocks of 1, 7 or the default number of elements
     if block is not None:
         monkeypatch.setattr(tensor_core, "_SCATTER_BLOCK", block)
     rng = np.random.default_rng(31)
@@ -492,23 +527,25 @@ def test_all_matrix_contraction_matches_dense(monkeypatch, block):
         empty = SparseCooTensor(S.dims, np.zeros((0, d), dtype=np.int64),
                                 np.zeros(0))
         for skip in range(1, d + 1):
-            got = multi_mode_contract(S, U, skip)
+            modes = ["I" if j == skip - 1 else "U" for j in range(d)]
+            D = Contractions(_anchored(U), S).contract(modes)
+            got = unfold(D, skip)
             ref = dense_reference("multi_mode_contract", S, U, skip)
             assert got.shape == ref.shape
             assert np.allclose(got, ref, rtol=0,
                                atol=1e-13 * np.abs(ref).max())
             if skip < d:
                 assert not got[1].any()         # the unobserved slice
-            assert np.array_equal(multi_mode_contract(empty, U, skip),
-                                  np.zeros(ref.shape))
+            assert np.array_equal(
+                Contractions(_anchored(U), empty).contract(modes),
+                np.zeros(D.shape))
             # a zero-column factor on another mode gives an empty unfolding
             zero = [np.zeros((n, 0)) if j == skip % d else M
                     for j, (n, M) in enumerate(zip(S.dims, U))]
-            assert multi_mode_contract(S, zero, skip).shape == (
-                S.dims[skip - 1], 0)
+            assert unfold(Contractions(_anchored(zero), S).contract(modes),
+                          skip).shape == (S.dims[skip - 1], 0)
             G = rng.standard_normal(tuple(M.shape[1] for M in U))
-            shape = G.shape[:skip - 1] + (S.dims[skip - 1],) + G.shape[skip:]
-            full = mode_product(fold(got, skip, shape), skip, U[skip - 1].T)
+            full = mode_product(D, skip, U[skip - 1].T)
             lhs = float(mixed_eval(G, U, S.plan) @ S.vals)
             rhs = float(np.dot(G.ravel(), full.ravel()))
             assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
@@ -520,10 +557,10 @@ def _patterns(d):
 
 
 def test_multi_mode_contract_matches_dense_for_every_pattern():
-    # every identity/matrix pattern and skipped mode at d = 2, 3 and 4, with
-    # slice 2 of every mode but the last unobserved, against the dense
-    # oracle; an empty tensor gives zeros, a zero-width factor an empty
-    # unfolding
+    # every identity/matrix pattern at d = 2, 3 and 4, formed by
+    # Contractions, with slice 2 of every mode but the last unobserved,
+    # against the dense oracle at every identity mode's unfolding; an empty
+    # tensor gives zeros, a zero-width factor an empty contraction
     rng = np.random.default_rng(34)
     for S, U in _all_matrix_cases(rng):
         d = len(S.dims)
@@ -531,22 +568,24 @@ def test_multi_mode_contract_matches_dense_for_every_pattern():
                                 np.zeros(0))
         for bits in _patterns(d):
             mats = [None if b else M for b, M in zip(bits, U)]
-            for skip in range(1, d + 1):
-                got = multi_mode_contract(S, mats, skip)
+            modes = ["I" if b else "U" for b in bits]
+            got = Contractions(_anchored(U), S).contract(modes)
+            for skip in (j + 1 for j in range(d) if bits[j]):
                 ref = dense_reference("multi_mode_contract", S, mats, skip)
-                assert got.shape == ref.shape
-                assert np.allclose(got, ref, rtol=0,
+                assert unfold(got, skip).shape == ref.shape
+                assert np.allclose(unfold(got, skip), ref, rtol=0,
                                    atol=1e-13 * np.abs(ref).max())
                 if skip < d:
-                    assert not got[1].any()     # the unobserved slice
-                assert np.array_equal(multi_mode_contract(empty, mats, skip),
-                                      np.zeros(ref.shape))
-                for j in range(d):
-                    if j != skip - 1 and mats[j] is not None:
-                        zero = list(mats)
-                        zero[j] = np.zeros((S.dims[j], 0))
-                        assert multi_mode_contract(S, zero, skip).shape == (
-                            S.dims[skip - 1], 0)
+                    assert not unfold(got, skip)[1].any()  # unobserved
+            assert np.array_equal(
+                Contractions(_anchored(U), empty).contract(modes),
+                np.zeros(got.shape))
+            for j in range(d):
+                if not bits[j]:
+                    zero = list(U)
+                    zero[j] = np.zeros((S.dims[j], 0))
+                    assert Contractions(_anchored(zero), S).contract(
+                        modes).shape[j] == 0
 
 
 def test_no_all_matrix_pattern_reaches_the_scatter(monkeypatch):
