@@ -76,8 +76,14 @@ def _add_common_solver_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _make_config(args) -> SolverConfig:
-    return SolverConfig(delta=args.delta, delta_absolute=args.delta_absolute,
-                        max_iters=args.max_iters, stat_tol=args.tol)
+    return SolverConfig(delta=args.delta, max_iters=args.max_iters,
+                        stat_tol=args.tol)
+
+
+def _absolute_delta(args):
+    """The rank-decrease threshold --delta-absolute fixes, else None (the
+    solvers then take --delta relative to the start's sigma_max)."""
+    return args.delta if args.delta_absolute else None
 
 
 def _check_spectral_fits(dims) -> None:
@@ -96,8 +102,7 @@ def _spectral_init(problem, r):
 
 
 def _initial_point(problem, r, args):
-    init = getattr(args, "init", "spectral")
-    if init == "random":
+    if args.init == "random":
         # a stream of its own: gen_synthetic draws the truth from
         # default_rng(seed), which would make the start the ground truth
         rng = np.random.default_rng([args.seed, 1])
@@ -109,13 +114,16 @@ def _run_solver(problem, r, args, cfg):
     obj = completion_objective(problem)
     solve = SOLVERS[args.solver]
     if not args.resume:
-        return solve(obj, _initial_point(problem, r, args), r, cfg)
+        return solve(obj, _initial_point(problem, r, args), r, cfg,
+                     delta_eff=_absolute_delta(args))
     X0, start, delta_eff = load_checkpoint(args.resume)
     if X0.dims != problem.dims:
         raise ValueError(f"checkpoint dims {X0.dims} do not match problem "
                          f"dims {problem.dims}")
     if any(a > b for a, b in zip(X0.rank, r)):
         X0 = hosvd_truncate(X0, tuple(min(a, b) for a, b in zip(X0.rank, r)))
+    if delta_eff is None:
+        delta_eff = _absolute_delta(args)
     return solve(obj, X0, r, cfg, start=start, delta_eff=delta_eff)
 
 
@@ -189,6 +197,7 @@ def cmd_bench(args) -> int:
     save_problem(problem, out / f"{args.suite}_problem", seed=args.seed,
                  r_true=r_true)
     cfg = _make_config(args)
+    delta_eff = _absolute_delta(args)
     d = len(n)
     comparison_rows = []
     failures = []
@@ -198,7 +207,7 @@ def cmd_bench(args) -> int:
         for name, solve in sorted(SOLVERS.items()):
             obj = completion_objective(problem)
             X0 = _initial_point(problem, r, args)
-            _, trace = solve(obj, X0, r, cfg)
+            _, trace = solve(obj, X0, r, cfg, delta_eff=delta_eff)
             codes.append(_exit_code(trace))
             if trace.termination == "candidate_exhaustion":
                 failures.append(f"{name} r={label}: "

@@ -116,27 +116,25 @@ def _sample_disjoint(total: int, m: int, rng) -> np.ndarray:
     return chosen
 
 
-def gen_synthetic(n, r_true, p: float, seed: int, test_size: int | None = None):
+def gen_synthetic(n, r_true, p: float, seed: int):
     """Synthetic completion instance with a known low-rank ground truth.
 
     Returns (CompletionProblem, ground_truth).  Omega and Gamma are disjoint
-    uniform samples; |Omega| = round(p * prod n), |Gamma| = test_size
-    (defaults to |Omega|).
+    uniform samples of round(p * prod n) tuples each.
     """
     dims = tuple(int(x) for x in n)
     if not 0 < p <= 1:
         raise ValueError("sampling rate must lie in (0, 1]")
     total = int(np.prod(dims, dtype=np.int64))
     m = int(round(p * total))
-    m_test = m if test_size is None else int(test_size)
-    if m + m_test > total:
+    if 2 * m > total:
         raise ValueError("sampling rate too large for disjoint train/test sets")
     rng = np.random.default_rng(seed)
     truth = random_tucker(dims, r_true, rng)
-    lin = _sample_disjoint(total, max(m, m_test), rng)
+    lin = _sample_disjoint(total, m, rng)
     idx = np.column_stack(np.unravel_index(lin, dims, order="F")) + 1
     omega_idx = idx[:m]
-    gamma_idx = idx[max(m, m_test):max(m, m_test) + m_test]
+    gamma_idx = idx[m:2 * m]
     omega = SparseCooTensor(dims, omega_idx, entries_at(truth, omega_idx))
     gamma = SparseCooTensor(dims, gamma_idx, entries_at(truth, gamma_idx))
     return CompletionProblem(dims, omega, gamma, p), truth

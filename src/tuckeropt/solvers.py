@@ -86,7 +86,6 @@ class SolverConfig:
     rho: float = 0.5
     armijo_a: float = 1e-4
     delta: float = 1e-2
-    delta_absolute: bool = False
     max_iters: int = 500
     stat_tol: float = 1e-8
     step_floor: float = 1e-16
@@ -147,27 +146,17 @@ class SolverTrace:
         return self.records[-1]
 
 
-class LineSearchResult(tuple):
-    """(s, Y, n_backtracks) from :func:`armijo_search`, with f(Y) as
-    ``f_after`` so that the caller need not evaluate the accepted point again."""
-
-    def __new__(cls, s, Y, backtracks, f_after):
-        self = super().__new__(cls, (s, Y, backtracks))
-        self.f_after = f_after
-        return self
-
-
 def armijo_search(obj: ObjectiveHandle, X: TuckerTensor, V: TangentVector,
                   dir_inner: float, sbar: float, cfg: SolverConfig,
                   retracted: bool, r, fX: float):
-    """Backtracking line search; returns (s, Y, n_backtracks).
+    """Backtracking line search; returns (s, Y, n_backtracks, f(Y)).
 
     Finds the smallest l >= 0 such that s = rho^l * sbar satisfies
     f(X) - f(Y_s) >= s * a * dir_inner, where Y_s is the step truncated to
     the rank bound r for the retracted variants and the structured exact
     step otherwise.  ``fX`` is f(X), so a search makes n_backtracks + 1
-    evaluations of f.  The result is a :class:`LineSearchResult` that also
-    carries f(Y) as ``f_after``.
+    evaluations of f, and f(Y) is returned so that the caller need not
+    evaluate the accepted point again.
     """
     if dir_inner <= 0:
         raise ValueError(f"not a descent direction: dir_inner={dir_inner}")
@@ -181,7 +170,7 @@ def armijo_search(obj: ObjectiveHandle, X: TuckerTensor, V: TangentVector,
             Y = hosvd_truncate(Y, tuple(min(a, b) for a, b in zip(r, Y.rank)))
         fY = obj.eval(Y)
         if fX - fY >= s * cfg.armijo_a * dir_inner:
-            return LineSearchResult(s, Y, backtracks, fY)
+            return s, Y, backtracks, fY
         s *= cfg.rho
         backtracks += 1
     raise LineSearchFailure(
@@ -254,11 +243,10 @@ def _direction_step(obj, X, grad, fX, r, cfg, retraction_free):
                             backtracks=0)
     dir_inner = vnorm * vnorm
     sbar = _initial_stepsize(obj, X, V, vnorm, cfg, retraction_free)
-    found = armijo_search(obj, X, V, dir_inner, sbar, cfg,
-                          retracted=not retraction_free, r=r, fX=fX)
-    s, Y, bt = found
-    return Y, _StepInfo(f_after=found.f_after, stepsize=s,
-                        direction_norm=vnorm, backtracks=bt)
+    s, Y, bt, fY = armijo_search(obj, X, V, dir_inner, sbar, cfg,
+                                 retracted=not retraction_free, r=r, fX=fX)
+    return Y, _StepInfo(f_after=fY, stepsize=s, direction_norm=vnorm,
+                        backtracks=bt)
 
 
 def _make_record(obj, X, fX, gnorm, stat, t, info, n_candidates, t_start):
@@ -277,9 +265,7 @@ _NO_STEP = _StepInfo(f_after=float("nan"), stepsize=0.0, direction_norm=0.0,
 
 
 def _effective_delta(X0: TuckerTensor, cfg: SolverConfig) -> float:
-    """Rank-decrease threshold, by default relative to sigma_max at the start."""
-    if cfg.delta_absolute:
-        return cfg.delta
+    """Rank-decrease threshold relative to sigma_max at the start."""
     sig = [s[0] for s in mode_singular_values(X0) if s.size]
     smax = max(sig) if sig else 0.0
     return cfg.delta * smax if smax > 0 else cfg.delta

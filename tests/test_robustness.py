@@ -1,8 +1,9 @@
 """The rank-decreasing solvers across rank parameters, orders and shapes.
 
-Small completion instances with fixed seeds: d = 2 and d = 4, non-cubic
+Small completion instances with fixed seeds: d = 2, 3 and 4, non-cubic
 dimensions, non-uniform bounds below and above the true rank, starts below
-the bound, and candidate sets that reach rank 0 in a mode.  Every run has
+the bound, candidate sets that reach rank 0 in a mode, and an Omega that
+leaves a slice unobserved.  Every run has
 iterations with several distinct rank candidates, whose steps are served
 from the iterate's basis.
 """
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 from tuckeropt.completion import (
+    CompletionProblem,
     completion_objective,
     gen_synthetic,
     random_tucker,
@@ -18,16 +20,20 @@ from tuckeropt.completion import (
 from tuckeropt.geometry import stationarity_measure
 from tuckeropt.oracles import _ref_stationarity
 from tuckeropt.solvers import SolverConfig, solve_grap_r, solve_rfgrap_r
+from tuckeropt.tensor_core import SparseCooTensor
 
 TERMINATIONS = {"converged", "max_iters", "stalled", "line_search_failure",
                 "candidate_exhaustion"}
 
-# (dims, true rank, bound, start rank, sampling rate, seed, solver config)
+# (dims, true rank, bound, start rank, sampling rate, seed, options): the
+# options are SolverConfig fields, and "delta_eff", an absolute rank-decrease
+# threshold for the solver, and "unobserved", a 1-based slice of mode 1 taken
+# out of Omega
 INSTANCES = {
     # d = 2 under the true rank; a threshold above every singular value
     # offers every rank down to 0 in both modes
     "d2-under-rank-0": ((12, 9), (3, 2), (2, 2), (2, 2), 0.5, 1,
-                        dict(delta=1e6, delta_absolute=True)),
+                        dict(delta_eff=1e6)),
     # d = 2 over the true rank, from a start below the bound
     "d2-over-below": ((11, 8), (1, 2), (3, 3), (2, 3), 0.5, 2,
                       dict(delta=0.3)),
@@ -37,7 +43,24 @@ INSTANCES = {
     # d = 4, under the true rank in two modes, from a start below the bound
     "d4-under-below": ((6, 7, 5, 4), (3, 2, 2, 2), (2, 2, 2, 1),
                        (1, 2, 2, 1), 0.4, 4, dict(delta=0.5)),
+    # d = 3, non-uniform bound over a non-uniform true rank
+    "d3-over": ((9, 7, 8), (2, 1, 2), (3, 2, 3), (3, 2, 3), 0.4, 5,
+                dict(delta=0.3)),
+    # d = 3 over the true rank, with slice 3 of mode 1 unobserved
+    "d3-unobserved-slice": ((8, 9, 6), (2, 2, 1), (2, 3, 2), (2, 3, 2), 0.4,
+                            6, dict(delta=0.3, unobserved=3)),
 }
+
+
+def _problem(dims, r_true, p, seed, unobserved):
+    """The synthetic instance, with slice ``unobserved`` of mode 1 (when
+    not None) taken out of Omega."""
+    P, _ = gen_synthetic(dims, r_true, p, seed=seed)
+    if unobserved is None:
+        return P
+    keep = P.omega.idx[:, 0] != unobserved
+    omega = SparseCooTensor(dims, P.omega.idx[keep], P.omega.vals[keep])
+    return CompletionProblem(dims, omega, P.gamma, P.p)
 
 
 @pytest.mark.parametrize("solve", [solve_grap_r, solve_rfgrap_r],
@@ -45,11 +68,13 @@ INSTANCES = {
 @pytest.mark.parametrize("name", sorted(INSTANCES))
 def test_rank_decreasing_solver_is_monotone_and_stationary(name, solve):
     dims, r_true, bound, start, p, seed, kw = INSTANCES[name]
-    P, _ = gen_synthetic(dims, r_true, p, seed=seed)
+    kw = dict(kw)
+    delta_eff = kw.pop("delta_eff", None)
+    P = _problem(dims, r_true, p, seed, kw.pop("unobserved", None))
     obj = completion_objective(P)
     X0 = random_tucker(dims, start, np.random.default_rng(100 + seed))
     cfg = SolverConfig(max_iters=25, stat_tol=1e-12, **kw)
-    X, trace = solve(obj, X0, bound, cfg)
+    X, trace = solve(obj, X0, bound, cfg, delta_eff=delta_eff)
     assert trace.termination in TERMINATIONS
     recs = trace.records
     f0 = recs[0].f_value

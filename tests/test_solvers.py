@@ -75,9 +75,10 @@ def test_armijo_accepts_descent():
     V = approx_project(X, Contractions(X, -obj.grad(X)), (2, 2, 2))
     vn = tangent_norm(V)
     cfg = SolverConfig()
-    s, Y, bt = armijo_search(obj, X, V, vn * vn, 1.0 / vn, cfg, retracted=True,
-                             r=(2, 2, 2), fX=obj.eval(X))
-    assert obj.eval(X) - obj.eval(Y) >= s * cfg.armijo_a * vn * vn
+    s, Y, bt, fY = armijo_search(obj, X, V, vn * vn, 1.0 / vn, cfg,
+                                 retracted=True, r=(2, 2, 2), fX=obj.eval(X))
+    assert fY == obj.eval(Y)
+    assert obj.eval(X) - fY >= s * cfg.armijo_a * vn * vn
     assert all(a <= 2 for a in Y.rank)
 
 
@@ -155,10 +156,9 @@ def test_candidate_exhaustion_returns_the_trace(tmp_path, monkeypatch):
     X0 = random_tucker((10, 10, 10), (4, 4, 4), np.random.default_rng(6))
     # a threshold above every singular value: 5**3 grap-r candidates and
     # 2**3 rfgrap-r ones, both over the cap
-    cfg = SolverConfig(max_iters=5, delta=1e6, delta_absolute=True,
-                       candidate_cap=7)
+    cfg = SolverConfig(max_iters=5, candidate_cap=7)
     for solve in (solve_grap_r, solve_rfgrap_r):
-        X, trace = solve(obj, X0, (4, 4, 4), cfg)
+        X, trace = solve(obj, X0, (4, 4, 4), cfg, delta_eff=1e6)
         assert X is X0 and len(trace.records) == 1
         assert trace.termination == "candidate_exhaustion"
         assert len(trace.diagnostics) == 1
@@ -167,8 +167,8 @@ def test_candidate_exhaustion_returns_the_trace(tmp_path, monkeypatch):
     def failing(*args, **kwargs):
         raise LineSearchFailure("no decrease")
     monkeypatch.setattr(solvers, "armijo_search", failing)
-    cfg = SolverConfig(max_iters=5, delta=1e-12, delta_absolute=True)
-    X, trace = solve_grap_r(obj, X0, (4, 4, 4), cfg)
+    cfg = SolverConfig(max_iters=5)
+    X, trace = solve_grap_r(obj, X0, (4, 4, 4), cfg, delta_eff=1e-12)
     assert X is X0 and len(trace.records) == 1
     assert trace.termination == "candidate_exhaustion"
     assert trace.diagnostics == ("all 1 rank candidates failed the line "
@@ -251,8 +251,7 @@ def test_rank_decrease_steps_once_per_distinct_truncated_rank(monkeypatch):
     # and every candidate with a zero mode truncates to rank (0, 0, 0)
     P, _ = gen_synthetic((10, 10, 10), (2, 2, 2), 0.3, seed=5)
     X0 = random_tucker((10, 10, 10), (4, 4, 4), np.random.default_rng(6))
-    cfg = SolverConfig(max_iters=2, delta=1e6, delta_absolute=True,
-                       candidate_cap=125)
+    cfg = SolverConfig(max_iters=2, candidate_cap=125)
     log = []
     obj = _counting(completion_objective(P), log)
     truncate, measure = solvers.hosvd_truncations, solvers.stationarity_measure
@@ -269,7 +268,7 @@ def test_rank_decrease_steps_once_per_distinct_truncated_rank(monkeypatch):
         return measure(*args)
     monkeypatch.setattr(solvers, "hosvd_truncations", logged_truncate)
     monkeypatch.setattr(solvers, "stationarity_measure", logged_measure)
-    _, trace = solve_grap_r(obj, X0, (4, 4, 4), cfg)
+    _, trace = solve_grap_r(obj, X0, (4, 4, 4), cfg, delta_eff=1e6)
     starts = [i for i, e in enumerate(log) if e == "iteration"]
     assert len(starts) == len(trace.records) == cfg.max_iters + 1
     collapsed = 0
@@ -348,9 +347,10 @@ def test_multi_candidate_iteration_kernel_calls(monkeypatch):
     # everywhere densifies its gradient for it
     P, _ = gen_synthetic((10, 9, 8), (2, 2, 2), 0.3, seed=5)
     X0 = random_tucker(P.dims, (3, 3, 3), np.random.default_rng(6))
-    cfg = SolverConfig(max_iters=1, delta=1e6, delta_absolute=True)
+    cfg = SolverConfig(max_iters=1)
     log = _kernel_log(monkeypatch)
-    _, trace = solve_rfgrap_r(completion_objective(P), X0, (3, 3, 3), cfg)
+    _, trace = solve_rfgrap_r(completion_objective(P), X0, (3, 3, 3), cfg,
+                              delta_eff=1e6)
     assert trace.records[1].n_candidates == 8
     start, end = (i for i, e in enumerate(log) if e == "iteration")
     block = log[start + 1:end]
