@@ -130,8 +130,8 @@ class Contractions:
     same reason a pattern derived from a formed one reads that one's own
     array.
 
-    A sparse A reaches :func:`~tuckeropt.tensor_core.multi_mode_contract`
-    only for patterns with one matrix mode, at most once per pattern.
+    A sparse A reaches :func:`~tuckeropt.tensor_core.multi_mode_contract`,
+    which takes exactly one matrix mode, at most once per such pattern.
     Every pattern with more is derived from one with fewer (see
     :meth:`_direct`), so that at a full-rank point in d = 3 the d mode
     terms and the core term all come from the two patterns (I, I, U) and

@@ -317,23 +317,18 @@ def mixed_eval(core: np.ndarray, mats, plan: IndexPlan) -> np.ndarray:
 
 
 def multi_mode_contract(S: SparseCooTensor, factors, skip: int) -> np.ndarray:
-    """Compute (S x_m U_m^T)_(skip) for the one matrix mode m, exploiting
-    sparsity.
+    """Compute (S x_m U_m^T)_(skip) exploiting sparsity.
 
-    ``factors`` holds one entry per mode: the matrix U_m on exactly one mode
-    m other than ``skip``, and None (the identity) on every other mode; the
-    entry for the skipped mode is ignored.  The columns run over the modes
-    other than ``skip``, the first listed fastest, mode m contributing q_m
-    of them.  No matrix mode, or two or more, raise a ``ValueError``:
-    :class:`~tuckeropt.geometry.Contractions` derives every other pattern
-    from this one by dense mode products.
+    ``factors`` holds one entry per mode: U_m on exactly one mode m other
+    than ``skip`` and None (the identity) on the others, the skipped mode's
+    entry ignored; no such m, or two or more, raise a ``ValueError``.
+    :class:`~tuckeropt.geometry.Contractions` derives every other pattern.
 
     The kernel is the adjoint of :func:`mixed_eval`.  Each value, times its
-    row of U_m, goes into the dense partial over the other modes, at the
-    tuple's fibre (:meth:`IndexPlan.fibres`, the skipped mode first), by
-    one ``np.bincount`` per column of U_m.  ``bincount`` adds the tuples in
-    their order, so each sum runs in a fixed order.  Besides the partial,
-    which is the output, the kernel holds one len(S)-long vector at a time.
+    row of U_m, goes into the dense partial over the other modes, which is
+    the output, at the tuple's fibre (:meth:`IndexPlan.fibres`, the skipped
+    mode first), by one ``np.bincount`` per column of U_m.  ``bincount``
+    adds the tuples in their order, so each sum runs in a fixed order.
     """
     d = len(S.dims)
     if not 1 <= skip <= d:
@@ -356,8 +351,7 @@ def multi_mode_contract(S: SparseCooTensor, factors, skip: int) -> np.ndarray:
     fib = S.plan.fibres(lead, [S.dims[j] for j in lead])
     Ut = np.ascontiguousarray(U.T)
     # (column of U_m, fibre); each column's weights are formed in place, one
-    # len(S) temporary at a time, so that the allocator reuses it rather
-    # than return memory between columns
+    # len(S) temporary at a time, which the allocator reuses
     part = np.empty((q, nfib))
     for a in range(q):
         w = Ut[a].take(S.plan.cols[m])

@@ -22,7 +22,6 @@ from tuckeropt.oracles import dense_reference
 from tuckeropt.solvers import SolverConfig, solve_grap
 from tuckeropt.tensor_core import (
     SparseCooTensor,
-    fold,
     mode_product,
     unfold,
 )
