@@ -3,9 +3,8 @@
 Small completion instances with fixed seeds: d = 2, 3 and 4, non-cubic
 dimensions, non-uniform bounds below and above the true rank, starts below
 the bound, candidate sets that reach rank 0 in a mode, and an Omega that
-leaves a slice unobserved.  Every run has
-iterations with several distinct rank candidates, whose steps are served
-from the iterate's basis.
+leaves a slice unobserved.  Every run has iterations with several rank
+candidates, whose steps are served from the iterate's basis.
 """
 
 import numpy as np

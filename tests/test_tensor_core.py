@@ -501,17 +501,6 @@ def test_multi_mode_contract_takes_one_matrix_mode():
             multi_mode_contract(S, two, skip)
 
 
-def _all_matrix_cases(rng):
-    """(S, factors) at d = 2, 3 and 4, with slice 2 of every mode but the
-    last unobserved and one factor of rank 1."""
-    for dims, qs in (((7, 5), (3, 2)), ((6, 9, 4), (2, 3, 1)),
-                     ((4, 3, 5, 3), (2, 2, 3, 1))):
-        S = _random_coo(dims, 0.5, rng)
-        keep = (S.idx[:, :-1] != 2).all(axis=1)
-        S = SparseCooTensor(dims, S.idx[keep], S.vals[keep])
-        yield S, [rng.standard_normal((n, q)) for n, q in zip(dims, qs)]
-
-
 @pytest.mark.parametrize("block", [1, 7, None])
 def test_all_matrix_contraction_matches_dense(monkeypatch, block):
     # the pattern with every mode but the skipped one a matrix mode, formed
@@ -572,11 +561,12 @@ def test_multi_mode_contract_matches_dense_for_every_pattern():
             got = Contractions(_anchored(U), S).contract(modes)
             for skip in (j + 1 for j in range(d) if bits[j]):
                 ref = dense_reference("multi_mode_contract", S, mats, skip)
-                assert unfold(got, skip).shape == ref.shape
-                assert np.allclose(unfold(got, skip), ref, rtol=0,
+                unfolded = unfold(got, skip)
+                assert unfolded.shape == ref.shape
+                assert np.allclose(unfolded, ref, rtol=0,
                                    atol=1e-13 * np.abs(ref).max())
                 if skip < d:
-                    assert not unfold(got, skip)[1].any()  # unobserved
+                    assert not unfolded[1].any()    # the unobserved slice
             assert np.array_equal(
                 Contractions(_anchored(U), empty).contract(modes),
                 np.zeros(got.shape))
