@@ -9,8 +9,6 @@ Prints one summary line per solver; writes per-iteration traces to
 
 from pathlib import Path
 
-import numpy as np
-
 from tuckeropt import (
     SolverConfig,
     completion_objective,

@@ -18,6 +18,7 @@ from .geometry import tangent_norm
 from .solvers import ObjectiveHandle
 from .tensor_core import (
     SparseCooTensor,
+    index_plan,
     load_coo,
     save_coo,
     thin_svd,
@@ -135,8 +136,10 @@ def gen_synthetic(n, r_true, p: float, seed: int):
     idx = np.column_stack(np.unravel_index(lin, dims, order="F")) + 1
     omega_idx = idx[:m]
     gamma_idx = idx[m:2 * m]
-    omega = SparseCooTensor(dims, omega_idx, entries_at(truth, omega_idx))
-    gamma = SparseCooTensor(dims, gamma_idx, entries_at(truth, gamma_idx))
+    omega = SparseCooTensor(dims, omega_idx,
+                            entries_at(truth, index_plan(omega_idx, dims)))
+    gamma = SparseCooTensor(dims, gamma_idx,
+                            entries_at(truth, index_plan(gamma_idx, dims)))
     return CompletionProblem(dims, omega, gamma, p), truth
 
 

@@ -19,7 +19,6 @@ from .tensor_core import (
     SparseCooTensor,
     cutoff_rank,
     fold,
-    index_plan,
     mixed_eval,
     mode_product,
     multi_mode_contract,
@@ -87,25 +86,20 @@ def tangent_norm(V: TangentVector) -> float:
     return float(np.sqrt(total))
 
 
-def tangent_entries_at(V: TangentVector, idx) -> np.ndarray:
-    """Entries of the ambient tensor that V represents at 1-based index
-    tuples, without densifying.
-
-    ``idx`` is an (m, d) array of tuples, which is bounds-checked here, or
-    an :class:`IndexPlan` of validated tuples, which is not.
+def tangent_entries_at(V: TangentVector, plan: IndexPlan) -> np.ndarray:
+    """Entries of the ambient tensor that V represents at the tuples of
+    ``plan``, without densifying (see :func:`~tuckeropt.tucker.entries_at`).
     """
     X = V.anchor
-    if not isinstance(idx, IndexPlan):
-        idx = index_plan(idx, X.dims)
     if V.C.any():
-        vals = mixed_eval(V.C, _widened(V), idx)
+        vals = mixed_eval(V.C, _widened(V), plan)
     else:       # partial_project's single-factor branches have C = 0
-        vals = np.zeros(len(idx))
+        vals = np.zeros(len(plan))
     for k in range(X.ndim):
         if not V.Udot[k].any():
             continue
         mats = [V.Udot[j] if j == k else X.factors[j] for j in range(X.ndim)]
-        vals = vals + mixed_eval(X.core, mats, idx)
+        vals = vals + mixed_eval(X.core, mats, plan)
     return vals
 
 
@@ -118,11 +112,11 @@ class Contractions:
     or a widened basis [U_j | Ucomp_j].  :meth:`contract` forms each of them
     on first request and keeps it under its mode pattern, so that
     :func:`stationarity_measure`, :func:`choose_singular_complement`,
-    :func:`approx_project` and :func:`partial_project` at X, all of which
-    accept this object in place of A, compute each contraction once between
-    them.  The object belongs to one (X, A): a solver makes one per iterate
-    and per rank candidate and drops it with the point.  It is the only
-    place the solver path forms such a contraction.
+    :func:`approx_project` and :func:`partial_project`, which all take this
+    object and read X as its ``anchor``, compute each contraction once
+    between them.  The object belongs to one (X, A): a solver makes one per
+    iterate and per rank candidate and drops it with the point.  It is the
+    only place the solver path forms such a contraction.
 
     Layout rule: hand out the very array formed, never a re-laid-out
     copy.  GEMM rounding depends on operand layout, so a C-order copy of a
@@ -255,15 +249,6 @@ def _mode_matrix(U: np.ndarray, m):
     return np.hstack([U, m]) if m.shape[1] else U
 
 
-def _contractions(X: TuckerTensor, A) -> Contractions:
-    """A if it is already the Contractions object of X, else a new one."""
-    if isinstance(A, Contractions):
-        if A.anchor is not X:
-            raise ValueError("contractions were formed at a different point")
-        return A
-    return Contractions(X, A)
-
-
 def _pad_complement(existing: np.ndarray, q: int) -> np.ndarray:
     """Deterministically extend ``existing`` (orthonormal columns) by q more
     orthonormal columns drawn from projected identity columns."""
@@ -287,16 +272,17 @@ def _pad_complement(existing: np.ndarray, q: int) -> np.ndarray:
     return np.column_stack(added) if added else np.zeros((n, 0))
 
 
-def choose_singular_complement(X: TuckerTensor, A, r):
-    """Per-mode complements Ucomp_k spanning dominant left singular directions.
+def choose_singular_complement(G: Contractions, r):
+    """Per-mode complements Ucomp_k spanning dominant left singular directions
+    of the tensor A of G at X = G.anchor.
 
     Deficient modes are processed in ascending order; each complement takes
     the leading left singular vectors of the mode-k unfolding of A after the
     previously chosen subspaces have been applied, projected orthogonal to
     U_k.  Rank-deficient cases are padded with a deterministic orthonormal
-    complement.  A may be the :class:`Contractions` object of X.
+    complement.
     """
-    A = _contractions(X, A)
+    X = G.anchor
     rlow = X.rank
     r = tuple(int(x) for x in r)
     d = X.ndim
@@ -308,7 +294,7 @@ def choose_singular_complement(X: TuckerTensor, A, r):
         # earlier deficient modes take their widened basis, later ones none
         modes = [("I" if j >= k else comps[j]) if j in deficient else "U"
                  for j in range(d)]
-        B = unfold(A.contract(modes), k + 1)
+        B = unfold(G.contract(modes), k + 1)
         U = X.factors[k]
         M = B - U @ (U.T @ B)
         q = r[k] - rlow[k]
@@ -329,12 +315,13 @@ def _core_pinv(X: TuckerTensor, k: int) -> np.ndarray:
     return (f.V[:, :q] / f.sigma[:q]) @ f.U[:, :q].T
 
 
-def _project(X: TuckerTensor, A, r, complements, widen: bool):
-    """The per-iterate core of both tangent-cone projections of A at X.
+def _project(G: Contractions, r, complements, widen: bool):
+    """The per-iterate core of both tangent-cone projections of the tensor A
+    of G at X = G.anchor.
 
     Returns (r, C, Udot, complements) with C = A x_k [U_k Ucomp_k]^T and
-    Udot_k = (D_k - B_k B_k^T D_k) pinv(G_(k)), where B_k is [U_k Ucomp_k]
-    when ``widen`` (:func:`approx_project`) and U_k otherwise
+    Udot_k = (D_k - B_k B_k^T D_k) pinv(X.core_(k)), where B_k is
+    [U_k Ucomp_k] when ``widen`` (:func:`approx_project`) and U_k otherwise
     (:func:`partial_project`).  The complements are chosen here when None.
 
     Both projections are odd in A: -A has the same complements as A
@@ -344,31 +331,31 @@ def _project(X: TuckerTensor, A, r, complements, widen: bool):
     such as a sparse gradient's unobserved entries densified.
     """
     r = tuple(int(x) for x in r)
-    A = _contractions(X, A)
+    X = G.anchor
     if complements is None:
-        complements = choose_singular_complement(X, A, r)
-    C = A.contract(complements)
-    udots = [A.mode_residual(k, Uc if widen else None) @ _core_pinv(X, k + 1)
+        complements = choose_singular_complement(G, r)
+    C = G.contract(complements)
+    udots = [G.mode_residual(k, Uc if widen else None) @ _core_pinv(X, k + 1)
              for k, Uc in enumerate(complements)]
     return r, C, tuple(udots), tuple(complements)
 
 
-def approx_project(X: TuckerTensor, A, r, complements=None) -> TangentVector:
-    """SVD-based approximate projection of A onto the tangent cone at X.
-
-    A may be the :class:`Contractions` object of X.
-    """
-    return TangentVector(X, *_project(X, A, r, complements, widen=True))
+def approx_project(G: Contractions, r, complements=None) -> TangentVector:
+    """SVD-based approximate projection of the tensor A of G onto the
+    tangent cone at G.anchor."""
+    return TangentVector(G.anchor, *_project(G, r, complements, widen=True))
 
 
-def partial_project(X: TuckerTensor, A, r, complements=None):
-    """Retraction-free partial projection: the largest of d+1 partial terms.
+def partial_project(G: Contractions, r, complements=None):
+    """Retraction-free partial projection of the tensor A of G at
+    X = G.anchor: the largest of d+1 partial terms.
 
     Returns (TangentVector, branch) where branch 0 is the multilinear-space
     term and branch k keeps only the mode-k factor term; ties go to the
-    lowest branch index.  A may be the :class:`Contractions` object of X.
+    lowest branch index.
     """
-    r, C, udots, complements = _project(X, A, r, complements, widen=False)
+    X = G.anchor
+    r, C, udots, complements = _project(G, r, complements, widen=False)
     d = X.ndim
     rlow = X.rank
     norms = [float(np.linalg.norm(C.ravel()))]
@@ -384,24 +371,22 @@ def partial_project(X: TuckerTensor, A, r, complements=None):
     return TangentVector(X, rlow, np.zeros(rlow), udot, empty), branch
 
 
-def stationarity_measure(X: TuckerTensor, grad, r) -> StationarityReport:
-    """Norm of the component of grad violating the normal-cone condition.
-
-    grad may be the :class:`Contractions` object of X.
-    """
+def stationarity_measure(G: Contractions, r) -> StationarityReport:
+    """Norm of the component of the gradient, the tensor of G, that
+    violates the normal-cone condition at X = G.anchor."""
     r = tuple(int(x) for x in r)
-    grad = _contractions(X, grad)
+    X = G.anchor
     rlow = X.rank
     d = X.ndim
     deficient = tuple(k + 1 for k in range(d) if rlow[k] < r[k])
     modes = ["I" if (k + 1) in deficient else "U" for k in range(d)]
-    core_resid = float(np.linalg.norm(grad.contract(modes).ravel()))
+    core_resid = float(np.linalg.norm(G.contract(modes).ravel()))
     mode_resid = []
     for k in range(d):
         if (k + 1) in deficient:
             mode_resid.append(0.0)
             continue
-        M = grad.mode_residual(k)
+        M = G.mode_residual(k)
         mode_resid.append(float(np.linalg.norm(M @ unfold(X.core, k + 1).T)))
     value = float(np.sqrt(core_resid ** 2 + np.sum(np.square(mode_resid))))
     return StationarityReport(value=value, core_residual=core_resid,

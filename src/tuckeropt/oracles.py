@@ -18,6 +18,7 @@ import numpy as np
 
 from .completion import euclidean_gradient, gen_synthetic, random_tucker
 from .geometry import (
+    Contractions,
     TangentVector,
     approx_project,
     choose_singular_complement,
@@ -25,7 +26,14 @@ from .geometry import (
     stationarity_measure,
     tangent_norm,
 )
-from .tensor_core import SparseCooTensor, fold, inner, unfold
+from .tensor_core import (
+    DEFAULT_RANK_TOL,
+    SparseCooTensor,
+    cutoff_rank,
+    fold,
+    inner,
+    unfold,
+)
 from .tucker import TuckerTensor, hosvd, to_dense
 
 _ORACLE_MAX_DIM = 6
@@ -104,6 +112,15 @@ def _widen(X: TuckerTensor, complements) -> list:
     return [np.hstack([U, c]) for U, c in zip(X.factors, complements)]
 
 
+def tucker_rank(A: np.ndarray, tau: float = DEFAULT_RANK_TOL) -> tuple:
+    """Numerical rank of every unfolding A_(k): the count of its singular
+    values above tau * sigma_1 (:func:`~tuckeropt.tensor_core.cutoff_rank`)."""
+    if not 0 < tau < 1:
+        raise ValueError("tau must lie in (0, 1)")
+    return tuple(cutoff_rank(np.linalg.svd(unfold(A, k), compute_uv=False),
+                             tau) for k in range(1, A.ndim + 1))
+
+
 def _perp(U: np.ndarray) -> np.ndarray:
     """Orthonormal basis of span(U)^perp (U has orthonormal columns)."""
     n, r = U.shape
@@ -159,7 +176,7 @@ def ambient_inner(A, V: TangentVector) -> float:
 def tangent_space_project(X: TuckerTensor, A) -> TangentVector:
     """Closed-form projection onto the tangent space at a full-bound point."""
     empty = [np.zeros((n, 0)) for n in X.dims]
-    return approx_project(X, A, X.rank, complements=empty)
+    return approx_project(Contractions(X, A), X.rank, complements=empty)
 
 
 def sample_normal(X: TuckerTensor, r, seed) -> np.ndarray:
@@ -312,7 +329,8 @@ def finite_diff_gradient(f, X, coords, h: float):
 
 
 # ---------------------------------------------------------------------------
-# Dense references for the structured operations
+# Dense references for the structured operations: _ref_<op> recomputes <op>
+# by naive dense formulas and is the source of truth its tests compare with.
 
 def _check_small(dims):
     if int(np.prod(dims, dtype=np.int64)) > 20000:
@@ -405,28 +423,6 @@ def _ref_tangent_entries_at(V: TangentVector, idx) -> np.ndarray:
     return np.array([dense[tuple(row - 1)] for row in idx])
 
 
-_REFERENCES = {
-    "approx_project": _ref_approx_project,
-    "partial_project": _ref_partial_project,
-    "stationarity_measure": _ref_stationarity,
-    "hosvd_truncate": _ref_hosvd_truncate,
-    "multi_mode_contract": _ref_multi_mode_contract,
-    "contract": _ref_contract,
-    "add_scaled_tangent": _ref_add_scaled_tangent,
-    "entries_at": _ref_entries_at,
-    "tangent_entries_at": _ref_tangent_entries_at,
-}
-
-
-def dense_reference(op_name: str, *inputs):
-    """Naive dense recomputation of a structured operation (source of truth)."""
-    try:
-        ref = _REFERENCES[op_name]
-    except KeyError:
-        raise ValueError(f"no dense reference for {op_name!r}") from None
-    return ref(*inputs)
-
-
 # ---------------------------------------------------------------------------
 # Verification suites (shared by the `check` command and the test suite)
 
@@ -456,8 +452,8 @@ def suite_angle(seed=0, instances=20, restarts=100) -> OracleReport:
         _, value = exact_tangent_projection_oracle(
             X, A, r, restarts=restarts, seed=rng.integers(2 ** 31))
         wt, wh = angle_constants(X.dims, r, X.rank)
-        Vt = approx_project(X, A, r)
-        Vh, _ = partial_project(X, A, r)
+        Vt = approx_project(Contractions(X, A), r)
+        Vh, _ = partial_project(Contractions(X, A), r)
         nt = tangent_norm(Vt)
         nh = tangent_norm(Vh)
         v1 = wt * value - nt                       # must be <= 0
@@ -474,7 +470,7 @@ def suite_complement(seed=0, instances=50) -> OracleReport:
     worst = -np.inf
     for i in range(instances):
         X, A, r = _random_deficient_instance(rng, dims=(5, 4, 6), rmax=3)
-        comps = choose_singular_complement(X, A, r)
+        comps = choose_singular_complement(Contractions(X, A), r)
         d = X.ndim
         S = _widen(X, comps)
         deficient = [k for k in range(d) if X.rank[k] < r[k]]
@@ -499,14 +495,14 @@ def suite_normal(seed=0, instances=50) -> OracleReport:
     for i in range(instances):
         X, A, r = _random_deficient_instance(rng, dims=(5, 5, 5), rmax=3)
         W = sample_normal(X, r, seed=rng.integers(2 ** 31))
-        V = approx_project(X, A, r)
+        V = approx_project(Contractions(X, A), r)
         nw = float(np.linalg.norm(W.ravel()))
         nv = tangent_norm(V)
         if nw == 0 or nv == 0:
             margins.append(0.0)
             continue
         rel = abs(ambient_inner(W, V)) / (nw * nv)
-        stat = stationarity_measure(X, -W, r).value
+        stat = stationarity_measure(Contractions(X, -W), r).value
         viol = max(rel - 1e-10, stat - 1e-10 * nw)
         worst = max(worst, viol)
         margins.append(viol)

@@ -224,8 +224,9 @@ def _initial_stepsize(obj, X, V, vnorm, cfg, retraction_free):
     return max(sbar, cfg.step_floor)
 
 
-def _direction_step(obj, X, grad, fX, r, cfg, retraction_free):
-    """One projected line-search step from X; returns (Y, _StepInfo).
+def _direction_step(obj, grad, fX, r, cfg, retraction_free):
+    """One projected line-search step from X = grad.anchor; returns
+    (Y, _StepInfo).
 
     ``grad`` is the :class:`Contractions` object of grad f(X), whose
     contractions the stationarity measure at X may already have formed.
@@ -233,9 +234,10 @@ def _direction_step(obj, X, grad, fX, r, cfg, retraction_free):
     projection of grad f: both projections are odd in their argument.
     """
     if retraction_free:
-        V, _branch = partial_project(X, grad, r)
+        V, _branch = partial_project(grad, r)
     else:
-        V = approx_project(X, grad, r)
+        V = approx_project(grad, r)
+    X = grad.anchor
     V = TangentVector(X, V.bound, -V.C, tuple(-U for U in V.Udot), V.Ucomp)
     vnorm = tangent_norm(V)
     if vnorm == 0.0:
@@ -284,9 +286,9 @@ def _candidate_ranks(X, r, cfg, retraction_free, delta_eff):
     return list(itertools.product(*sets))
 
 
-def _rank_decrease_step(obj, X, fX, grad, r, cfg, retraction_free,
-                        delta_eff):
-    """Evaluate every lower-rank candidate, keep the best; returns (Y, info, n).
+def _rank_decrease_step(obj, fX, grad, r, cfg, retraction_free, delta_eff):
+    """Evaluate every lower-rank candidate of X = grad.anchor, keep the best;
+    returns (Y, info, n).
 
     Every nominal candidate rl is truncated, but the step is taken once per
     distinct truncated rank: hosvd_truncate's result depends only on the
@@ -306,6 +308,7 @@ def _rank_decrease_step(obj, X, fX, grad, r, cfg, retraction_free,
     Each candidate forms its patterns on demand and drops them after its
     step.
     """
+    X = grad.anchor
     cands = _candidate_ranks(X, r, cfg, retraction_free, delta_eff)
     distinct = {}
     for rl, (Xc, ws) in zip(cands, hosvd_truncations(X, cands)):
@@ -317,13 +320,12 @@ def _rank_decrease_step(obj, X, fX, grad, r, cfg, retraction_free,
     failures = []
     for rl, Xc, ws in distinct.values():
         if Xc.rank == X.rank:
-            Xc, fc, gc = X, fX, grad
+            fc, gc = fX, grad
         else:
             fc, A = _f_and_grad(obj, Xc)
             gc = Contractions(Xc, A, (Contractions(X, A), ws))
         try:
-            Yc, info = _direction_step(obj, Xc, gc, fc, r, cfg,
-                                       retraction_free)
+            Yc, info = _direction_step(obj, gc, fc, r, cfg, retraction_free)
         except LineSearchFailure as e:
             failures.append(f"candidate {rl}: {e}")
             continue
@@ -372,7 +374,7 @@ def _solve(obj, X0, r, cfg, *, retraction_free, rank_decrease, name,
             trace.termination = "non_finite"
             return X, trace
         contractions = Contractions(X, grad)
-        stat = stationarity_measure(X, contractions, r).value
+        stat = stationarity_measure(contractions, r).value
         trace.records.append(_make_record(obj, X, fX, gnorm, stat, t, pending,
                                           n_candidates, t_start))
         if stat <= cfg.stat_tol:
@@ -384,15 +386,14 @@ def _solve(obj, X0, r, cfg, *, retraction_free, rank_decrease, name,
         if rank_decrease:
             try:
                 X, pending, n_candidates = _rank_decrease_step(
-                    obj, X, fX, contractions, r, cfg, retraction_free,
-                    delta_eff)
+                    obj, fX, contractions, r, cfg, retraction_free, delta_eff)
             except CandidateExhaustion as e:
                 trace.termination = "candidate_exhaustion"
                 trace.diagnostics = (str(e),) + e.diagnostics
                 return X, trace
             continue
         try:
-            Y, pending = _direction_step(obj, X, contractions, fX, r, cfg,
+            Y, pending = _direction_step(obj, contractions, fX, r, cfg,
                                          retraction_free)
         except LineSearchFailure:
             trace.termination = "line_search_failure"

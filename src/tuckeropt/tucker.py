@@ -14,11 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .tensor_core import (
-    DEFAULT_RANK_TOL,
     IndexPlan,
     cutoff_rank,
     fold,
-    index_plan,
     mixed_eval,
     mode_product,
     read_binary_header,
@@ -172,27 +170,17 @@ def to_dense(T: TuckerTensor) -> np.ndarray:
     return X
 
 
-def entries_at(T: TuckerTensor, idx) -> np.ndarray:
-    """Evaluate T at 1-based index tuples without densifying.
+def entries_at(T: TuckerTensor, plan: IndexPlan) -> np.ndarray:
+    """Evaluate T at the 1-based index tuples of ``plan`` without densifying.
 
-    ``idx`` is either an (m, d) array of tuples, which is bounds-checked
-    here, or the :class:`IndexPlan` of an observation set that was validated
-    where it entered, which is not.
+    The plan's tuples are not bounds-checked here: they were validated
+    where they entered, as an observation set's are, or by
+    :func:`~tuckeropt.tensor_core.index_plan`.  Only their count of modes
+    is checked against T.
     """
-    if not isinstance(idx, IndexPlan):
-        idx = index_plan(idx, T.dims)
-    elif len(idx.cols) != T.ndim:
+    if len(plan.cols) != T.ndim:
         raise ValueError("index tuples have wrong length")
-    return mixed_eval(T.core, T.factors, idx)
-
-
-def tucker_rank(A: np.ndarray, tau: float = DEFAULT_RANK_TOL) -> tuple:
-    """Numerical rank of every unfolding A_(k): the count of its singular
-    values above tau * sigma_1 (:func:`cutoff_rank`)."""
-    if not 0 < tau < 1:
-        raise ValueError("tau must lie in (0, 1)")
-    return tuple(cutoff_rank(np.linalg.svd(unfold(A, k), compute_uv=False),
-                             tau) for k in range(1, A.ndim + 1))
+    return mixed_eval(T.core, T.factors, plan)
 
 
 def mode_singular_values(T: TuckerTensor):

@@ -6,6 +6,8 @@ import inspect
 import re
 from pathlib import Path
 
+import pytest
+
 import tuckeropt
 
 # each module may import only from the modules before it
@@ -56,19 +58,50 @@ def _names_read(tree):
             yield node.attr
 
 
-def test_geometry_exports_only_what_the_solver_path_calls():
-    # dense verification geometry belongs in oracles, not next to the kernels
-    tree = ast.parse((PACKAGE / "geometry.py").read_text())
+@pytest.mark.parametrize("module", ["geometry", "tucker"])
+def test_module_exports_only_what_the_solver_path_calls(module):
+    # code that only tests and the dense references read belongs in
+    # oracles, not next to the kernels
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
     defs = [node for node in tree.body
             if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
     read = set()
-    for name in ("solvers", "completion"):
-        read.update(_names_read(ast.parse((PACKAGE / f"{name}.py").read_text())))
+    for path in PACKAGE.glob("*.py"):
+        if path.stem not in (module, "oracles"):
+            read.update(_names_read(ast.parse(path.read_text())))
     unused = [node.name for node in defs if not node.name.startswith("_")
               and node.name not in read and not any(
                   node.name in _names_read(other) for other in defs
                   if other is not node)]
-    assert not unused, f"geometry defines {unused}, which no solver uses"
+    assert not unused, f"{module} defines {unused}, which no solver uses"
+
+
+def _imported_names(tree):
+    """(line, name) of every name an import binds, __future__ aside."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield node.lineno, (alias.asname
+                                    or alias.name.partition(".")[0])
+
+
+@pytest.mark.parametrize("where", ["src/tuckeropt", "tests", "tools",
+                                   "demos"])
+def test_every_imported_name_is_read(where):
+    # the package's __init__ imports the names it exports
+    unread = []
+    for path in sorted((ROOT / where).glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        unread += [f"{path.name}:{line} {name}"
+                   for line, name in _imported_names(tree)
+                   if name not in read]
+    assert not unread, f"imported but never read: {unread}"
 
 
 def _imported_from_package(source):

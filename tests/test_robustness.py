@@ -16,7 +16,7 @@ from tuckeropt.completion import (
     gen_synthetic,
     random_tucker,
 )
-from tuckeropt.geometry import stationarity_measure
+from tuckeropt.geometry import Contractions, stationarity_measure
 from tuckeropt.oracles import _ref_stationarity
 from tuckeropt.solvers import SolverConfig, solve_grap_r, solve_rfgrap_r
 from tuckeropt.tensor_core import SparseCooTensor
@@ -84,6 +84,6 @@ def test_rank_decreasing_solver_is_monotone_and_stationary(name, solve):
     assert X.rank == recs[-1].rank
     assert max(rec.n_candidates for rec in recs) > 1
     grad = obj.grad(X)
-    got = stationarity_measure(X, grad, bound).value
+    got = stationarity_measure(Contractions(X, grad), bound).value
     assert got == pytest.approx(_ref_stationarity(X, grad, bound),
                                 rel=1e-8, abs=1e-12 * np.sqrt(f0))

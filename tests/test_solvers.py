@@ -72,7 +72,7 @@ def test_armijo_accepts_descent():
     A = RNG.standard_normal((5, 5, 5))
     obj = _dense_objective(A)
     X = random_tucker((5, 5, 5), (2, 2, 2), RNG)
-    V = approx_project(X, Contractions(X, -obj.grad(X)), (2, 2, 2))
+    V = approx_project(Contractions(X, -obj.grad(X)), (2, 2, 2))
     vn = tangent_norm(V)
     cfg = SolverConfig()
     s, Y, bt, fY = armijo_search(obj, X, V, vn * vn, 1.0 / vn, cfg,
@@ -86,7 +86,8 @@ def test_armijo_rejects_ascent_direction():
     A = RNG.standard_normal((4, 4, 4))
     obj = _dense_objective(A)
     X = random_tucker((4, 4, 4), (2, 2, 2), RNG)
-    V = approx_project(X, obj.grad(X), (2, 2, 2))  # +grad: ascent
+    # +grad: ascent
+    V = approx_project(Contractions(X, obj.grad(X)), (2, 2, 2))
     with pytest.raises(ValueError):
         armijo_search(obj, X, V, -1.0, 1.0, SolverConfig(), retracted=True,
                       r=(2, 2, 2), fX=obj.eval(X))
@@ -97,7 +98,7 @@ def test_armijo_failure_reports_diagnostics():
     X = random_tucker((4, 4, 4), (2, 2, 2), RNG)
     obj = ObjectiveHandle(eval=lambda T: 1.0, grad=lambda T: None)
     A = RNG.standard_normal((4, 4, 4))
-    V = approx_project(X, A, (2, 2, 2))
+    V = approx_project(Contractions(X, A), (2, 2, 2))
     vn = tangent_norm(V)
     with pytest.raises(LineSearchFailure) as e:
         armijo_search(obj, X, V, vn * vn, 1.0, SolverConfig(step_floor=1e-4),

@@ -11,7 +11,12 @@ from hypothesis import strategies as st
 
 from tuckeropt import geometry, tensor_core
 from tuckeropt.geometry import Contractions
-from tuckeropt.oracles import dense_reference
+from tuckeropt.oracles import (
+    _ref_contract,
+    _ref_entries_at,
+    _ref_multi_mode_contract,
+    tucker_rank,
+)
 from tuckeropt.tensor_core import (
     DEFAULT_RANK_TOL,
     IndexPlan,
@@ -33,7 +38,7 @@ from tuckeropt.tensor_core import (
     thin_svd,
     unfold,
 )
-from tuckeropt.tucker import TuckerTensor, tucker_rank
+from tuckeropt.tucker import TuckerTensor
 
 RNG = np.random.default_rng(1234)
 
@@ -519,7 +524,7 @@ def test_all_matrix_contraction_matches_dense(monkeypatch, block):
             modes = ["I" if j == skip - 1 else "U" for j in range(d)]
             D = Contractions(_anchored(U), S).contract(modes)
             got = unfold(D, skip)
-            ref = dense_reference("multi_mode_contract", S, U, skip)
+            ref = _ref_multi_mode_contract(S, U, skip)
             assert got.shape == ref.shape
             assert np.allclose(got, ref, rtol=0,
                                atol=1e-13 * np.abs(ref).max())
@@ -560,7 +565,7 @@ def test_multi_mode_contract_matches_dense_for_every_pattern():
             modes = ["I" if b else "U" for b in bits]
             got = Contractions(_anchored(U), S).contract(modes)
             for skip in (j + 1 for j in range(d) if bits[j]):
-                ref = dense_reference("multi_mode_contract", S, mats, skip)
+                ref = _ref_multi_mode_contract(S, mats, skip)
                 unfolded = unfold(got, skip)
                 assert unfolded.shape == ref.shape
                 assert np.allclose(unfolded, ref, rtol=0,
@@ -595,8 +600,8 @@ def test_no_all_matrix_pattern_reaches_the_scatter(monkeypatch):
         shared = Contractions(_anchored(U), S)
         for bits in _patterns(d):
             got = shared.contract(["I" if b else "U" for b in bits])
-            ref = dense_reference("contract", S, [None if b else M
-                                                  for b, M in zip(bits, U)])
+            ref = _ref_contract(S, [None if b else M
+                                    for b, M in zip(bits, U)])
             assert np.allclose(got, ref, rtol=0,
                                atol=1e-13 * np.abs(ref).max())
         # one call per one-matrix pattern, none for the others
@@ -618,8 +623,8 @@ def test_contract_matches_dense_reference():
         shared = Contractions(_anchored(U), A)
         for bits in np.ndindex(2, 2, 2):
             got = shared.contract(["I" if b else "U" for b in bits])
-            ref = dense_reference("contract", A,
-                                  [None if bits[j] else U[j] for j in range(3)])
+            ref = _ref_contract(A, [None if bits[j] else U[j]
+                                    for j in range(3)])
             assert got.shape == ref.shape
             assert np.allclose(got, ref, atol=1e-12)
 
@@ -697,7 +702,7 @@ def test_mixed_eval_matches_dense(monkeypatch, dims, shape, m, s):
     leads = _leading_modes(monkeypatch)
     got = mixed_eval(core, mats, S.plan)
     assert leads == [(tuple(range(s)), dims[:s])]
-    ref = dense_reference("entries_at", TuckerTensor(core, mats), S.idx)
+    ref = _ref_entries_at(TuckerTensor(core, mats), S.idx)
     assert np.allclose(got, ref, rtol=0, atol=1e-13 * np.abs(ref).max())
     # a plan that shares the pattern shares its fibre index
     shared = S.with_values(np.zeros(S.nnz)).plan
@@ -755,3 +760,11 @@ def test_index_plan_checks_its_tuples():
                 [[1, 1, 1, 1]]):
         with pytest.raises(ValueError):
             index_plan(bad, (4, 2, 3))
+    # the bounds cases that entries_at (over 3^3) and tangent_entries_at
+    # (over 4^3) checked when they took plain tuples
+    for cases, n in ((([[0, 1, 1]], [[4, 1, 1]], [[1, 1]]), 3),
+                     (([[0, 1, 1]], [[5, 1, 1]], [[1, 1]], [[1, 1, 1, 1]]),
+                      4)):
+        for bad in cases:
+            with pytest.raises(ValueError):
+                index_plan(np.array(bad), (n,) * 3)

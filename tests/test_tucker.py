@@ -10,12 +10,13 @@ import pytest
 
 from tuckeropt import tucker
 from tuckeropt.completion import random_tucker
-from tuckeropt.geometry import approx_project
-from tuckeropt.oracles import _best_rank_approx, embed
+from tuckeropt.geometry import Contractions, approx_project
+from tuckeropt.oracles import _best_rank_approx, embed, tucker_rank
 from tuckeropt.tensor_core import (
     SparseCooTensor,
     fold,
     fro_norm,
+    index_plan,
     thin_svd,
     unfold,
 )
@@ -30,7 +31,6 @@ from tuckeropt.tucker import (
     mode_singular_values,
     save_checkpoint,
     to_dense,
-    tucker_rank,
 )
 
 RNG = np.random.default_rng(99)
@@ -157,7 +157,7 @@ def test_entries_at_matches_dense():
     T = random_tucker((5, 6, 4), (2, 3, 2), RNG)
     A = to_dense(T)
     idx = np.column_stack([RNG.integers(1, n + 1, size=30) for n in T.dims])
-    vals = entries_at(T, idx)
+    vals = entries_at(T, index_plan(idx, T.dims))
     ref = A[tuple(idx.T - 1)]
     assert np.allclose(vals, ref, atol=1e-12)
 
@@ -167,7 +167,8 @@ def test_entries_at_index_plan_matches_tuples():
     idx = np.column_stack([RNG.integers(1, n + 1, size=30) for n in T.dims])
     S = SparseCooTensor(T.dims, np.unique(idx, axis=0),
                         np.ones(np.unique(idx, axis=0).shape[0]))
-    assert np.array_equal(entries_at(T, S.plan), entries_at(T, S.idx))
+    assert np.array_equal(entries_at(T, S.plan),
+                          entries_at(T, index_plan(S.idx, T.dims)))
     for k, U in enumerate(T.factors):
         assert np.array_equal(U.take(S.plan.cols[k], axis=0),
                               U[S.idx[:, k] - 1])
@@ -175,13 +176,11 @@ def test_entries_at_index_plan_matches_tuples():
 
 
 def test_entries_at_bounds_check():
+    # index_plan checks each tuple's bounds; entries_at checks the plan's
+    # count of modes against T
     T = random_tucker((3, 3, 3), (2, 2, 2), RNG)
     with pytest.raises(ValueError):
-        entries_at(T, np.array([[0, 1, 1]]))
-    with pytest.raises(ValueError):
-        entries_at(T, np.array([[4, 1, 1]]))
-    with pytest.raises(ValueError):
-        entries_at(T, np.array([[1, 1]]))
+        entries_at(T, index_plan(np.array([[1, 1]]), (3, 3)))
 
 
 def test_tucker_rank_and_mode_singular_values():
@@ -196,7 +195,7 @@ def test_tucker_rank_and_mode_singular_values():
 def test_add_scaled_tangent_exact():
     X = random_tucker((6, 6, 6), (2, 2, 2), RNG)
     A = RNG.standard_normal((6, 6, 6))
-    V = approx_project(X, A, (3, 3, 3))
+    V = approx_project(Contractions(X, A), (3, 3, 3))
     for s in (0.3, 1.7):
         Y = add_scaled_tangent(X, s, V)
         assert np.allclose(to_dense(Y), to_dense(X) + s * embed(V), atol=1e-10)
@@ -208,7 +207,7 @@ def test_add_scaled_tangent_full_bound():
     # no complement columns: the step stays inside rank <= r_low in each mode
     X = random_tucker((5, 5, 5), (3, 3, 3), RNG)
     A = RNG.standard_normal((5, 5, 5))
-    V = approx_project(X, A, (3, 3, 3))
+    V = approx_project(Contractions(X, A), (3, 3, 3))
     Y = add_scaled_tangent(X, 0.5, V)
     assert np.allclose(to_dense(Y), to_dense(X) + 0.5 * embed(V), atol=1e-10)
 
