@@ -10,14 +10,11 @@ Prints one summary line per solver; writes per-iteration traces to
 from pathlib import Path
 
 from tuckeropt import (
+    SOLVERS,
     SolverConfig,
     completion_objective,
     gen_synthetic,
-    hosvd,
-    solve_grap,
-    solve_grap_r,
-    solve_rfgrap,
-    solve_rfgrap_r,
+    spectral_init,
     write_trace_csv,
 )
 
@@ -31,11 +28,10 @@ print(f"problem: dims={dims}, true rank={r}, |train|={problem.omega.nnz}, "
 
 obj = completion_objective(problem)
 # spectral initialization: HOSVD of the zero-filled, 1/p-rescaled observations
-X0 = hosvd(problem.omega.to_dense() / problem.p, r)
+X0 = spectral_init(problem, r)
 cfg = SolverConfig(max_iters=300, stat_tol=1e-8)
 
-for name, solve in [("grap", solve_grap), ("rfgrap", solve_rfgrap),
-                    ("grap-r", solve_grap_r), ("rfgrap-r", solve_rfgrap_r)]:
+for name, solve in SOLVERS.items():
     X, trace = solve(obj, X0, r, cfg)
     rec = trace.final()
     write_trace_csv(trace, OUT / f"completion_{name}.csv", d=len(dims))

@@ -11,19 +11,19 @@ everything else is imported from its module (``tuckeropt.tensor_core``,
 
 from .completion import (
     completion_objective,
+    criterion9,
     gen_synthetic,
     random_tucker,
+    spectral_init,
     test_error,
 )
 from .solvers import (
+    SOLVERS,
     ObjectiveHandle,
     SolverConfig,
     solve_grap,
     solve_grap_r,
-    solve_rfgrap,
-    solve_rfgrap_r,
     write_trace_csv,
 )
-from .tucker import hosvd
 
 __version__ = "0.1.0"

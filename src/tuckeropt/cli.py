@@ -15,19 +15,18 @@ from pathlib import Path
 import numpy as np
 
 from .completion import (
+    check_spectral_fits,
     completion_objective,
     gen_synthetic,
     load_problem,
     random_tucker,
     save_problem,
+    spectral_init,
 )
 from .oracles import CHECK_SUITES, run_check_suites
 from .solvers import (
+    SOLVERS,
     SolverConfig,
-    solve_grap,
-    solve_grap_r,
-    solve_rfgrap,
-    solve_rfgrap_r,
     write_summary_json,
     write_trace_csv,
 )
@@ -40,15 +39,6 @@ from .tucker import (
     save_checkpoint,
     to_dense,
 )
-
-SOLVERS = {
-    "grap": solve_grap,
-    "rfgrap": solve_rfgrap,
-    "grap-r": solve_grap_r,
-    "rfgrap-r": solve_rfgrap_r,
-}
-
-_SPECTRAL_INIT_LIMIT = 20_000_000  # densifying above this is refused
 
 
 def _parse_tuple(text: str) -> tuple:
@@ -86,28 +76,13 @@ def _absolute_delta(args):
     return args.delta if args.delta_absolute else None
 
 
-def _check_spectral_fits(dims) -> None:
-    """Refuse spectral initialization of a tensor of more entries than
-    ``_SPECTRAL_INIT_LIMIT``, which it would densify."""
-    if int(np.prod(dims, dtype=np.int64)) > _SPECTRAL_INIT_LIMIT:
-        raise ValueError("problem too large for spectral initialization; "
-                         "use --init random")
-
-
-def _spectral_init(problem, r):
-    """HOSVD of the zero-filled observations rescaled by 1/p."""
-    _check_spectral_fits(problem.dims)
-    dense = problem.omega.to_dense() / problem.p
-    return hosvd(dense, r)
-
-
 def _initial_point(problem, r, args):
     if args.init == "random":
         # a stream of its own: gen_synthetic draws the truth from
         # default_rng(seed), which would make the start the ground truth
         rng = np.random.default_rng([args.seed, 1])
         return random_tucker(problem.dims, r, rng)
-    return _spectral_init(problem, r)
+    return spectral_init(problem, r)
 
 
 def _run_solver(problem, r, args, cfg):
@@ -190,7 +165,7 @@ def cmd_bench(args) -> int:
     ranks = [args.rank] if args.rank else setting["ranks"]
     p = args.p if args.p is not None else setting["p"]
     if args.init == "spectral":
-        _check_spectral_fits(n)     # before generating and writing the bundle
+        check_spectral_fits(n)      # before generating and writing the bundle
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
     problem, _truth = gen_synthetic(n, r_true, p, seed=args.seed)

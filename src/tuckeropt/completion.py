@@ -1,5 +1,9 @@
 """Tucker tensor completion: objective, sparse gradient, synthetic instances.
 
+``criterion8`` and ``criterion9`` build the two completion experiments the
+acceptance suite and the trace gate run: one at the true rank, and one over
+it, where the rank-decreasing solvers must lower the rank.
+
 The training objective is the half squared error over the observed entries,
 f(X) = 1/2 ||P_Omega(X) - P_Omega(A)||_F^2, and performance is tracked by the
 relative test error over a disjoint held-out index set.
@@ -10,12 +14,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from . import geometry
 from .geometry import tangent_norm
-from .solvers import ObjectiveHandle
+from .solvers import SOLVERS, ObjectiveHandle, SolverConfig
 from .tensor_core import (
     SparseCooTensor,
     index_plan,
@@ -23,7 +28,9 @@ from .tensor_core import (
     save_coo,
     thin_svd,
 )
-from .tucker import TuckerTensor, entries_at
+from .tucker import TuckerTensor, entries_at, hosvd
+
+_SPECTRAL_INIT_LIMIT = 20_000_000  # densifying above this is refused
 
 
 @dataclass(frozen=True)
@@ -141,6 +148,53 @@ def gen_synthetic(n, r_true, p: float, seed: int):
     gamma = SparseCooTensor(dims, gamma_idx,
                             entries_at(truth, index_plan(gamma_idx, dims)))
     return CompletionProblem(dims, omega, gamma, p), truth
+
+
+def check_spectral_fits(dims) -> None:
+    """Refuse spectral initialization of a tensor of more entries than
+    ``_SPECTRAL_INIT_LIMIT``, which it would densify."""
+    if int(np.prod(dims, dtype=np.int64)) > _SPECTRAL_INIT_LIMIT:
+        raise ValueError("problem too large for spectral initialization; "
+                         "use --init random")
+
+
+def spectral_init(P: CompletionProblem, r) -> TuckerTensor:
+    """HOSVD of the zero-filled observations rescaled by 1/p."""
+    check_spectral_fits(P.dims)
+    return hosvd(P.omega.to_dense() / P.p, r)
+
+
+class Experiment(NamedTuple):
+    """A completion problem, the start point and rank bound every solver
+    runs from, and each solver's configuration (keyed as ``SOLVERS``)."""
+
+    problem: CompletionProblem
+    X0: TuckerTensor
+    rank: tuple
+    configs: dict
+
+
+def criterion8() -> Experiment:
+    """Completion at the true rank: 40^3, rank (4,4,4), p = 0.1, from the
+    spectral start."""
+    P, _ = gen_synthetic((40, 40, 40), (4, 4, 4), 0.1, seed=0)
+    return Experiment(P, spectral_init(P, (4, 4, 4)), (4, 4, 4),
+                      dict.fromkeys(SOLVERS, SolverConfig(max_iters=300)))
+
+
+def criterion9() -> Experiment:
+    """Completion over the true rank: 30^3, true rank (2,2,2), bound
+    (4,4,4), p = 0.3, from a random rank-(4,4,4) start.  The plain solvers
+    keep the default tolerances; the rank-decreasing ones run to
+    stationarity 1e-14 with threshold delta = 0.2."""
+    P, _ = gen_synthetic((30, 30, 30), (2, 2, 2), 0.3, seed=29)
+    X0 = random_tucker(P.dims, (4, 4, 4), np.random.default_rng(1029))
+    plain = SolverConfig(max_iters=90)
+    decreasing = SolverConfig(max_iters=90, stat_tol=1e-14, delta=0.2,
+                              candidate_cap=150)
+    return Experiment(P, X0, (4, 4, 4), {
+        "grap": plain, "rfgrap": plain,
+        "grap-r": decreasing, "rfgrap-r": decreasing})
 
 
 def completion_objective(P: CompletionProblem):

@@ -62,11 +62,10 @@ class TangentVector:
 
 @dataclass(frozen=True)
 class StationarityReport:
-    """Residuals of the normal-cone optimality condition at a point."""
+    """The normal-cone stationarity measure at a point, and the modes
+    (1-based) where the point's rank is below the bound."""
 
     value: float
-    core_residual: float
-    mode_residuals: tuple
     deficient_modes: tuple
 
 
@@ -389,6 +388,4 @@ def stationarity_measure(G: Contractions, r) -> StationarityReport:
         M = G.mode_residual(k)
         mode_resid.append(float(np.linalg.norm(M @ unfold(X.core, k + 1).T)))
     value = float(np.sqrt(core_resid ** 2 + np.sum(np.square(mode_resid))))
-    return StationarityReport(value=value, core_residual=core_resid,
-                              mode_residuals=tuple(mode_resid),
-                              deficient_modes=deficient)
+    return StationarityReport(value=value, deficient_modes=deficient)

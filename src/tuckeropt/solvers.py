@@ -37,14 +37,6 @@ from .tucker import (
 class LineSearchFailure(RuntimeError):
     """Backtracking reached the stepsize floor without sufficient decrease."""
 
-    def __init__(self, message, *, f_value=None, dir_inner=None, sbar=None,
-                 backtracks=None):
-        super().__init__(message)
-        self.f_value = f_value
-        self.dir_inner = dir_inner
-        self.sbar = sbar
-        self.backtracks = backtracks
-
 
 class CandidateExhaustion(RuntimeError):
     """Every rank candidate in one iteration failed, or too many to try.
@@ -124,6 +116,7 @@ class SolverTrace:
     """Per-iteration records and the reason the run ended.
 
     ``diagnostics`` explains a failed termination: for
+    ``"line_search_failure"`` it is the failed search's message, and for
     ``"candidate_exhaustion"`` it is the message, then one line per rank
     candidate that failed its line search.  A run ends ``"non_finite"``,
     with a last record whose stationarity is NaN, when f(X) or
@@ -176,8 +169,7 @@ def armijo_search(obj: ObjectiveHandle, X: TuckerTensor, V: TangentVector,
     raise LineSearchFailure(
         f"line search hit the stepsize floor {cfg.step_floor:g} after "
         f"{backtracks} backtracks (f={fX:.6g}, dir_inner={dir_inner:.6g}, "
-        f"sbar={sbar:.6g})",
-        f_value=fX, dir_inner=dir_inner, sbar=sbar, backtracks=backtracks)
+        f"sbar={sbar:.6g})")
 
 
 def grap_r_index_sets(X: TuckerTensor, delta: float):
@@ -395,8 +387,9 @@ def _solve(obj, X0, r, cfg, *, retraction_free, rank_decrease, name,
         try:
             Y, pending = _direction_step(obj, contractions, fX, r, cfg,
                                          retraction_free)
-        except LineSearchFailure:
+        except LineSearchFailure as e:
             trace.termination = "line_search_failure"
+            trace.diagnostics = (str(e),)
             return X, trace
         n_candidates = 1
         if pending.stepsize == 0.0:
@@ -429,6 +422,10 @@ def solve_rfgrap_r(obj, X0, r, cfg, *, start=0, delta_eff=None):
     return _solve(obj, X0, r, cfg, retraction_free=True,
                   rank_decrease=True, name="rfgrap-r", start=start,
                   delta_eff=delta_eff)
+
+
+SOLVERS = {"grap": solve_grap, "rfgrap": solve_rfgrap,
+           "grap-r": solve_grap_r, "rfgrap-r": solve_rfgrap_r}
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from tuckeropt import cli
+from tuckeropt import completion
 from tuckeropt.cli import main
 from tuckeropt.completion import gen_synthetic, random_tucker, save_problem
 from tuckeropt.tensor_core import save_dense
@@ -127,7 +127,7 @@ def test_bench_refuses_spectral_init_before_writing_the_bundle(
         tmp_path, capsys, monkeypatch):
     # a problem too large to densify fails before it is generated, rather
     # than after its bundle is written; --init random still runs it
-    monkeypatch.setattr(cli, "_SPECTRAL_INIT_LIMIT", 100)
+    monkeypatch.setattr(completion, "_SPECTRAL_INIT_LIMIT", 100)
     args = ["bench", "true-rank", "--n", "10,10,10", "--true-rank", "2,2,2",
             "--rank", "2,2,2", "--p", "0.3", "--max-iters", "2"]
     out = tmp_path / "bench"

@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -10,8 +11,10 @@ import pytest
 from tuckeropt import geometry, solvers
 from tuckeropt.completion import (
     completion_objective,
+    criterion9,
     gen_synthetic,
     random_tucker,
+    spectral_init,
 )
 from tuckeropt.geometry import Contractions, approx_project, tangent_norm
 from tuckeropt.solvers import (
@@ -32,7 +35,6 @@ from tuckeropt.solvers import (
 )
 from tuckeropt.tucker import (
     TuckerTensor,
-    hosvd,
     hosvd_truncate,
     load_checkpoint,
     save_checkpoint,
@@ -53,7 +55,7 @@ def _dense_objective(A):
 def _completion_setup(dims=(10, 10, 10), r_true=(2, 2, 2), p=0.3, seed=4):
     P, truth = gen_synthetic(dims, r_true, p, seed=seed)
     obj = completion_objective(P)
-    X0 = hosvd(P.omega.to_dense() / P.p, r_true)
+    X0 = spectral_init(P, r_true)
     return P, truth, obj, X0
 
 
@@ -100,11 +102,27 @@ def test_armijo_failure_reports_diagnostics():
     A = RNG.standard_normal((4, 4, 4))
     V = approx_project(Contractions(X, A), (2, 2, 2))
     vn = tangent_norm(V)
-    with pytest.raises(LineSearchFailure) as e:
+    with pytest.raises(LineSearchFailure,
+                       match=r"after 14 backtracks \(f=1, dir_inner=.*, "
+                             r"sbar=1\)"):
         armijo_search(obj, X, V, vn * vn, 1.0, SolverConfig(step_floor=1e-4),
                       retracted=True, r=(2, 2, 2), fX=obj.eval(X))
-    assert e.value.sbar == 1.0
-    assert e.value.backtracks > 0
+
+
+@pytest.mark.parametrize("solve", [solve_grap, solve_rfgrap])
+def test_line_search_failure_keeps_its_message(solve, tmp_path):
+    # f never decreases, so the first line search hits the stepsize floor
+    A = RNG.standard_normal((4, 4, 4))
+    obj = ObjectiveHandle(eval=lambda T: 1.0, grad=lambda T: A)
+    X0 = random_tucker((4, 4, 4), (2, 2, 2), RNG)
+    X, trace = solve(obj, X0, (2, 2, 2), SolverConfig(step_floor=1e-4))
+    assert X is X0 and trace.termination == "line_search_failure"
+    assert len(trace.diagnostics) == 1
+    assert re.match(r"line search hit the stepsize floor 0.0001 after \d+ "
+                    r"backtracks \(f=1, ", trace.diagnostics[0])
+    write_summary_json(trace, tmp_path / "summary.json")
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["diagnostics"] == list(trace.diagnostics)
 
 
 @pytest.mark.parametrize("solve", [solve_grap, solve_rfgrap, solve_grap_r,
@@ -375,7 +393,7 @@ def test_resumed_run_continues_the_same_iterate_sequence(solve, tmp_path):
     # checkpoint: the iteration index and delta_eff it keeps make the
     # resumed records those of one 12-iteration run, bit for bit (the first
     # resumed record is the checkpointed point, before any step)
-    P, _ = gen_synthetic((30, 30, 30), (2, 2, 2), 0.3, seed=29)
+    P = criterion9().problem
     X0 = random_tucker(P.dims, (3, 3, 3), np.random.default_rng(1029))
     r = (3, 3, 3)
 

@@ -9,6 +9,8 @@ from unittest import mock
 import numpy as np
 import pytest
 
+from tuckeropt.completion import criterion8, criterion9
+
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "trace_gate.py"
 
 
@@ -102,3 +104,17 @@ def test_missing_key_fails(gate, tmp_path, capsys):
     assert out.splitlines()[-1] == ("8 runs: 7 bit-identical, "
                                     "0 rounding-only, "
                                     "1 with a changed trajectory")
+
+
+def test_gate_runs_the_registry_experiments(gate):
+    # the gate records the very runs that acceptance criteria 8 and 9 make
+    instances = gate._instances()
+    for name, make in (("criterion8", criterion8), ("criterion9", criterion9)):
+        got, want = instances[name], make()
+        assert got.rank == want.rank and got.configs == want.configs
+        assert np.array_equal(got.problem.omega.idx, want.problem.omega.idx)
+        assert got.problem.omega.vals.tobytes() == \
+            want.problem.omega.vals.tobytes()
+        for a, b in zip((got.X0.core, *got.X0.factors),
+                        (want.X0.core, *want.X0.factors)):
+            assert a.tobytes() == b.tobytes()

@@ -7,12 +7,13 @@ Run from the repository root:
     python3 tools/trace_gate.py compare traces_old.json traces_new.json
 
 ``record`` runs grap, rfgrap, grap-r and rfgrap-r on four instances: the
-acceptance criterion 8 and criterion 9 set-ups and the benchmark workloads
-true-rank and over-rank at seed 1 (as ``perfbench/workloads.py`` defines
-them).  It writes every iteration record except its wall time, plus each
-run's termination, to JSON.  Floats are written with ``repr`` precision, so
-a recording round-trips bit for bit.  BLAS runs single-threaded unless the
-thread variables are already set.
+acceptance criterion 8 and criterion 9 experiments (as
+``tuckeropt.completion.criterion8`` and ``criterion9`` define them) and the
+benchmark workloads true-rank and over-rank at seed 1 (as
+``perfbench/workloads.py`` defines them).  It writes every iteration record
+except its wall time, plus each run's termination, to JSON.  Floats are
+written with ``repr`` precision, so a recording round-trips bit for bit.
+BLAS runs single-threaded unless the thread variables are already set.
 
 ``compare`` applies these gates and exits 1 when one fails:
 
@@ -46,7 +47,6 @@ from dataclasses import asdict          # noqa: E402
 from pathlib import Path                # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
-SOLVERS = ("grap", "rfgrap", "grap-r", "rfgrap-r")
 SINGLE_CANDIDATE = ("criterion8", "true-rank")
 F_RTOL = 1e-12
 TEST_ATOL = 1e-12
@@ -54,29 +54,13 @@ EXACT_FIELDS = ("iter", "rank", "n_candidates", "backtracks")
 
 
 def _instances():
-    """name -> (objective, X0, rank bound, {solver: SolverConfig})."""
-    import numpy as np
-
-    from tuckeropt import (SolverConfig, completion_objective, gen_synthetic,
-                           hosvd, random_tucker)
+    """name -> Experiment (problem, X0, rank bound, {solver: SolverConfig})."""
+    from tuckeropt.completion import Experiment, criterion8, criterion9
 
     sys.path.insert(0, str(ROOT / "perfbench"))
     import workloads as wl
 
-    out = {}
-    P, _ = gen_synthetic((40, 40, 40), (4, 4, 4), 0.1, seed=0)
-    X0 = hosvd(P.omega.to_dense() / P.p, (4, 4, 4))
-    cfg = SolverConfig(max_iters=300)
-    out["criterion8"] = (completion_objective(P), X0, (4, 4, 4),
-                         dict.fromkeys(SOLVERS, cfg))
-    P, _ = gen_synthetic((30, 30, 30), (2, 2, 2), 0.3, seed=29)
-    X0 = random_tucker((30, 30, 30), (4, 4, 4), np.random.default_rng(1029))
-    cfg_r = SolverConfig(max_iters=90, stat_tol=1e-14, delta=0.2,
-                         candidate_cap=150)
-    cfg_p = SolverConfig(max_iters=90)
-    out["criterion9"] = (completion_objective(P), X0, (4, 4, 4),
-                         {"grap": cfg_p, "rfgrap": cfg_p,
-                          "grap-r": cfg_r, "rfgrap-r": cfg_r})
+    out = {"criterion8": criterion8(), "criterion9": criterion9()}
     for name in ("true-rank", "over-rank"):
         w = wl.WORKLOADS[name]
         P, _ = w.problem(1)
@@ -85,21 +69,20 @@ def _instances():
         # rank-decreasing counterpart
         for s in ("grap", "rfgrap"):
             cfgs.setdefault(s, cfgs[f"{s}-r"])
-        out[name] = (completion_objective(P), w.initial_point(P, 1), w.rank,
-                     cfgs)
+        out[name] = Experiment(P, w.initial_point(P, 1), w.rank, cfgs)
     return out
 
 
 def record(path: Path) -> int:
-    from tuckeropt import solvers
+    from tuckeropt.completion import completion_objective
+    from tuckeropt.solvers import SOLVERS
 
-    fns = {"grap": solvers.solve_grap, "rfgrap": solvers.solve_rfgrap,
-           "grap-r": solvers.solve_grap_r, "rfgrap-r": solvers.solve_rfgrap_r}
     traces = {}
-    for inst, (obj, X0, r, cfgs) in _instances().items():
-        for s in SOLVERS:
+    for inst, (P, X0, r, cfgs) in _instances().items():
+        obj = completion_objective(P)
+        for s, solve in SOLVERS.items():
             t0 = time.perf_counter()
-            _, tr = fns[s](obj, X0, r, cfgs[s])
+            _, tr = solve(obj, X0, r, cfgs[s])
             recs = []
             for rec in tr.records:
                 row = asdict(rec)
