@@ -184,9 +184,9 @@ def cmd_bench(args) -> int:
             X0 = _initial_point(problem, r, args)
             _, trace = solve(obj, X0, r, cfg, delta_eff=delta_eff)
             codes.append(_exit_code(trace))
-            if trace.termination == "candidate_exhaustion":
-                failures.append(f"{name} r={label}: "
-                                + "; ".join(trace.diagnostics))
+            if codes[-1] == 1:
+                failures.append(f"{name} r={label}: " + (
+                    "; ".join(trace.diagnostics) or trace.termination))
             stem = f"{args.suite}_r{label}_{name}"
             write_trace_csv(trace, out / f"{stem}.csv", d=d)
             write_summary_json(trace, out / f"{stem}.json")

@@ -104,8 +104,8 @@ def random_tucker(dims, r, rng) -> TuckerTensor:
     core = rng.standard_normal(r)
     factors = []
     for n, rk in zip(dims, r):
-        f = thin_svd(rng.standard_normal((n, rk)))
-        factors.append(f.U[:, :rk])
+        U, _, _ = thin_svd(rng.standard_normal((n, rk)))
+        factors.append(U[:, :rk])
     return TuckerTensor(core, tuple(factors))
 
 

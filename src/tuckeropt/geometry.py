@@ -30,43 +30,29 @@ from .tucker import TuckerTensor
 
 @dataclass(frozen=True)
 class TangentVector:
-    """Tangent-cone element at ``anchor`` with rank bound ``bound``.
+    """Tangent-cone element at ``anchor`` under the rank bound ``C.shape``.
 
     Represents C x_k [U_k Ucomp_k] + sum_k G x_k Udot_k x_{j!=k} U_j with the
     orthogonality constraints U_k^T [Ucomp_k Udot_k] = 0, Ucomp_k^T Udot_k = 0.
-    Each Ucomp_k has exactly bound_k - rank_k columns, so that
+    Each Ucomp_k has exactly C.shape[k] - rank_k columns, so that
     [U_k Ucomp_k] spans mode k of C.
     """
 
     anchor: TuckerTensor
-    bound: tuple
     C: np.ndarray
     Udot: tuple
     Ucomp: tuple
 
     def __post_init__(self):
-        bound = tuple(int(x) for x in self.bound)
-        if self.C.shape != bound:
-            raise ValueError(f"coefficient block shape {self.C.shape} != bound {bound}")
         rlow = self.anchor.rank
         for k, (Ud, Uc) in enumerate(zip(self.Udot, self.Ucomp)):
             n = self.anchor.dims[k]
             if Ud.shape != (n, rlow[k]):
                 raise ValueError(f"Udot_{k + 1} has shape {Ud.shape}")
-            if Uc.shape != (n, bound[k] - rlow[k]):
+            if Uc.shape != (n, self.C.shape[k] - rlow[k]):
                 raise ValueError(f"Ucomp_{k + 1} has shape {Uc.shape}")
-        object.__setattr__(self, "bound", bound)
         object.__setattr__(self, "Udot", tuple(self.Udot))
         object.__setattr__(self, "Ucomp", tuple(self.Ucomp))
-
-
-@dataclass(frozen=True)
-class StationarityReport:
-    """The normal-cone stationarity measure at a point, and the modes
-    (1-based) where the point's rank is below the bound."""
-
-    value: float
-    deficient_modes: tuple
 
 
 def _widened(V: TangentVector):
@@ -297,9 +283,9 @@ def choose_singular_complement(G: Contractions, r):
         U = X.factors[k]
         M = B - U @ (U.T @ B)
         q = r[k] - rlow[k]
-        f = thin_svd(M)
-        keep = min(cutoff_rank(f.sigma), q)
-        chosen = f.U[:, :keep]
+        Q, sigma, _ = thin_svd(M)
+        keep = min(cutoff_rank(sigma), q)
+        chosen = Q[:, :keep]
         if keep < q:
             pad = _pad_complement(np.hstack([U, chosen]), q - keep)
             chosen = np.hstack([chosen, pad])
@@ -309,19 +295,20 @@ def choose_singular_complement(G: Contractions, r):
 
 def _core_pinv(X: TuckerTensor, k: int) -> np.ndarray:
     """Pseudo-inverse of the mode-k core unfolding via thin SVD with cutoff."""
-    f = thin_svd(unfold(X.core, k))
-    q = cutoff_rank(f.sigma)
-    return (f.V[:, :q] / f.sigma[:q]) @ f.U[:, :q].T
+    U, sigma, V = thin_svd(unfold(X.core, k))
+    q = cutoff_rank(sigma)
+    return (V[:, :q] / sigma[:q]) @ U[:, :q].T
 
 
-def _project(G: Contractions, r, complements, widen: bool):
+def _project(G: Contractions, r, widen: bool):
     """The per-iterate core of both tangent-cone projections of the tensor A
     of G at X = G.anchor.
 
-    Returns (r, C, Udot, complements) with C = A x_k [U_k Ucomp_k]^T and
+    Returns (C, Udot, complements) with the complements chosen by
+    :func:`choose_singular_complement`, C = A x_k [U_k Ucomp_k]^T and
     Udot_k = (D_k - B_k B_k^T D_k) pinv(X.core_(k)), where B_k is
     [U_k Ucomp_k] when ``widen`` (:func:`approx_project`) and U_k otherwise
-    (:func:`partial_project`).  The complements are chosen here when None.
+    (:func:`partial_project`).
 
     Both projections are odd in A: -A has the same complements as A
     (thin_svd gives -M the same U as M), and its C, Udot and single-factor
@@ -329,23 +316,21 @@ def _project(G: Contractions, r, complements, widen: bool):
     that LAPACK may round the SVD of -M differently when M has exact zeros,
     such as a sparse gradient's unobserved entries densified.
     """
-    r = tuple(int(x) for x in r)
     X = G.anchor
-    if complements is None:
-        complements = choose_singular_complement(G, r)
+    complements = tuple(choose_singular_complement(G, r))
     C = G.contract(complements)
     udots = [G.mode_residual(k, Uc if widen else None) @ _core_pinv(X, k + 1)
              for k, Uc in enumerate(complements)]
-    return r, C, tuple(udots), tuple(complements)
+    return C, tuple(udots), complements
 
 
-def approx_project(G: Contractions, r, complements=None) -> TangentVector:
+def approx_project(G: Contractions, r) -> TangentVector:
     """SVD-based approximate projection of the tensor A of G onto the
     tangent cone at G.anchor."""
-    return TangentVector(G.anchor, *_project(G, r, complements, widen=True))
+    return TangentVector(G.anchor, *_project(G, r, widen=True))
 
 
-def partial_project(G: Contractions, r, complements=None):
+def partial_project(G: Contractions, r):
     """Retraction-free partial projection of the tensor A of G at
     X = G.anchor: the largest of d+1 partial terms.
 
@@ -354,7 +339,7 @@ def partial_project(G: Contractions, r, complements=None):
     lowest branch index.
     """
     X = G.anchor
-    r, C, udots, complements = _project(G, r, complements, widen=False)
+    C, udots, complements = _project(G, r, widen=False)
     d = X.ndim
     rlow = X.rank
     norms = [float(np.linalg.norm(C.ravel()))]
@@ -363,29 +348,25 @@ def partial_project(G: Contractions, r, complements=None):
     branch = int(np.argmax(norms))
     zero_udot = tuple(np.zeros((X.dims[k], rlow[k])) for k in range(d))
     if branch == 0:
-        return TangentVector(X, r, C, zero_udot, complements), 0
+        return TangentVector(X, C, zero_udot, complements), 0
     k = branch - 1
     udot = tuple(udots[k] if j == k else zero_udot[j] for j in range(d))
     empty = tuple(np.zeros((X.dims[j], 0)) for j in range(d))
-    return TangentVector(X, rlow, np.zeros(rlow), udot, empty), branch
+    return TangentVector(X, np.zeros(rlow), udot, empty), branch
 
 
-def stationarity_measure(G: Contractions, r) -> StationarityReport:
+def stationarity_measure(G: Contractions, r) -> float:
     """Norm of the component of the gradient, the tensor of G, that
-    violates the normal-cone condition at X = G.anchor."""
-    r = tuple(int(x) for x in r)
+    violates the normal-cone condition at X = G.anchor.
+
+    Modes where the rank of X is below r contribute no mode term, and
+    leave the core term uncontracted in that mode.
+    """
     X = G.anchor
-    rlow = X.rank
-    d = X.ndim
-    deficient = tuple(k + 1 for k in range(d) if rlow[k] < r[k])
-    modes = ["I" if (k + 1) in deficient else "U" for k in range(d)]
+    deficient = [rl < int(rk) for rl, rk in zip(X.rank, r)]
+    modes = ["I" if dk else "U" for dk in deficient]
     core_resid = float(np.linalg.norm(G.contract(modes).ravel()))
-    mode_resid = []
-    for k in range(d):
-        if (k + 1) in deficient:
-            mode_resid.append(0.0)
-            continue
-        M = G.mode_residual(k)
-        mode_resid.append(float(np.linalg.norm(M @ unfold(X.core, k + 1).T)))
-    value = float(np.sqrt(core_resid ** 2 + np.sum(np.square(mode_resid))))
-    return StationarityReport(value=value, deficient_modes=deficient)
+    mode_resid = [0.0 if dk else float(np.linalg.norm(
+        G.mode_residual(k) @ unfold(X.core, k + 1).T))
+        for k, dk in enumerate(deficient)]
+    return float(np.sqrt(core_resid ** 2 + np.sum(np.square(mode_resid))))

@@ -230,7 +230,7 @@ def _direction_step(obj, grad, fX, r, cfg, retraction_free):
     else:
         V = approx_project(grad, r)
     X = grad.anchor
-    V = TangentVector(X, V.bound, -V.C, tuple(-U for U in V.Udot), V.Ucomp)
+    V = TangentVector(X, -V.C, tuple(-U for U in V.Udot), V.Ucomp)
     vnorm = tangent_norm(V)
     if vnorm == 0.0:
         return X, _StepInfo(f_after=fX, stepsize=0.0, direction_norm=0.0,
@@ -366,7 +366,7 @@ def _solve(obj, X0, r, cfg, *, retraction_free, rank_decrease, name,
             trace.termination = "non_finite"
             return X, trace
         contractions = Contractions(X, grad)
-        stat = stationarity_measure(contractions, r).value
+        stat = stationarity_measure(contractions, r)
         trace.records.append(_make_record(obj, X, fX, gnorm, stat, t, pending,
                                           n_candidates, t_start))
         if stat <= cfg.stat_tol:

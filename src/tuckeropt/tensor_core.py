@@ -156,19 +156,6 @@ class SparseCooTensor:
         return out
 
 
-@dataclass(frozen=True)
-class SvdResult:
-    """Thin SVD with a deterministic sign convention.
-
-    In each left singular vector the entry of largest absolute value (ties
-    broken by lowest row index) is non-negative; V is adjusted accordingly.
-    """
-
-    U: np.ndarray
-    sigma: np.ndarray
-    V: np.ndarray
-
-
 def unfold(X: np.ndarray, k: int) -> np.ndarray:
     """Mode-k unfolding of X into an (n_k, n_{-k}) matrix."""
     if not 1 <= k <= X.ndim:
@@ -216,8 +203,12 @@ def fro_norm(X) -> float:
     return float(np.linalg.norm(np.asarray(X).ravel()))
 
 
-def thin_svd(M: np.ndarray) -> SvdResult:
-    """Thin SVD with the deterministic sign convention of :class:`SvdResult`.
+def thin_svd(M: np.ndarray):
+    """Thin SVD M = U diag(sigma) V^T, returned as the triple (U, sigma, V).
+
+    The signs are deterministic: in each left singular vector the entry of
+    largest absolute value (ties broken by lowest row index) is
+    non-negative, and V is adjusted accordingly.
 
     M is not scanned for non-finite entries: data is checked where it
     enters (:class:`~tuckeropt.completion.CompletionProblem`,
@@ -232,7 +223,7 @@ def thin_svd(M: np.ndarray) -> SvdResult:
         signs[signs == 0] = 1.0
         U = U * signs
         V = V * signs
-    return SvdResult(U=U, sigma=s, V=V)
+    return U, s, V
 
 
 def delta_rank(sigma, delta: float) -> int:

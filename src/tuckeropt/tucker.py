@@ -99,13 +99,13 @@ def _st_hosvd(A: np.ndarray, r, tree=None):
     for k in range(1, A.ndim + 1):
         if node.svd is None:
             M = unfold(node.core, k)
-            f = thin_svd(M)
-            node.svd = (M, f, cutoff_rank(f.sigma))
-        M, f, nrank = node.svd
+            U, sigma, _ = thin_svd(M)
+            node.svd = (M, U, cutoff_rank(sigma))
+        M, U, nrank = node.svd
         rk = min(int(r[k - 1]), nrank)
         key = key + (rk,)
         if key not in tree:
-            W = f.U[:, :rk]
+            W = U[:, :rk]
             new_dims = tuple(rk if j == k - 1 else n
                              for j, n in enumerate(node.core.shape))
             tree[key] = _Node(fold(W.T @ M, k, new_dims), node.ws + (W,))
@@ -196,8 +196,8 @@ def _orthonormalize(M: np.ndarray):
     """
     if not M.any():
         return np.zeros((M.shape[0], 0)), np.zeros((0, M.shape[1]))
-    f = thin_svd(M)
-    Q = f.U[:, :cutoff_rank(f.sigma)]
+    U, sigma, _ = thin_svd(M)
+    Q = U[:, :cutoff_rank(sigma)]
     return Q, Q.T @ M
 
 
@@ -215,7 +215,7 @@ def add_scaled_tangent(T: TuckerTensor, s: float, V) -> TuckerTensor:
             raise ValueError("tangent vector is anchored at a different point")
     d = T.ndim
     rlow = T.rank
-    bound = V.bound
+    bound = V.C.shape
     qs, rs = [], []
     for Ud in V.Udot:
         Q, R = _orthonormalize(Ud)

@@ -262,3 +262,23 @@ def test_check_rejects_fewer_than_one_restart(capsys):
 def test_parse_tuple_error(capsys):
     with pytest.raises(SystemExit):
         main(["complete", "x", "--rank", "2,a,2"])
+
+
+def test_bench_names_every_failed_run(tmp_path, capsys):
+    # on the scaled under-rank suite at seed 0, grap and rfgrap end with a
+    # line-search failure and grap-r and rfgrap-r with candidate
+    # exhaustion: each failed run gets its own FAILED line
+    out = tmp_path / "bench"
+    code = main(["bench", "under-rank", "--seed", "0", "--out", str(out)])
+    err = capsys.readouterr().err
+    failed = []
+    for name in ("grap", "rfgrap", "grap-r", "rfgrap-r"):
+        summary = json.loads((out / f"under-rank_r2x2x2_{name}.json").read_text())
+        if summary["termination"] not in ("converged", "max_iters"):
+            failed.append(name)
+            msg = "; ".join(summary.get("diagnostics", [])) \
+                or summary["termination"]
+            assert f"FAILED: {name} r=2x2x2: {msg}\n" in err
+    assert failed
+    assert code == 1
+    assert err.count("FAILED: ") == len(failed)

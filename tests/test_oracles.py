@@ -66,7 +66,8 @@ def test_dense_reference_approx_project():
     X = random_tucker((4, 4, 4), (2, 2, 2), RNG)
     A = RNG.standard_normal((4, 4, 4))
     comps = choose_singular_complement(Contractions(X, A), (3, 3, 3))
-    V = approx_project(Contractions(X, A), (3, 3, 3), complements=comps)
+    V = approx_project(Contractions(X, A), (3, 3, 3))
+    assert all(np.array_equal(a, b) for a, b in zip(V.Ucomp, comps))
     ref = _ref_approx_project(X, A, (3, 3, 3), comps)
     assert np.allclose(embed(V), ref, atol=1e-10)
 

@@ -5,6 +5,11 @@ dimensions, non-uniform bounds below and above the true rank, starts below
 the bound, candidate sets that reach rank 0 in a mode, and an Omega that
 leaves a slice unobserved.  Every run has iterations with several rank
 candidates, whose steps are served from the iterate's basis.
+
+A weighted instance pins the paper's answer to Levin, Kileel & Boumal
+(Math. Program. 199, 2023): without rank decrease, projected gradient
+steps converge to a non-stationary point of the bounded-rank set, and the
+rank-decreasing solvers escape it.
 """
 
 import numpy as np
@@ -18,8 +23,15 @@ from tuckeropt.completion import (
 )
 from tuckeropt.geometry import Contractions, stationarity_measure
 from tuckeropt.oracles import _ref_stationarity
-from tuckeropt.solvers import SolverConfig, solve_grap_r, solve_rfgrap_r
+from tuckeropt.solvers import (
+    SOLVERS,
+    ObjectiveHandle,
+    SolverConfig,
+    solve_grap_r,
+    solve_rfgrap_r,
+)
 from tuckeropt.tensor_core import SparseCooTensor
+from tuckeropt.tucker import TuckerTensor, hosvd_truncate, to_dense
 
 TERMINATIONS = {"converged", "max_iters", "stalled", "line_search_failure",
                 "candidate_exhaustion"}
@@ -84,6 +96,47 @@ def test_rank_decreasing_solver_is_monotone_and_stationary(name, solve):
     assert X.rank == recs[-1].rank
     assert max(rec.n_candidates for rec in recs) > 1
     grad = obj.grad(X)
-    got = stationarity_measure(Contractions(X, grad), bound).value
+    got = stationarity_measure(Contractions(X, grad), bound)
     assert got == pytest.approx(_ref_stationarity(X, grad, bound),
                                 rel=1e-8, abs=1e-12 * np.sqrt(f0))
+
+
+@pytest.mark.parametrize("solver", sorted(SOLVERS))
+@pytest.mark.parametrize("d", [2, 3])
+def test_only_rank_decrease_escapes_a_non_stationary_limit(d, solver):
+    # f(X) = 1/2 ||W * (X - A)||^2 on 3^d entries under the bound (2, ..., 2),
+    # with A = e_1 (x) ... (x) e_1 + e_3 (x) ... (x) e_3 and W^2 = 1 except
+    # 1/2 at (2, ..., 2), from core diag(1, 0.3) and factors I[:, :2].  The
+    # (3, ..., 3) gradient entry lies outside the tangent space at every
+    # rank-(2, ..., 2) iterate, so the plain steps only shrink the second
+    # term, and the iterates tend to the rank-1 point e_1 (x) ... (x) e_1,
+    # where the measure reports them converged.  That point is not
+    # stationary: the rank-decreasing solvers step from its rank-1
+    # truncation to the minimizer A.
+    dims, bound = (3,) * d, (2,) * d
+    A = np.zeros(dims)
+    A[(0,) * d] = A[(2,) * d] = 1.0
+    W2 = np.ones(dims)
+    W2[(1,) * d] = 0.5
+
+    def grad(X):
+        return W2 * (to_dense(X) - A)
+
+    obj = ObjectiveHandle(
+        eval=lambda X: 0.5 * float(np.sum(W2 * (to_dense(X) - A) ** 2)),
+        grad=grad)
+    core = np.zeros(bound)
+    core[(0,) * d], core[(1,) * d] = 1.0, 0.3
+    X0 = TuckerTensor(core, tuple(np.eye(3)[:, :2] for _ in range(d)))
+    rank_decrease = solver.endswith("-r")
+    cfg = SolverConfig(delta=0.1) if rank_decrease else SolverConfig()
+    X, trace = SOLVERS[solver](obj, X0, bound, cfg)
+    assert trace.termination == "converged"
+    f = trace.records[-1].f_value
+    if rank_decrease:
+        assert f <= 1e-12
+        assert _ref_stationarity(X, grad(X), bound) <= 1e-10
+    else:
+        assert f >= 0.49
+        X1 = hosvd_truncate(X, (1,) * d)
+        assert _ref_stationarity(X1, grad(X1), bound) >= 0.9

@@ -115,11 +115,11 @@ def test_inner_and_norm():
 
 def test_thin_svd_reconstruction_and_signs():
     M = RNG.standard_normal((7, 4))
-    f = thin_svd(M)
-    assert np.allclose((f.U * f.sigma) @ f.V.T, M)
-    assert np.allclose(f.U.T @ f.U, np.eye(4), atol=1e-12)
-    lead = np.argmax(np.abs(f.U), axis=0)
-    assert (f.U[lead, np.arange(4)] >= 0).all()
+    U, sigma, V = thin_svd(M)
+    assert np.allclose((U * sigma) @ V.T, M)
+    assert np.allclose(U.T @ U, np.eye(4), atol=1e-12)
+    lead = np.argmax(np.abs(U), axis=0)
+    assert (U[lead, np.arange(4)] >= 0).all()
     # the sign convention makes thin_svd odd in V alone, bit for bit, which
     # the solvers rely on when they negate the projection of grad f: -M has
     # the same U and sigma as M.  Cases include the rank-deficient
@@ -132,10 +132,10 @@ def test_thin_svd_reconstruction_and_signs():
         B = rng.standard_normal((30, n))
         cases.append(B - U @ (U.T @ B))
     for M in cases:
-        f, g = thin_svd(M), thin_svd(-M)
-        assert np.array_equal(g.U, f.U)
-        assert np.array_equal(g.sigma, f.sigma)
-        assert np.array_equal(g.V, -f.V)
+        (U, sigma, V), (Un, sigman, Vn) = thin_svd(M), thin_svd(-M)
+        assert np.array_equal(Un, U)
+        assert np.array_equal(sigman, sigma)
+        assert np.array_equal(Vn, -V)
 
 
 def test_delta_rank():

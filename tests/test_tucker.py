@@ -108,13 +108,12 @@ def _sequential_truncate(T, r):
     core, ws = T.core, []
     for k in range(1, T.ndim + 1):
         M = unfold(core, k)
-        f = thin_svd(M)
-        s = f.sigma
+        U, s, _ = thin_svd(M)
         keep = min(r[k - 1], int(np.count_nonzero(s > 1e-12 * s[0]))
                    if s.size and s[0] > 0 else 0)
-        ws.append(f.U[:, :keep])
+        ws.append(U[:, :keep])
         dims = tuple(keep if j == k - 1 else n for j, n in enumerate(core.shape))
-        core = fold(f.U[:, :keep].T @ M, k, dims)
+        core = fold(U[:, :keep].T @ M, k, dims)
     return core, [U @ W for U, W in zip(T.factors, ws)], ws
 
 

@@ -40,6 +40,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")    # before numpy is imported
 
 import argparse                         # noqa: E402
+import importlib.util                   # noqa: E402
 import json                             # noqa: E402
 import sys                              # noqa: E402
 import time                             # noqa: E402
@@ -57,8 +58,13 @@ def _instances():
     """name -> Experiment (problem, X0, rank bound, {solver: SolverConfig})."""
     from tuckeropt.completion import Experiment, criterion8, criterion9
 
-    sys.path.insert(0, str(ROOT / "perfbench"))
-    import workloads as wl
+    # perfbench/ is not a package: load its registry by path, under a
+    # private name (its dataclasses look their module up in sys.modules),
+    # so that no top-level perfbench module becomes importable
+    spec = importlib.util.spec_from_file_location(
+        "_trace_gate_workloads", ROOT / "perfbench" / "workloads.py")
+    wl = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(wl)
 
     out = {"criterion8": criterion8(), "criterion9": criterion9()}
     for name in ("true-rank", "over-rank"):
