@@ -34,7 +34,7 @@ cfg = SolverConfig(max_iters=300, stat_tol=1e-8)
 for name, solve in SOLVERS.items():
     X, trace = solve(obj, X0, r, cfg)
     rec = trace.final()
-    write_trace_csv(trace, OUT / f"completion_{name}.csv", d=len(dims))
+    write_trace_csv(trace, OUT / f"completion_{name}.csv")
     print(f"{name:9s} {trace.termination:10s} iters={rec.iter:4d} "
           f"f={rec.f_value:.3e} test_error={rec.test_error:.3e} "
           f"rank={rec.rank}")

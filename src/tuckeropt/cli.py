@@ -117,7 +117,7 @@ def cmd_complete(args) -> int:
     cfg = _make_config(args)
     X, trace = _run_solver(problem, args.rank, args, cfg)
     if args.trace:
-        write_trace_csv(trace, args.trace, d=len(problem.dims))
+        write_trace_csv(trace, args.trace)
     if args.summary:
         write_summary_json(trace, args.summary)
     if args.save:
@@ -188,7 +188,7 @@ def cmd_bench(args) -> int:
                 failures.append(f"{name} r={label}: " + (
                     "; ".join(trace.diagnostics) or trace.termination))
             stem = f"{args.suite}_r{label}_{name}"
-            write_trace_csv(trace, out / f"{stem}.csv", d=d)
+            write_trace_csv(trace, out / f"{stem}.csv")
             write_summary_json(trace, out / f"{stem}.json")
             for rec in trace.records:
                 comparison_rows.append(

@@ -236,7 +236,8 @@ def completion_objective(P: CompletionProblem):
         eval=eval_f,
         grad=grad,
         initial_step=initial_step,
-        test_metric=(lambda X: test_error(P, X)) if P.gamma.nnz else None,
+        test_metric=((lambda X: test_error(P, X)) if P.gamma.vals.any()
+                     else None),
         eval_grad=lambda X: (eval_f(X), grad(X)),
     )
 

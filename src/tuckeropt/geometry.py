@@ -55,9 +55,9 @@ class TangentVector:
         object.__setattr__(self, "Ucomp", tuple(self.Ucomp))
 
 
-def _widened(V: TangentVector):
-    """Per-mode bases [U_k Ucomp_k] (U_k itself where Ucomp_k is empty)."""
-    return [_mode_matrix(U, Uc) for U, Uc in zip(V.anchor.factors, V.Ucomp)]
+def _widen(U: np.ndarray, comp: np.ndarray) -> np.ndarray:
+    """[U | comp], or U itself when comp has no columns."""
+    return np.hstack([U, comp]) if comp.shape[1] else U
 
 
 def tangent_norm(V: TangentVector) -> float:
@@ -77,7 +77,8 @@ def tangent_entries_at(V: TangentVector, plan: IndexPlan) -> np.ndarray:
     """
     X = V.anchor
     if V.C.any():
-        vals = mixed_eval(V.C, _widened(V), plan)
+        vals = mixed_eval(V.C, [_widen(U, Uc) for U, Uc
+                                in zip(X.factors, V.Ucomp)], plan)
     else:       # partial_project's single-factor branches have C = 0
         vals = np.zeros(len(plan))
     for k in range(X.ndim):
@@ -94,14 +95,16 @@ class Contractions:
     The stationarity measure and both tangent-cone projections at X are
     built from contractions A x_j B_j^T of the same A (at an iterate, the
     gradient), where each mode's B_j is the identity, the factor U_j of X
-    or a widened basis [U_j | Ucomp_j].  :meth:`contract` forms each of them
-    on first request and keeps it under its mode pattern, so that
+    or the widened basis [U_j | Ucomp_j].  :meth:`contract` forms each of
+    them on first request and keeps it under its mode pattern, so that
     :func:`stationarity_measure`, :func:`choose_singular_complement`,
     :func:`approx_project` and :func:`partial_project`, which all take this
-    object and read X as its ``anchor``, compute each contraction once
-    between them.  The object belongs to one (X, A): a solver makes one per
-    iterate and per rank candidate and drops it with the point.  It is the
-    only place the solver path forms such a contraction.
+    object, compute each contraction once between them.  They read X, the
+    rank bound r and the Ucomp_j (empty until the complement choice fills
+    them) as its ``anchor``, ``bound`` and ``complements``.  The object
+    belongs to one (X, A, r): a solver makes one per iterate and per rank
+    candidate and drops it with the point.  It is the only place the solver
+    path forms such a contraction.
 
     Layout rule: hand out the very array formed, never a re-laid-out
     copy.  GEMM rounding depends on operand layout, so a C-order copy of a
@@ -120,19 +123,27 @@ class Contractions:
     A rank candidate X_c of an iterate X, whose factors are U_j W_j with
     U_j those of X (see :func:`~tuckeropt.tucker.hosvd_truncations`), may
     be served from X's basis instead: ``basis`` is then the pair
-    (Contractions(X, A), ws).
+    (Contractions(X, A, r), ws).
     A pattern is read off that object's X-basis pattern (U_j on the "U"
     modes, the identity elsewhere) by dense mode products: W_j^T on "U"
-    modes and [U_j W_j | Ucomp_j]^T on complement modes.  That equals
+    modes and [U_j W_j | Ucomp_j]^T on "W" modes.  That equals
     contracting A directly, (A x_j U_j^T) x_j W_j^T = A x_j (U_j W_j)^T, up
     to rounding.
     """
 
-    __slots__ = ("anchor", "tensor", "_memo", "_basis", "_residuals")
+    __slots__ = ("anchor", "tensor", "bound", "complements", "_memo",
+                 "_basis", "_residuals")
 
-    def __init__(self, X: TuckerTensor, A, basis=None):
+    def __init__(self, X: TuckerTensor, A, r, basis=None):
+        r = tuple(int(x) for x in r)
+        if len(r) != X.ndim:
+            raise ValueError(f"{len(r)} bound entries for {X.ndim} modes: {r}")
+        if any(rl > rk for rl, rk in zip(X.rank, r)):
+            raise ValueError(f"anchor rank {X.rank} exceeds bound {r}")
         self.anchor = X
         self.tensor = A
+        self.bound = r
+        self.complements = [np.zeros((n, 0)) for n in X.dims]
         self._memo = {}
         self._basis = basis
         self._residuals = {}
@@ -142,34 +153,32 @@ class Contractions:
         on first request: served from the basis when there is one, else
         formed directly.
 
-        ``"I"`` leaves mode j as it is, ``"U"`` takes U_j, and an array
-        Ucomp_j takes [U_j | Ucomp_j] (U_j itself when Ucomp_j has no
-        columns).  A complement is keyed by identity, so pass the same array
-        for the same basis.
+        ``"I"`` leaves mode j as it is, ``"U"`` takes U_j and ``"W"`` takes
+        [U_j | Ucomp_j].  A "W" on a mode at its bound is "U"; on a
+        deficient mode it needs the complement chosen first.
         """
-        modes = tuple(modes)
-        key = tuple(_mode_key(m) for m in modes)
-        hit = self._memo.get(key)
-        if hit is None:
-            mats = [_mode_matrix(U, m)
-                    for U, m in zip(self.anchor.factors, modes)]
+        if len(modes) != self.anchor.ndim or not all(
+                isinstance(m, str) and m in ("I", "U", "W") for m in modes):
+            raise ValueError(f"mode tags 'I', 'U' or 'W' expected: {modes}")
+        key = tuple("U" if m == "W" and rl == rk else m
+                    for m, rl, rk in zip(modes, self.anchor.rank, self.bound))
+        D = self._memo.get(key)
+        if D is None:
+            mats = [self._mode_matrix(j, m) for j, m in enumerate(key)]
             if self._basis is None:
-                D = self._direct(modes, mats)
+                D = self._direct(key, mats)
             else:
                 D = self._served(key, mats)
-            # keeping the complements alive keeps their ids in the key valid
-            hit = (D, modes)
-            self._memo[key] = hit
-        return hit[0]
+            self._memo[key] = D
+        return D
 
-    def mode_residual(self, k: int, comp=None) -> np.ndarray:
+    def mode_residual(self, k: int, widen: bool = False) -> np.ndarray:
         """D - B (B^T D) for D the mode-(k+1) unfolding of the mode term
-        A x_{j != k} U_j^T and B = [U_k | comp] (U_k itself when comp is
-        None or has no columns).  The U_k-only residual, which the
-        stationarity measure and both projections read, is formed once per
-        mode."""
+        A x_{j != k} U_j^T and B = [U_k | Ucomp_k] if ``widen``, else U_k.
+        The U_k-only residual, which the stationarity measure and both
+        projections read, is formed once per mode."""
         U = self.anchor.factors[k]
-        B = U if comp is None else _mode_matrix(U, comp)
+        B = self._mode_matrix(k, "W") if widen else U
         R = self._residuals.get(k) if B is U else None
         if R is None:
             modes = ["I" if j == k else "U" for j in range(self.anchor.ndim)]
@@ -178,6 +187,15 @@ class Contractions:
             if B is U:
                 self._residuals[k] = R
         return R
+
+    def _mode_matrix(self, j: int, m: str):
+        """B_j for the mode tag m (None: the identity)."""
+        if m == "I":
+            return None
+        U, comp = self.anchor.factors[j], self.complements[j]
+        if m == "W" and comp.shape[1] < self.bound[j] - self.anchor.rank[j]:
+            raise ValueError(f"mode {j + 1} has no complement chosen yet")
+        return U if m == "U" else _widen(U, comp)
 
     def _direct(self, modes: tuple, mats) -> np.ndarray:
         """A x_j B_j^T for B_j = mats[j] (None: identity) from A itself.
@@ -221,19 +239,6 @@ class Contractions:
         return P
 
 
-def _mode_key(m):
-    if isinstance(m, str):
-        return m
-    return id(m) if m.shape[1] else "U"
-
-
-def _mode_matrix(U: np.ndarray, m):
-    """B_j for the mode entry m of :meth:`Contractions.contract` (None: I)."""
-    if isinstance(m, str):
-        return None if m == "I" else U
-    return np.hstack([U, m]) if m.shape[1] else U
-
-
 def _pad_complement(existing: np.ndarray, q: int) -> np.ndarray:
     """Deterministically extend ``existing`` (orthonormal columns) by q more
     orthonormal columns drawn from projected identity columns."""
@@ -257,27 +262,23 @@ def _pad_complement(existing: np.ndarray, q: int) -> np.ndarray:
     return np.column_stack(added) if added else np.zeros((n, 0))
 
 
-def choose_singular_complement(G: Contractions, r):
+def choose_singular_complement(G: Contractions):
     """Per-mode complements Ucomp_k spanning dominant left singular directions
-    of the tensor A of G at X = G.anchor.
+    of the tensor A of G at X = G.anchor, under the bound r = G.bound.
 
     Deficient modes are processed in ascending order; each complement takes
     the leading left singular vectors of the mode-k unfolding of A after the
     previously chosen subspaces have been applied, projected orthogonal to
     U_k.  Rank-deficient cases are padded with a deterministic orthonormal
-    complement.
+    complement.  Fills ``G.complements`` in mode order and returns them.
     """
     X = G.anchor
-    rlow = X.rank
-    r = tuple(int(x) for x in r)
+    rlow, r = X.rank, G.bound
     d = X.ndim
-    if any(rl > rk for rl, rk in zip(rlow, r)):
-        raise ValueError(f"anchor rank {rlow} exceeds bound {r}")
-    comps = [np.zeros((X.dims[k], 0)) for k in range(d)]
     deficient = [k for k in range(d) if rlow[k] < r[k]]
     for k in deficient:
         # earlier deficient modes take their widened basis, later ones none
-        modes = [("I" if j >= k else comps[j]) if j in deficient else "U"
+        modes = [("I" if j >= k else "W") if j in deficient else "U"
                  for j in range(d)]
         B = unfold(G.contract(modes), k + 1)
         U = X.factors[k]
@@ -289,8 +290,8 @@ def choose_singular_complement(G: Contractions, r):
         if keep < q:
             pad = _pad_complement(np.hstack([U, chosen]), q - keep)
             chosen = np.hstack([chosen, pad])
-        comps[k] = chosen
-    return comps
+        G.complements[k] = chosen
+    return list(G.complements)
 
 
 def _core_pinv(X: TuckerTensor, k: int) -> np.ndarray:
@@ -300,7 +301,7 @@ def _core_pinv(X: TuckerTensor, k: int) -> np.ndarray:
     return (V[:, :q] / sigma[:q]) @ U[:, :q].T
 
 
-def _project(G: Contractions, r, widen: bool):
+def _project(G: Contractions, widen: bool):
     """The per-iterate core of both tangent-cone projections of the tensor A
     of G at X = G.anchor.
 
@@ -317,20 +318,20 @@ def _project(G: Contractions, r, widen: bool):
     such as a sparse gradient's unobserved entries densified.
     """
     X = G.anchor
-    complements = tuple(choose_singular_complement(G, r))
-    C = G.contract(complements)
-    udots = [G.mode_residual(k, Uc if widen else None) @ _core_pinv(X, k + 1)
-             for k, Uc in enumerate(complements)]
-    return C, tuple(udots), complements
+    choose_singular_complement(G)
+    C = G.contract(["W"] * X.ndim)
+    udots = [G.mode_residual(k, widen) @ _core_pinv(X, k + 1)
+             for k in range(X.ndim)]
+    return C, tuple(udots), tuple(G.complements)
 
 
-def approx_project(G: Contractions, r) -> TangentVector:
+def approx_project(G: Contractions) -> TangentVector:
     """SVD-based approximate projection of the tensor A of G onto the
     tangent cone at G.anchor."""
-    return TangentVector(G.anchor, *_project(G, r, widen=True))
+    return TangentVector(G.anchor, *_project(G, widen=True))
 
 
-def partial_project(G: Contractions, r):
+def partial_project(G: Contractions):
     """Retraction-free partial projection of the tensor A of G at
     X = G.anchor: the largest of d+1 partial terms.
 
@@ -339,7 +340,7 @@ def partial_project(G: Contractions, r):
     lowest branch index.
     """
     X = G.anchor
-    C, udots, complements = _project(G, r, widen=False)
+    C, udots, complements = _project(G, widen=False)
     d = X.ndim
     rlow = X.rank
     norms = [float(np.linalg.norm(C.ravel()))]
@@ -355,15 +356,15 @@ def partial_project(G: Contractions, r):
     return TangentVector(X, np.zeros(rlow), udot, empty), branch
 
 
-def stationarity_measure(G: Contractions, r) -> float:
+def stationarity_measure(G: Contractions) -> float:
     """Norm of the component of the gradient, the tensor of G, that
     violates the normal-cone condition at X = G.anchor.
 
-    Modes where the rank of X is below r contribute no mode term, and
+    Modes where the rank of X is below G.bound contribute no mode term, and
     leave the core term uncontracted in that mode.
     """
     X = G.anchor
-    deficient = [rl < int(rk) for rl, rk in zip(X.rank, r)]
+    deficient = [rl < rk for rl, rk in zip(X.rank, G.bound)]
     modes = ["I" if dk else "U" for dk in deficient]
     core_resid = float(np.linalg.norm(G.contract(modes).ravel()))
     mode_resid = [0.0 if dk else float(np.linalg.norm(

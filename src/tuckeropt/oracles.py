@@ -173,11 +173,6 @@ def ambient_inner(A, V: TangentVector) -> float:
     return inner(_dense(A), embed(V))
 
 
-def tangent_space_project(X: TuckerTensor, A) -> TangentVector:
-    """Closed-form projection onto the tangent space at a full-bound point."""
-    return approx_project(Contractions(X, A), X.rank)
-
-
 def sample_normal(X: TuckerTensor, r, seed) -> np.ndarray:
     """Random element of the normal cone at X for rank bound r.
 
@@ -451,8 +446,8 @@ def suite_angle(seed=0, instances=20, restarts=100) -> OracleReport:
         _, value = exact_tangent_projection_oracle(
             X, A, r, restarts=restarts, seed=rng.integers(2 ** 31))
         wt, wh = angle_constants(X.dims, r, X.rank)
-        Vt = approx_project(Contractions(X, A), r)
-        Vh, _ = partial_project(Contractions(X, A), r)
+        Vt = approx_project(Contractions(X, A, r))
+        Vh, _ = partial_project(Contractions(X, A, r))
         nt = tangent_norm(Vt)
         nh = tangent_norm(Vh)
         v1 = wt * value - nt                       # must be <= 0
@@ -469,7 +464,7 @@ def suite_complement(seed=0, instances=50) -> OracleReport:
     worst = -np.inf
     for i in range(instances):
         X, A, r = _random_deficient_instance(rng, dims=(5, 4, 6), rmax=3)
-        comps = choose_singular_complement(Contractions(X, A), r)
+        comps = choose_singular_complement(Contractions(X, A, r))
         d = X.ndim
         S = _widen(X, comps)
         deficient = [k for k in range(d) if X.rank[k] < r[k]]
@@ -494,14 +489,14 @@ def suite_normal(seed=0, instances=50) -> OracleReport:
     for i in range(instances):
         X, A, r = _random_deficient_instance(rng, dims=(5, 5, 5), rmax=3)
         W = sample_normal(X, r, seed=rng.integers(2 ** 31))
-        V = approx_project(Contractions(X, A), r)
+        V = approx_project(Contractions(X, A, r))
         nw = float(np.linalg.norm(W.ravel()))
         nv = tangent_norm(V)
         if nw == 0 or nv == 0:
             margins.append(0.0)
             continue
         rel = abs(ambient_inner(W, V)) / (nw * nv)
-        stat = stationarity_measure(Contractions(X, -W), r)
+        stat = stationarity_measure(Contractions(X, -W, r))
         viol = max(rel - 1e-10, stat - 1e-10 * nw)
         worst = max(worst, viol)
         margins.append(viol)

@@ -216,7 +216,7 @@ def _initial_stepsize(obj, X, V, vnorm, cfg, retraction_free):
     return max(sbar, cfg.step_floor)
 
 
-def _direction_step(obj, grad, fX, r, cfg, retraction_free):
+def _direction_step(obj, grad, fX, cfg, retraction_free):
     """One projected line-search step from X = grad.anchor; returns
     (Y, _StepInfo).
 
@@ -226,10 +226,10 @@ def _direction_step(obj, grad, fX, r, cfg, retraction_free):
     projection of grad f: both projections are odd in their argument.
     """
     if retraction_free:
-        V, _branch = partial_project(grad, r)
+        V, _branch = partial_project(grad)
     else:
-        V = approx_project(grad, r)
-    X = grad.anchor
+        V = approx_project(grad)
+    X, r = grad.anchor, grad.bound
     V = TangentVector(X, -V.C, tuple(-U for U in V.Udot), V.Ucomp)
     vnorm = tangent_norm(V)
     if vnorm == 0.0:
@@ -265,7 +265,7 @@ def _effective_delta(X0: TuckerTensor, cfg: SolverConfig) -> float:
     return cfg.delta * smax if smax > 0 else cfg.delta
 
 
-def _candidate_ranks(X, r, cfg, retraction_free, delta_eff):
+def _candidate_ranks(X, cfg, retraction_free, delta_eff):
     if retraction_free:
         sets = rfgrap_r_index_sets(X, delta_eff)
     else:
@@ -278,7 +278,7 @@ def _candidate_ranks(X, r, cfg, retraction_free, delta_eff):
     return list(itertools.product(*sets))
 
 
-def _rank_decrease_step(obj, fX, grad, r, cfg, retraction_free, delta_eff):
+def _rank_decrease_step(obj, fX, grad, cfg, retraction_free, delta_eff):
     """Evaluate every lower-rank candidate of X = grad.anchor, keep the best;
     returns (Y, info, n).
 
@@ -300,8 +300,8 @@ def _rank_decrease_step(obj, fX, grad, r, cfg, retraction_free, delta_eff):
     Each candidate forms its patterns on demand and drops them after its
     step.
     """
-    X = grad.anchor
-    cands = _candidate_ranks(X, r, cfg, retraction_free, delta_eff)
+    X, r = grad.anchor, grad.bound
+    cands = _candidate_ranks(X, cfg, retraction_free, delta_eff)
     distinct = {}
     for rl, (Xc, ws) in zip(cands, hosvd_truncations(X, cands)):
         seen = distinct.get(Xc.rank)
@@ -315,9 +315,9 @@ def _rank_decrease_step(obj, fX, grad, r, cfg, retraction_free, delta_eff):
             fc, gc = fX, grad
         else:
             fc, A = _f_and_grad(obj, Xc)
-            gc = Contractions(Xc, A, (Contractions(X, A), ws))
+            gc = Contractions(Xc, A, r, (Contractions(X, A, r), ws))
         try:
-            Yc, info = _direction_step(obj, gc, fc, r, cfg, retraction_free)
+            Yc, info = _direction_step(obj, gc, fc, cfg, retraction_free)
         except LineSearchFailure as e:
             failures.append(f"candidate {rl}: {e}")
             continue
@@ -365,8 +365,8 @@ def _solve(obj, X0, r, cfg, *, retraction_free, rank_decrease, name,
                                               pending, n_candidates, t_start))
             trace.termination = "non_finite"
             return X, trace
-        contractions = Contractions(X, grad)
-        stat = stationarity_measure(contractions, r)
+        contractions = Contractions(X, grad, r)
+        stat = stationarity_measure(contractions)
         trace.records.append(_make_record(obj, X, fX, gnorm, stat, t, pending,
                                           n_candidates, t_start))
         if stat <= cfg.stat_tol:
@@ -378,14 +378,14 @@ def _solve(obj, X0, r, cfg, *, retraction_free, rank_decrease, name,
         if rank_decrease:
             try:
                 X, pending, n_candidates = _rank_decrease_step(
-                    obj, fX, contractions, r, cfg, retraction_free, delta_eff)
+                    obj, fX, contractions, cfg, retraction_free, delta_eff)
             except CandidateExhaustion as e:
                 trace.termination = "candidate_exhaustion"
                 trace.diagnostics = (str(e),) + e.diagnostics
                 return X, trace
             continue
         try:
-            Y, pending = _direction_step(obj, contractions, fX, r, cfg,
+            Y, pending = _direction_step(obj, contractions, fX, cfg,
                                          retraction_free)
         except LineSearchFailure as e:
             trace.termination = "line_search_failure"
@@ -431,8 +431,9 @@ SOLVERS = {"grap": solve_grap, "rfgrap": solve_rfgrap,
 # ---------------------------------------------------------------------------
 # Trace output
 
-def write_trace_csv(trace: SolverTrace, path, d: int) -> None:
+def write_trace_csv(trace: SolverTrace, path) -> None:
     """CSV with one row per iteration (wall time varies between runs)."""
+    d = len(trace.final().rank)
     cols = (["iter", "f", "stationarity", "grad_norm", "dir_norm", "step",
              "backtracks"] + [f"r{k + 1}" for k in range(d)]
             + ["candidates", "time_s", "test_error"])

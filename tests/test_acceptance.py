@@ -93,8 +93,8 @@ def test_criterion_1_projection_identity():
     while count < 200:
         pattern = patterns[count % len(patterns)]
         X, A = _instance_with_pattern(rng, pattern)
-        for V in (approx_project(Contractions(X, A), (3, 3, 3)),
-                  partial_project(Contractions(X, A), (3, 3, 3))[0]):
+        for V in (approx_project(Contractions(X, A, (3, 3, 3))),
+                  partial_project(Contractions(X, A, (3, 3, 3)))[0]):
             n2 = tangent_norm(V) ** 2
             if n2 == 0.0:
                 continue
@@ -139,18 +139,18 @@ def test_criterion_5_normal_cone():
                 # full-bound pattern: normal cone may be trivial for some
                 # draws; orthogonality holds vacuously
                 continue
-            V = approx_project(Contractions(X, A), (3, 3, 3))
+            V = approx_project(Contractions(X, A, (3, 3, 3)))
             nv = tangent_norm(V)
             if nv > 0:
                 worst = max(worst, abs(ambient_inner(W, V)) / (nw * nv))
             # constructed stationary point: gradient = -W lies in the
             # normal cone, so the measure must vanish
-            stat = stationarity_measure(Contractions(X, -W), (3, 3, 3))
+            stat = stationarity_measure(Contractions(X, -W, (3, 3, 3)))
             worst = max(worst, stat / nw)
     # all-deficient edge case: measure equals the gradient norm
     X = random_tucker((6, 6, 6), (2, 2, 2), rng)
     G = rng.standard_normal((6, 6, 6))
-    stat = stationarity_measure(Contractions(X, G), (3, 3, 3))
+    stat = stationarity_measure(Contractions(X, G, (3, 3, 3)))
     edge = abs(stat - fro_norm(np.asarray(G))) \
         if all(rl < 3 for rl in X.rank) else np.inf
     # the measure contracts the gradient on no mode only when every mode is
@@ -315,18 +315,18 @@ def test_criterion_10_structured_vs_dense():
         A = rng.standard_normal(dims)
         mask = rng.random(dims) < 0.4
         S = SparseCooTensor(dims, np.argwhere(mask) + 1, A[mask])
-        comps = choose_singular_complement(Contractions(X, A), r)
+        comps = choose_singular_complement(Contractions(X, A, r))
 
-        V = approx_project(Contractions(X, A), r)
+        V = approx_project(Contractions(X, A, r))
         ref = _ref_approx_project(X, A, r, comps)
         worst = max(worst, rel(fro_norm(embed(V) - ref), fro_norm(ref)))
 
-        Vp, branch = partial_project(Contractions(X, A), r)
+        Vp, branch = partial_project(Contractions(X, A, r))
         refp, refbranch = _ref_partial_project(X, A, r, comps)
         assert branch == refbranch
         worst = max(worst, rel(fro_norm(embed(Vp) - refp), fro_norm(refp)))
 
-        stat = stationarity_measure(Contractions(X, S), r)
+        stat = stationarity_measure(Contractions(X, S, r))
         refs = _ref_stationarity(X, S, r)
         worst = max(worst, rel(abs(stat - refs), max(refs, fro_norm(S))))
 
@@ -337,7 +337,8 @@ def test_criterion_10_structured_vs_dense():
         worst = max(worst, rel(fro_norm(got - reft), T.fro_norm()))
 
         U = [rng.standard_normal((n, 2)) for n in dims]
-        shared = Contractions(TuckerTensor(np.zeros((2, 2, 2)), tuple(U)), S)
+        shared = Contractions(TuckerTensor(np.zeros((2, 2, 2)), tuple(U)), S,
+                              (2, 2, 2))
         for skip in (1, 2, 3):
             got = unfold(shared.contract(["I" if j == skip - 1 else "U"
                                           for j in range(3)]), skip)

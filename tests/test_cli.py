@@ -85,6 +85,24 @@ def test_complete_exit_code_on_bad_input(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_complete_solves_a_bundle_whose_test_values_are_all_zero(tmp_path,
+                                                                  capsys):
+    # a held-out set of zeros has no relative test error: the run is
+    # solved and its summary carries none
+    P, _ = gen_synthetic((6, 6, 6), (2, 2, 2), 0.3, seed=3)
+    zero = completion.CompletionProblem(
+        P.dims, P.omega, P.gamma.with_values(np.zeros(P.gamma.nnz)), P.p)
+    save_problem(zero, tmp_path / "prob")
+    summary = tmp_path / "summary.json"
+    code = main(["complete", str(tmp_path / "prob"), "--rank", "2,2,2",
+                 "--max-iters", "20", "--trace", str(tmp_path / "t.csv"),
+                 "--summary", str(summary)])
+    assert code in (0, 2), capsys.readouterr().err
+    assert "test_error" not in json.loads(summary.read_text())
+    assert {row["test_error"] for row in _csv_rows(tmp_path / "t.csv")} \
+        == {""}
+
+
 def test_complete_requires_rank(problem_dir, capsys):
     code = main(["complete", str(problem_dir)])
     assert code == 1

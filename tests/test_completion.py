@@ -189,8 +189,8 @@ def _contract(S, mats):
     factors = tuple(np.zeros((n, 0)) if M is None else M
                     for n, M in zip(S.dims, mats))
     X = TuckerTensor(np.zeros(tuple(M.shape[1] for M in factors)), factors)
-    return Contractions(X, S).contract(["I" if M is None else "U"
-                                        for M in mats])
+    return Contractions(X, S, X.rank).contract(["I" if M is None else "U"
+                                                for M in mats])
 
 
 def test_multi_mode_contract_matches_dense():
@@ -304,7 +304,7 @@ def test_initial_step_minimizes_parabola():
     obj = completion_objective(P)
     X = random_tucker(P.dims, (2, 2, 2), RNG)
     G = obj.grad(X)
-    V = approx_project(Contractions(X, G.with_values(-G.vals)), (3, 3, 3))
+    V = approx_project(Contractions(X, G.with_values(-G.vals), (3, 3, 3)))
     s = obj.initial_step(X, V)
     assert s > 0
 

@@ -27,7 +27,6 @@ from tuckeropt.oracles import (
     angle_constants,
     embed,
     sample_normal,
-    tangent_space_project,
     tucker_rank,
 )
 from tuckeropt.tensor_core import (
@@ -63,13 +62,13 @@ def _sparse(A, frac=0.3, rng=RNG):
 
 def test_tangent_norm_matches_embedding():
     X, A, r = _instance()
-    V = approx_project(Contractions(X, A), r)
+    V = approx_project(Contractions(X, A, r))
     assert tangent_norm(V) == pytest.approx(fro_norm(embed(V)), rel=1e-12)
 
 
 def test_tangent_entries_match_embedding():
     X, A, r = _instance()
-    V = approx_project(Contractions(X, A), r)
+    V = approx_project(Contractions(X, A, r))
     E = embed(V)
     idx = np.column_stack([RNG.integers(1, n + 1, size=40) for n in DIMS])
     assert np.allclose(tangent_entries_at(V, index_plan(idx, DIMS)),
@@ -77,8 +76,8 @@ def test_tangent_entries_match_embedding():
     # at the corner tuples of a 4^3 point, and on an empty plan
     rng = np.random.default_rng(13)
     X = random_tucker((4, 4, 4), (2, 2, 2), rng)
-    V = approx_project(Contractions(X, rng.standard_normal((4, 4, 4))),
-                       (3, 3, 3))
+    V = approx_project(Contractions(X, rng.standard_normal((4, 4, 4)),
+                                    (3, 3, 3)))
     idx = np.array([[4, 1, 1], [1, 4, 2]])
     assert np.allclose(tangent_entries_at(V, index_plan(idx, X.dims)),
                        _ref_tangent_entries_at(V, idx), atol=1e-12)
@@ -90,7 +89,7 @@ def test_tangent_entries_match_embedding():
 def test_tangent_vector_takes_complements_of_exact_width(width):
     # bound (4, 4, 4) over rank (2, 2, 2): each Ucomp_k has exactly 2 columns
     X, A, _ = _instance()
-    V = approx_project(Contractions(X, A), (4, 4, 4))
+    V = approx_project(Contractions(X, A, (4, 4, 4)))
     assert [Uc.shape for Uc in V.Ucomp] == [(6, 2)] * 3
     comps = list(V.Ucomp)
     comps[1] = np.zeros((6, width))
@@ -102,7 +101,7 @@ def test_ambient_inner_dense_and_sparse():
     # a sparse A is densified: its inner product with V is the sum of its
     # values times V's entries at its tuples
     X, A, r = _instance()
-    V = approx_project(Contractions(X, A), r)
+    V = approx_project(Contractions(X, A, r))
     S = _sparse(A)
     assert ambient_inner(S, V) == pytest.approx(
         float(S.vals @ tangent_entries_at(V, S.plan)), rel=1e-10)
@@ -111,14 +110,14 @@ def test_ambient_inner_dense_and_sparse():
 def test_projection_inner_product_identity():
     # <A, P(A)> = ||P(A)||^2 for the approximate projection
     X, A, r = _instance()
-    V = approx_project(Contractions(X, A), r)
+    V = approx_project(Contractions(X, A, r))
     assert ambient_inner(A, V) == pytest.approx(tangent_norm(V) ** 2,
                                                 rel=1e-12)
 
 
 def test_partial_projection_identity_and_branch():
     X, A, r = _instance()
-    V, branch = partial_project(Contractions(X, A), r)
+    V, branch = partial_project(Contractions(X, A, r))
     assert 0 <= branch <= 3
     assert ambient_inner(A, V) == pytest.approx(tangent_norm(V) ** 2,
                                                 rel=1e-12)
@@ -133,7 +132,7 @@ def _factor_branch(rng=RNG):
     X, A, r = _instance(rlow=(3, 2, 2), r=(3, 3, 3), rng=rng)
     U = X.factors[0]
     A = A - mode_product(A, 1, U @ U.T)
-    return partial_project(Contractions(X, A), r)
+    return partial_project(Contractions(X, A, r))
 
 
 def test_partial_projection_factor_branch_stays_low_rank():
@@ -150,7 +149,7 @@ def test_step_feasibility_partial_projection():
     # set for every stepsize (this is what makes them retraction-free); the
     # approximate projection does not have this property in general
     X, A, r = _instance()
-    V, _branch = partial_project(Contractions(X, A), r)
+    V, _branch = partial_project(Contractions(X, A, r))
     for s in (0.5, 1.0, 3.0):
         Y = to_dense(X) + s * embed(V)
         assert all(a <= b for a, b in zip(tucker_rank(Y, 1e-8), r))
@@ -159,23 +158,23 @@ def test_step_feasibility_partial_projection():
 def test_sparse_dense_projection_agree():
     X, A, r = _instance()
     S = _sparse(A)
-    Vd = approx_project(Contractions(X, S.to_dense()), r)
-    Vs = approx_project(Contractions(X, S), r)
+    Vd = approx_project(Contractions(X, S.to_dense(), r))
+    Vs = approx_project(Contractions(X, S, r))
     assert np.allclose(embed(Vd), embed(Vs), atol=1e-10)
 
 
 def test_tangent_space_project_full_rank():
     X, A, _ = _instance(rlow=(3, 3, 3), r=(3, 3, 3))
-    V = tangent_space_project(X, A)
+    V = approx_project(Contractions(X, A, X.rank))
     E = embed(V)
     # projection onto a linear space: residual orthogonal to the space
-    W = tangent_space_project(X, A - E)
+    W = approx_project(Contractions(X, A - E, X.rank))
     assert tangent_norm(W) < 1e-10 * fro_norm(A)
 
 
 def test_complement_orthogonality():
     X, A, r = _instance(rlow=(2, 1, 2), r=(3, 3, 3))
-    comps = choose_singular_complement(Contractions(X, A), r)
+    comps = choose_singular_complement(Contractions(X, A, r))
     for U, c, (rl, rk) in zip(X.factors, comps, zip(X.rank, r)):
         assert c.shape[1] == rk - rl
         assert np.allclose(U.T @ c, 0, atol=1e-12)
@@ -186,13 +185,13 @@ def test_stationarity_zero_at_minimizer():
     # gradient of f(Y) = 1/2||Y - X||^2 vanishes at X, so the measure is 0
     X, _, r = _instance()
     grad = np.zeros(DIMS)
-    assert stationarity_measure(Contractions(X, grad), r) == 0.0
+    assert stationarity_measure(Contractions(X, grad, r)) == 0.0
 
 
 def test_stationarity_detects_descent():
     X, A, r = _instance()
     grad = to_dense(X) - A
-    stat = stationarity_measure(Contractions(X, grad), r)
+    stat = stationarity_measure(Contractions(X, grad, r))
     assert stat > 1e-3
     # every mode is below the bound, so the normal cone is {0} and the
     # measure is the whole gradient
@@ -203,10 +202,10 @@ def test_stationarity_full_rank_point():
     X, A, _ = _instance(rlow=(3, 3, 3), r=(3, 3, 3))
     grad = to_dense(X) - A
     assert X.rank == (3, 3, 3)
-    stat = stationarity_measure(Contractions(X, grad), (3, 3, 3))
+    stat = stationarity_measure(Contractions(X, grad, (3, 3, 3)))
     # at a full-bound smooth point the measure vanishes iff the Riemannian
     # gradient does
-    V = tangent_space_project(X, grad)
+    V = approx_project(Contractions(X, grad, X.rank))
     assert (stat < 1e-10) == (tangent_norm(V) < 1e-10)
 
 
@@ -233,7 +232,7 @@ def test_normal_cone_orthogonal_to_tangent_cone():
             assert np.allclose(U.T @ P, 0, atol=1e-12)
             assert np.allclose(P.T @ P, np.eye(n - q), atol=1e-12)
         W = sample_normal(X, r, seed=5)
-        V = approx_project(Contractions(X, A), r)
+        V = approx_project(Contractions(X, A, r))
         at_bound = any(a == b for a, b in zip(X.rank, r))
         assert (fro_norm(W) > 0) == at_bound and tangent_norm(V) > 0
         assert (abs(inner(W, embed(V)))
@@ -244,7 +243,7 @@ def test_normal_vector_certifies_stationarity():
     # at X with gradient -W, W in the normal cone, the measure must vanish
     for X, _, r in _normal_cases():
         W = sample_normal(X, r, seed=11)
-        stat = stationarity_measure(Contractions(X, -W), r)
+        stat = stationarity_measure(Contractions(X, -W, r))
         assert stat <= 1e-10 * fro_norm(W)
 
 
@@ -263,7 +262,7 @@ def test_angle_condition_holds():
     # condition relative to the exact projection does; here we verify the
     # cheap sufficient check <A, P(A)> = ||P(A)||^2 > 0 for generic A
     X, A, r = _instance()
-    V = approx_project(Contractions(X, A), r)
+    V = approx_project(Contractions(X, A, r))
     assert tangent_norm(V) > 0
 
 
@@ -291,14 +290,14 @@ def test_shared_contractions_match_fresh_ones(pattern):
         X = random_tucker(DIMS, rlow, rng)
         neg = (-A if isinstance(A, np.ndarray)
                else A.with_values(-1.0 * A.vals))
-        fresh = (stationarity_measure(Contractions(X, A), r),
-                 choose_singular_complement(Contractions(X, neg), r),
-                 approx_project(Contractions(X, neg), r),
-                 partial_project(Contractions(X, neg), r))
-        shared = Contractions(X, A)
-        got = (stationarity_measure(shared, r),
-               choose_singular_complement(shared, r),
-               approx_project(shared, r), partial_project(shared, r))
+        fresh = (stationarity_measure(Contractions(X, A, r)),
+                 choose_singular_complement(Contractions(X, neg, r)),
+                 approx_project(Contractions(X, neg, r)),
+                 partial_project(Contractions(X, neg, r)))
+        shared = Contractions(X, A, r)
+        got = (stationarity_measure(shared),
+               choose_singular_complement(shared),
+               approx_project(shared), partial_project(shared))
         assert got[0] == fresh[0]
         assert _same(got[1], fresh[1])
         for V, W in ((got[2], fresh[2]), (got[3][0], fresh[3][0])):
@@ -317,17 +316,18 @@ def test_contractions_are_formed_once_per_pattern(monkeypatch):
     contract = geometry.multi_mode_contract
     monkeypatch.setattr(geometry, "multi_mode_contract",
                         lambda *a: calls.append(a[2]) or contract(*a))
-    shared = Contractions(X, G)
-    stationarity_measure(shared, (3, 3, 3))
+    shared = Contractions(X, G, (3, 3, 3))
+    stationarity_measure(shared)
     assert calls == [1, 3]
     # so are the U-only mode residuals D_k - U_k (U_k^T D_k)
     residuals = [shared.mode_residual(k) for k in range(3)]
-    approx_project(shared, (3, 3, 3))
-    partial_project(shared, (3, 3, 3))
+    approx_project(shared)
+    partial_project(shared)
     assert calls == [1, 3]
     assert all(shared.mode_residual(k) is R for k, R in enumerate(residuals))
-    comp = np.zeros((DIMS[0], 0))
-    assert shared.mode_residual(0, comp) is residuals[0]
+    # a mode at its bound widens by an empty complement: U_k itself
+    assert all(shared.mode_residual(k, widen=True) is R
+               for k, R in enumerate(residuals))
 
 
 def test_derived_contractions_equal_direct_ones():
@@ -338,20 +338,26 @@ def test_derived_contractions_equal_direct_ones():
     rng = np.random.default_rng(41)
     X = random_tucker(DIMS, (3, 2, 3), rng)
     comp = choose_singular_complement(
-        Contractions(X, rng.standard_normal(DIMS)), (3, 3, 3))[1]
+        Contractions(X, rng.standard_normal(DIMS), (3, 3, 3)))[1]
+
+    def widened(A):
+        # the point's complement on mode 2, the one deficient mode
+        G = Contractions(X, A, (3, 3, 3))
+        G.complements[1] = comp
+        return G
+
     for A in (_sparse(rng.standard_normal(DIMS), rng=rng),
               rng.standard_normal(DIMS)):
-        for modes in (("U", "U", "U"), ("U", comp, "U"), ("I", comp, "U"),
-                      ("I", "I", "U"), ("I", comp, "I")):
-            shared = Contractions(X, A)
-            mats = [geometry._mode_matrix(U, m)
-                    for U, m in zip(X.factors, modes)]
+        for modes in (("U", "U", "U"), ("U", "W", "U"), ("I", "W", "U"),
+                      ("I", "I", "U"), ("I", "W", "I")):
+            shared = widened(A)
+            mats = [shared._mode_matrix(j, m) for j, m in enumerate(modes)]
             matrix = [j for j, M in enumerate(mats) if M is not None]
             got = shared.contract(modes)
             assert len(shared._memo) == len(matrix)
             if len(matrix) > 1:
                 s = matrix[0]
-                parent = Contractions(X, A).contract(
+                parent = widened(A).contract(
                     modes[:s] + ("I",) + modes[s + 1:])
                 ref = mode_product(parent, s + 1, mats[s].T)
             elif isinstance(A, SparseCooTensor):
@@ -361,6 +367,45 @@ def test_derived_contractions_equal_direct_ones():
             else:
                 ref = mode_product(A, matrix[0] + 1, mats[matrix[0]].T)
             assert np.array_equal(got, ref)
+
+
+def test_contract_takes_mode_tags_and_the_points_complement():
+    # "W" on a mode at its bound is "U", under the same memo entry; on a
+    # deficient mode it needs the complement chosen first; anything but
+    # d tags "I", "U" or "W" is refused
+    X, A, r = _instance(rlow=(3, 2, 3), r=(3, 3, 3))
+    G = Contractions(X, A, r)
+    assert G.contract(("W", "U", "W")) is G.contract(("U", "U", "U"))
+    assert [c.shape for c in G.complements] == [(6, 0)] * 3
+    with pytest.raises(ValueError, match="mode 2 has no complement"):
+        G.contract(("U", "W", "U"))
+    with pytest.raises(ValueError, match="mode 2 has no complement"):
+        G.mode_residual(1, widen=True)
+    comps = choose_singular_complement(G)
+    assert G.complements == comps and comps[1].shape == (6, 1)
+    wide = np.hstack([X.factors[1], comps[1]])
+    assert np.allclose(G.contract(("U", "W", "U")),
+                       mode_product(G.contract(("U", "I", "U")), 2, wide.T),
+                       rtol=0, atol=1e-13 * fro_norm(A))
+    for bad in (("U", "U"), ("U", comps[1], "U"), ("U", "V", "U")):
+        with pytest.raises(ValueError, match="mode tags"):
+            G.contract(bad)
+
+
+def test_contractions_check_the_rank_bound():
+    # the bound has one entry per mode, none below the point's rank.  Here
+    # a two-entry bound used to pass, and the stationarity measure then
+    # read mode 3 as deficient and returned ||A|| = 10.31
+    rng = np.random.default_rng(5)
+    X = random_tucker((5, 5, 5), (2, 2, 2), rng)
+    A = rng.standard_normal((5, 5, 5))
+    for r in ((3, 3), (3, 3, 3, 3)):
+        with pytest.raises(ValueError, match=r"\d bound entries for 3 modes"):
+            Contractions(X, A, r)
+    with pytest.raises(ValueError, match="exceeds bound"):
+        Contractions(X, A, (2, 1, 2))
+    G = Contractions(X, A, np.array([3, 2, 2]))
+    assert G.bound == (3, 2, 2) and all(type(b) is int for b in G.bound)
 
 
 def test_tangent_entries_at_a_rank_zero_anchor():
@@ -415,19 +460,21 @@ def _served_patterns(X, cands, make_grad, r):
     complement choice and both projections have read every pattern."""
     truncs = hosvd_truncations(X, cands)
     grads = [make_grad(Xc) for Xc, _ in truncs]
-    served = [Contractions(Xc, A, (Contractions(X, A), ws))
+    served = [Contractions(Xc, A, r, (Contractions(X, A, r), ws))
               for (Xc, ws), A in zip(truncs, grads)]
     for C in served:
-        approx_project(C, r)
-        partial_project(C, r)
-    fresh = [Contractions(Xc, A) for (Xc, _), A in zip(truncs, grads)]
+        approx_project(C)
+        partial_project(C)
+    fresh = [Contractions(Xc, A, r) for (Xc, _), A in zip(truncs, grads)]
     return served, fresh
 
 
 def _assert_close_patterns(served, fresh):
     for C, F in zip(served, fresh):
         assert C._memo, "no pattern was served"
-        for D, modes in C._memo.values():
+        # "W" modes widen by the served object's complements in both
+        F.complements[:] = C.complements
+        for modes, D in C._memo.items():
             ref = F.contract(modes)
             assert D.shape == ref.shape
             assert np.linalg.norm(D - ref) <= 1e-13 * np.linalg.norm(ref)

@@ -1,8 +1,11 @@
-"""The package's layers import one another in one direction only, and it
-exports only what its scripts and examples use."""
+"""The package's layers import one another in one direction only, it
+exports only what its scripts and examples use, and the README's examples
+run."""
 
 import ast
+import contextlib
 import inspect
+import io
 import re
 from pathlib import Path
 
@@ -118,12 +121,24 @@ def test_package_exports_what_the_scripts_and_readme_import():
     # examples import from it; everything else comes from its module
     sources = [p.read_text() for d in ("tools", "demos")
                for p in sorted((ROOT / d).glob("*.py"))]
-    readme = (ROOT / "README.md").read_text()
-    sources += re.findall(r"```python\n(.*?)```", readme, re.S)
+    sources += _readme_blocks()
     wanted = {name for src in sources for name in _imported_from_package(src)}
     exported = {name for name, value in vars(tuckeropt).items()
                 if not name.startswith("_") and not inspect.ismodule(value)}
     assert exported == wanted
+
+
+def _readme_blocks():
+    return re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(),
+                      re.S)
+
+
+@pytest.mark.parametrize("block", range(len(_readme_blocks())))
+def test_readme_python_blocks_run(block):
+    # each example runs as written, in a namespace of its own
+    source = _readme_blocks()[block]
+    with contextlib.redirect_stdout(io.StringIO()):
+        exec(compile(source, f"README.md block {block + 1}", "exec"), {})
 
 
 def test_package_imports_names_from_where_they_are_defined():

@@ -26,7 +26,7 @@ def test_exact_projection_oracle_dominates_heuristic():
         rng = np.random.default_rng(seed)
         X = random_tucker((4, 4, 4), (1, 1, 1), rng)
         A = rng.standard_normal((4, 4, 4))
-        V = approx_project(Contractions(X, A), (2, 2, 2))
+        V = approx_project(Contractions(X, A, (2, 2, 2)))
         _, val = exact_tangent_projection_oracle(X, A, (2, 2, 2), restarts=20,
                                                  seed=seed)
         assert val >= tangent_norm(V) - 1e-10
@@ -38,7 +38,7 @@ def test_oracle_exact_at_full_bound():
     # must match the closed-form projection
     X = random_tucker((4, 4, 4), (2, 2, 2), RNG)
     A = RNG.standard_normal((4, 4, 4))
-    V = approx_project(Contractions(X, A), (2, 2, 2))
+    V = approx_project(Contractions(X, A, (2, 2, 2)))
     W, val = exact_tangent_projection_oracle(X, A, (2, 2, 2), restarts=5,
                                              seed=0)
     assert val == pytest.approx(tangent_norm(V), rel=1e-10)
@@ -65,8 +65,8 @@ def test_dense_reference_approx_project():
 
     X = random_tucker((4, 4, 4), (2, 2, 2), RNG)
     A = RNG.standard_normal((4, 4, 4))
-    comps = choose_singular_complement(Contractions(X, A), (3, 3, 3))
-    V = approx_project(Contractions(X, A), (3, 3, 3))
+    comps = choose_singular_complement(Contractions(X, A, (3, 3, 3)))
+    V = approx_project(Contractions(X, A, (3, 3, 3)))
     assert all(np.array_equal(a, b) for a, b in zip(V.Ucomp, comps))
     ref = _ref_approx_project(X, A, (3, 3, 3), comps)
     assert np.allclose(embed(V), ref, atol=1e-10)

@@ -96,7 +96,7 @@ def test_rank_decreasing_solver_is_monotone_and_stationary(name, solve):
     assert X.rank == recs[-1].rank
     assert max(rec.n_candidates for rec in recs) > 1
     grad = obj.grad(X)
-    got = stationarity_measure(Contractions(X, grad), bound)
+    got = stationarity_measure(Contractions(X, grad, bound))
     assert got == pytest.approx(_ref_stationarity(X, grad, bound),
                                 rel=1e-8, abs=1e-12 * np.sqrt(f0))
 

@@ -74,7 +74,7 @@ def test_armijo_accepts_descent():
     A = RNG.standard_normal((5, 5, 5))
     obj = _dense_objective(A)
     X = random_tucker((5, 5, 5), (2, 2, 2), RNG)
-    V = approx_project(Contractions(X, -obj.grad(X)), (2, 2, 2))
+    V = approx_project(Contractions(X, -obj.grad(X), (2, 2, 2)))
     vn = tangent_norm(V)
     cfg = SolverConfig()
     s, Y, bt, fY = armijo_search(obj, X, V, vn * vn, 1.0 / vn, cfg,
@@ -89,7 +89,7 @@ def test_armijo_rejects_ascent_direction():
     obj = _dense_objective(A)
     X = random_tucker((4, 4, 4), (2, 2, 2), RNG)
     # +grad: ascent
-    V = approx_project(Contractions(X, obj.grad(X)), (2, 2, 2))
+    V = approx_project(Contractions(X, obj.grad(X), (2, 2, 2)))
     with pytest.raises(ValueError):
         armijo_search(obj, X, V, -1.0, 1.0, SolverConfig(), retracted=True,
                       r=(2, 2, 2), fX=obj.eval(X))
@@ -100,7 +100,7 @@ def test_armijo_failure_reports_diagnostics():
     X = random_tucker((4, 4, 4), (2, 2, 2), RNG)
     obj = ObjectiveHandle(eval=lambda T: 1.0, grad=lambda T: None)
     A = RNG.standard_normal((4, 4, 4))
-    V = approx_project(Contractions(X, A), (2, 2, 2))
+    V = approx_project(Contractions(X, A, (2, 2, 2)))
     vn = tangent_norm(V)
     with pytest.raises(LineSearchFailure,
                        match=r"after 14 backtracks \(f=1, dir_inner=.*, "
@@ -166,7 +166,7 @@ def test_candidate_cap():
     X = TuckerTensor(core, tuple(np.eye(4)[:, :3] for _ in range(3)))
     cfg = SolverConfig(candidate_cap=8)
     with pytest.raises(CandidateExhaustion):
-        _candidate_ranks(X, (3, 3, 3), cfg, False, delta_eff=10.0)
+        _candidate_ranks(X, cfg, False, delta_eff=10.0)
 
 
 def test_candidate_exhaustion_returns_the_trace(tmp_path, monkeypatch):
@@ -480,7 +480,7 @@ def test_trace_csv_and_summary(tmp_path):
     cfg = SolverConfig(max_iters=5)
     _, trace = solve_grap_r(obj, X0, (2, 2, 2), cfg)
     csv_path = tmp_path / "trace.csv"
-    write_trace_csv(trace, csv_path, d=3)
+    write_trace_csv(trace, csv_path)
     with open(csv_path) as f:
         rows = list(csv.DictReader(f))
     assert len(rows) == len(trace.records)

@@ -522,7 +522,7 @@ def test_all_matrix_contraction_matches_dense(monkeypatch, block):
                                 np.zeros(0))
         for skip in range(1, d + 1):
             modes = ["I" if j == skip - 1 else "U" for j in range(d)]
-            D = Contractions(_anchored(U), S).contract(modes)
+            D = _contractions(U, S).contract(modes)
             got = unfold(D, skip)
             ref = _ref_multi_mode_contract(S, U, skip)
             assert got.shape == ref.shape
@@ -531,12 +531,12 @@ def test_all_matrix_contraction_matches_dense(monkeypatch, block):
             if skip < d:
                 assert not got[1].any()         # the unobserved slice
             assert np.array_equal(
-                Contractions(_anchored(U), empty).contract(modes),
+                _contractions(U, empty).contract(modes),
                 np.zeros(D.shape))
             # a zero-column factor on another mode gives an empty unfolding
             zero = [np.zeros((n, 0)) if j == skip % d else M
                     for j, (n, M) in enumerate(zip(S.dims, U))]
-            assert unfold(Contractions(_anchored(zero), S).contract(modes),
+            assert unfold(_contractions(zero, S).contract(modes),
                           skip).shape == (S.dims[skip - 1], 0)
             G = rng.standard_normal(tuple(M.shape[1] for M in U))
             full = mode_product(D, skip, U[skip - 1].T)
@@ -563,7 +563,7 @@ def test_multi_mode_contract_matches_dense_for_every_pattern():
         for bits in _patterns(d):
             mats = [None if b else M for b, M in zip(bits, U)]
             modes = ["I" if b else "U" for b in bits]
-            got = Contractions(_anchored(U), S).contract(modes)
+            got = _contractions(U, S).contract(modes)
             for skip in (j + 1 for j in range(d) if bits[j]):
                 ref = _ref_multi_mode_contract(S, mats, skip)
                 unfolded = unfold(got, skip)
@@ -573,13 +573,13 @@ def test_multi_mode_contract_matches_dense_for_every_pattern():
                 if skip < d:
                     assert not unfolded[1].any()    # the unobserved slice
             assert np.array_equal(
-                Contractions(_anchored(U), empty).contract(modes),
+                _contractions(U, empty).contract(modes),
                 np.zeros(got.shape))
             for j in range(d):
                 if not bits[j]:
                     zero = list(U)
                     zero[j] = np.zeros((S.dims[j], 0))
-                    assert Contractions(_anchored(zero), S).contract(
+                    assert _contractions(zero, S).contract(
                         modes).shape[j] == 0
 
 
@@ -597,7 +597,7 @@ def test_no_all_matrix_pattern_reaches_the_scatter(monkeypatch):
     for S, U in _all_matrix_cases(rng):
         d = len(S.dims)
         calls.clear()
-        shared = Contractions(_anchored(U), S)
+        shared = _contractions(U, S)
         for bits in _patterns(d):
             got = shared.contract(["I" if b else "U" for b in bits])
             ref = _ref_contract(S, [None if b else M
@@ -613,6 +613,12 @@ def _anchored(U):
     return TuckerTensor(np.zeros(tuple(M.shape[1] for M in U)), tuple(U))
 
 
+def _contractions(U, A):
+    """The Contractions of A at ``_anchored(U)``, bounded by its rank."""
+    X = _anchored(U)
+    return Contractions(X, A, X.rank)
+
+
 def test_contract_matches_dense_reference():
     # every identity/factor pattern, from one memo, with a full mode (5 of 5)
     rng = np.random.default_rng(8)
@@ -620,7 +626,7 @@ def test_contract_matches_dense_reference():
     S = _random_coo(dims, 0.4, rng)
     U = [rng.standard_normal((n, q)) for n, q in zip(dims, (2, 5, 3))]
     for A in (S, S.to_dense()):
-        shared = Contractions(_anchored(U), A)
+        shared = _contractions(U, A)
         for bits in np.ndindex(2, 2, 2):
             got = shared.contract(["I" if b else "U" for b in bits])
             ref = _ref_contract(A, [None if bits[j] else U[j]
@@ -640,10 +646,10 @@ def test_contract_with_a_formed_parent_is_bit_identical():
     U = [rng.standard_normal((n, 3)) for n in dims]
     X = _anchored(U)
     for A in (S, S.to_dense()):
-        parent = Contractions(X, A).contract(("I", "U", "U"))
-        got = Contractions(X, A).contract(("U", "U", "U"))
+        parent = Contractions(X, A, X.rank).contract(("I", "U", "U"))
+        got = Contractions(X, A, X.rank).contract(("U", "U", "U"))
         assert np.array_equal(got, mode_product(parent, 1, U[0].T))
-    shared = Contractions(X, S)
+    shared = Contractions(X, S, X.rank)
     last = multi_mode_contract(S, [None, None, U[2]], 1)
     middle = multi_mode_contract(S, [None, U[1], None], 3)
     assert np.array_equal(shared.contract(("I", "I", "U")),

@@ -194,7 +194,7 @@ def test_tucker_rank_and_mode_singular_values():
 def test_add_scaled_tangent_exact():
     X = random_tucker((6, 6, 6), (2, 2, 2), RNG)
     A = RNG.standard_normal((6, 6, 6))
-    V = approx_project(Contractions(X, A), (3, 3, 3))
+    V = approx_project(Contractions(X, A, (3, 3, 3)))
     for s in (0.3, 1.7):
         Y = add_scaled_tangent(X, s, V)
         assert np.allclose(to_dense(Y), to_dense(X) + s * embed(V), atol=1e-10)
@@ -206,7 +206,7 @@ def test_add_scaled_tangent_full_bound():
     # no complement columns: the step stays inside rank <= r_low in each mode
     X = random_tucker((5, 5, 5), (3, 3, 3), RNG)
     A = RNG.standard_normal((5, 5, 5))
-    V = approx_project(Contractions(X, A), (3, 3, 3))
+    V = approx_project(Contractions(X, A, (3, 3, 3)))
     Y = add_scaled_tangent(X, 0.5, V)
     assert np.allclose(to_dense(Y), to_dense(X) + 0.5 * embed(V), atol=1e-10)
 
