@@ -49,9 +49,11 @@ def _parse_tuple(text: str) -> tuple:
             f"expected comma-separated integers, got {text!r}")
 
 
-def _add_common_solver_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--solver", choices=sorted(SOLVERS), default="grap-r")
+def _add_shared_flags(p: argparse.ArgumentParser) -> None:
+    """The flags that both ``complete`` and ``bench`` read."""
     p.add_argument("--rank", type=_parse_tuple, help="rank bound r1,...,rd")
+    p.add_argument("--init", choices=["spectral", "random"],
+                   default="spectral")
     p.add_argument("--delta", type=float, default=1e-2,
                    help="rank-decrease threshold (relative by default)")
     p.add_argument("--delta-absolute", action="store_true",
@@ -61,8 +63,6 @@ def _add_common_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-iters", type=int, default=500)
     p.add_argument("--tol", type=float, default=1e-8,
                    help="stationarity stopping tolerance")
-    p.add_argument("--trace", type=Path, help="write per-iteration CSV here")
-    p.add_argument("--summary", type=Path, help="write summary JSON here")
 
 
 def _make_config(args) -> SolverConfig:
@@ -70,36 +70,32 @@ def _make_config(args) -> SolverConfig:
                         stat_tol=args.tol)
 
 
-def _absolute_delta(args):
-    """The rank-decrease threshold --delta-absolute fixes, else None (the
-    solvers then take --delta relative to the start's sigma_max)."""
-    return args.delta if args.delta_absolute else None
+def _check_rank(r, dims) -> None:
+    if len(r) != len(dims):
+        raise ValueError(f"rank bound {r} has {len(r)} entries, the problem "
+                         f"has {len(dims)} modes")
 
 
-def _initial_point(problem, r, args):
+def _start(problem, r, args, resume=None):
+    """(X0, iteration, delta_eff) of a run: the run the ``resume``
+    checkpoint was saved from, its point cut to the bound r, else a new run
+    from the --init point.  With delta_eff None the solvers take --delta
+    relative to sigma_max(X0)."""
+    delta_eff = args.delta if args.delta_absolute else None
+    if resume:
+        X0, it, saved = load_checkpoint(resume)
+        if X0.dims != problem.dims:
+            raise ValueError(f"checkpoint dims {X0.dims} do not match "
+                             f"problem dims {problem.dims}")
+        if any(a > b for a, b in zip(X0.rank, r)):
+            X0 = hosvd_truncate(X0, tuple(map(min, X0.rank, r)))
+        return X0, it, delta_eff if saved is None else saved
     if args.init == "random":
         # a stream of its own: gen_synthetic draws the truth from
         # default_rng(seed), which would make the start the ground truth
         rng = np.random.default_rng([args.seed, 1])
-        return random_tucker(problem.dims, r, rng)
-    return spectral_init(problem, r)
-
-
-def _run_solver(problem, r, args, cfg):
-    obj = completion_objective(problem)
-    solve = SOLVERS[args.solver]
-    if not args.resume:
-        return solve(obj, _initial_point(problem, r, args), r, cfg,
-                     delta_eff=_absolute_delta(args))
-    X0, start, delta_eff = load_checkpoint(args.resume)
-    if X0.dims != problem.dims:
-        raise ValueError(f"checkpoint dims {X0.dims} do not match problem "
-                         f"dims {problem.dims}")
-    if any(a > b for a, b in zip(X0.rank, r)):
-        X0 = hosvd_truncate(X0, tuple(min(a, b) for a, b in zip(X0.rank, r)))
-    if delta_eff is None:
-        delta_eff = _absolute_delta(args)
-    return solve(obj, X0, r, cfg, start=start, delta_eff=delta_eff)
+        return random_tucker(problem.dims, r, rng), 0, delta_eff
+    return spectral_init(problem, r), 0, delta_eff
 
 
 def _exit_code(trace) -> int:
@@ -110,26 +106,42 @@ def _exit_code(trace) -> int:
     return 1
 
 
-def cmd_complete(args) -> int:
-    problem = load_problem(args.problem)
-    if args.rank is None:
-        raise ValueError("--rank is required for complete")
-    cfg = _make_config(args)
-    X, trace = _run_solver(problem, args.rank, args, cfg)
-    if args.trace:
-        write_trace_csv(trace, args.trace)
-    if args.summary:
-        write_summary_json(trace, args.summary)
-    if args.save:
-        save_checkpoint(X, args.save, trace.final().iter, trace.delta_eff)
+def _run(problem, solver, r, start, cfg, label, trace_path=None,
+         summary_path=None):
+    """Solve from ``start`` (see :func:`_start`) and report the run: the
+    trace CSV and summary JSON to the paths given, the result line under
+    ``label``, and a ``FAILED:`` line if it failed.  Returns (X, trace)."""
+    X0, it, delta_eff = start
+    X, trace = SOLVERS[solver](completion_objective(problem), X0, r, cfg,
+                               start=it, delta_eff=delta_eff)
+    if trace_path:
+        write_trace_csv(trace, trace_path)
+    if summary_path:
+        write_summary_json(trace, summary_path)
     rec = trace.final()
-    print(f"{args.solver}: {trace.termination} after {rec.iter} iterations, "
+    print(f"{label}: {trace.termination} after {rec.iter} iterations, "
           f"f={rec.f_value:.6e}, stationarity={rec.stationarity:.3e}, "
           f"rank={rec.rank}"
           + (f", test_error={rec.test_error:.3e}"
              if rec.test_error is not None else ""))
-    for line in trace.diagnostics:
-        print(line, file=sys.stderr)
+    if _exit_code(trace) == 1:
+        print(f"FAILED: {label}: "
+              + ("; ".join(trace.diagnostics) or trace.termination),
+              file=sys.stderr)
+    return X, trace
+
+
+def cmd_complete(args) -> int:
+    if args.rank is None:
+        raise ValueError("--rank is required for complete")
+    problem = load_problem(args.problem)
+    _check_rank(args.rank, problem.dims)
+    start = _start(problem, args.rank, args, args.resume)
+    X, trace = _run(problem, args.solver, args.rank, start,
+                    _make_config(args), args.solver, args.trace,
+                    args.summary)
+    if args.save:
+        save_checkpoint(X, args.save, trace.final().iter, trace.delta_eff)
     return _exit_code(trace)
 
 
@@ -164,51 +176,39 @@ def cmd_bench(args) -> int:
     r_true = args.true_rank or setting["r_true"]
     ranks = [args.rank] if args.rank else setting["ranks"]
     p = args.p if args.p is not None else setting["p"]
+    # before the bundle is generated and written
+    for r in ranks:
+        _check_rank(r, n)
     if args.init == "spectral":
-        check_spectral_fits(n)      # before generating and writing the bundle
+        check_spectral_fits(n)
     out = args.out
-    out.mkdir(parents=True, exist_ok=True)
     problem, _truth = gen_synthetic(n, r_true, p, seed=args.seed)
     save_problem(problem, out / f"{args.suite}_problem", seed=args.seed,
                  r_true=r_true)
     cfg = _make_config(args)
-    delta_eff = _absolute_delta(args)
-    d = len(n)
     comparison_rows = []
-    failures = []
     codes = []
     for r in ranks:
         label = "x".join(str(x) for x in r)
-        for name, solve in sorted(SOLVERS.items()):
-            obj = completion_objective(problem)
-            X0 = _initial_point(problem, r, args)
-            _, trace = solve(obj, X0, r, cfg, delta_eff=delta_eff)
-            codes.append(_exit_code(trace))
-            if codes[-1] == 1:
-                failures.append(f"{name} r={label}: " + (
-                    "; ".join(trace.diagnostics) or trace.termination))
+        start = _start(problem, r, args)     # shared by the solvers
+        for name in sorted(SOLVERS):
             stem = f"{args.suite}_r{label}_{name}"
-            write_trace_csv(trace, out / f"{stem}.csv")
-            write_summary_json(trace, out / f"{stem}.json")
+            _, trace = _run(problem, name, r, start, cfg,
+                            f"{name} r={label}", out / f"{stem}.csv",
+                            out / f"{stem}.json")
+            codes.append(_exit_code(trace))
             for rec in trace.records:
                 comparison_rows.append(
                     [args.suite, label, name, rec.iter, repr(rec.f_value),
                      repr(rec.stationarity),
                      "" if rec.test_error is None else repr(rec.test_error)]
                     + [str(x) for x in rec.rank])
-            rec = trace.final()
-            print(f"{name} r={label}: {trace.termination} after {rec.iter} "
-                  f"iterations, final rank {rec.rank}"
-                  + (f", test_error={rec.test_error:.3e}"
-                     if rec.test_error is not None else ""))
     header = (["suite", "rank_bound", "solver", "iter", "f", "stationarity",
-               "test_error"] + [f"r{k + 1}" for k in range(d)])
+               "test_error"] + [f"r{k + 1}" for k in range(len(n))])
     with open(out / f"{args.suite}_comparison.csv", "w") as f:
         f.write(",".join(header) + "\n")
         for row in comparison_rows:
             f.write(",".join(str(x) for x in row) + "\n")
-    for msg in failures:
-        print(f"FAILED: {msg}", file=sys.stderr)
     # the worst run decides: any failure, else any exhausted budget
     return 1 if 1 in codes else max(codes, default=0)
 
@@ -250,9 +250,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("problem", type=Path,
                    help="problem bundle directory (omega.coo, gamma.coo, "
                         "meta.json)")
-    _add_common_solver_flags(p)
-    p.add_argument("--init", choices=["spectral", "random"],
-                   default="spectral")
+    p.add_argument("--solver", choices=sorted(SOLVERS), default="grap-r")
+    _add_shared_flags(p)
+    p.add_argument("--trace", type=Path, help="write per-iteration CSV here")
+    p.add_argument("--summary", type=Path, help="write summary JSON here")
     p.add_argument("--save", type=Path, help="write final Tucker checkpoint")
     p.add_argument("--resume", type=Path,
                    help="continue the run a checkpoint was saved from")
@@ -260,9 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="run a synthetic benchmark suite")
     p.add_argument("suite", choices=sorted(_BENCH_SETTINGS))
-    _add_common_solver_flags(p)
-    p.add_argument("--init", choices=["spectral", "random"],
-                   default="spectral")
+    _add_shared_flags(p)
     p.add_argument("--n", type=_parse_tuple, help="tensor dimensions")
     p.add_argument("--true-rank", type=_parse_tuple)
     p.add_argument("--p", type=float, help="sampling rate")

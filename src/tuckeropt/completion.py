@@ -73,16 +73,12 @@ def _row_keys(idx: np.ndarray) -> np.ndarray:
     return rows.view(np.dtype((np.void, rows.itemsize * idx.shape[1]))).ravel()
 
 
-def _residual(P: CompletionProblem, X: TuckerTensor) -> np.ndarray:
-    """P_Omega(X) - P_Omega(A) as a vector over Omega."""
+def _residual(P: CompletionProblem, X: TuckerTensor,
+              S: SparseCooTensor) -> np.ndarray:
+    """X - A on the entries of S, P.omega or P.gamma, as a vector."""
     if X.dims != P.dims:
         raise ValueError(f"iterate dims {X.dims} do not match problem dims {P.dims}")
-    return entries_at(X, P.omega.plan) - P.omega.vals
-
-
-def euclidean_gradient(P: CompletionProblem, X: TuckerTensor) -> SparseCooTensor:
-    """Gradient of the training objective; supported on Omega."""
-    return P.omega.with_values(_residual(P, X))
+    return entries_at(X, S.plan) - S.vals
 
 
 def test_error(P: CompletionProblem, X: TuckerTensor) -> float:
@@ -90,8 +86,7 @@ def test_error(P: CompletionProblem, X: TuckerTensor) -> float:
     ref = float(np.linalg.norm(P.gamma.vals))
     if P.gamma.nnz == 0 or ref == 0:
         raise ValueError("test set is empty or identically zero")
-    resid = entries_at(X, P.gamma.plan) - P.gamma.vals
-    return float(np.linalg.norm(resid)) / ref
+    return float(np.linalg.norm(_residual(P, X, P.gamma))) / ref
 
 
 def random_tucker(dims, r, rng) -> TuckerTensor:
@@ -222,7 +217,7 @@ def completion_objective(P: CompletionProblem):
 
     def residual(X):
         if last[0] is not X:
-            last[:] = X, _residual(P, X)
+            last[:] = X, _residual(P, X, P.omega)
         return last[1]
 
     def eval_f(X):

@@ -16,7 +16,7 @@ from functools import reduce
 
 import numpy as np
 
-from .completion import euclidean_gradient, gen_synthetic, random_tucker
+from .completion import completion_objective, gen_synthetic, random_tucker
 from .geometry import (
     Contractions,
     TangentVector,
@@ -31,7 +31,6 @@ from .tensor_core import (
     SparseCooTensor,
     cutoff_rank,
     fold,
-    inner,
     unfold,
 )
 from .tucker import TuckerTensor, hosvd, to_dense
@@ -166,6 +165,12 @@ def embed(V: TangentVector) -> np.ndarray:
         out = out + _naive_apply_all(X.core, [Ud if j == k else U for j, U
                                               in enumerate(X.factors)])
     return out
+
+
+def inner(X: np.ndarray, Y: np.ndarray) -> float:
+    if X.shape != Y.shape:
+        raise ValueError(f"shape mismatch {X.shape} vs {Y.shape}")
+    return float(np.dot(X.ravel(), Y.ravel()))
 
 
 def ambient_inner(A, V: TangentVector) -> float:
@@ -522,6 +527,11 @@ def suite_hosvd(seed=0, instances=50) -> OracleReport:
         worst = max(worst, viol)
         margins.append(viol)
     return OracleReport("hosvd", instances, float(worst), 0.0, tuple(margins))
+
+
+def euclidean_gradient(P, X: TuckerTensor) -> SparseCooTensor:
+    """Gradient of the completion objective on Omega, as its solvers see it."""
+    return completion_objective(P).grad(X)
 
 
 def suite_gradient(seed=0, instances=5) -> OracleReport:

@@ -191,12 +191,6 @@ def mode_product(X: np.ndarray, k: int, A: np.ndarray) -> np.ndarray:
     return fold(A @ unfold(X, k), k, dims)
 
 
-def inner(X: np.ndarray, Y: np.ndarray) -> float:
-    if X.shape != Y.shape:
-        raise ValueError(f"shape mismatch {X.shape} vs {Y.shape}")
-    return float(np.dot(X.ravel(), Y.ravel()))
-
-
 def fro_norm(X) -> float:
     if isinstance(X, SparseCooTensor):
         return float(np.linalg.norm(X.vals))

@@ -16,7 +16,6 @@ from tuckeropt.completion import (
     completion_objective,
     criterion8,
     criterion9,
-    euclidean_gradient,
     gen_synthetic,
     random_tucker,
     spectral_init,
@@ -39,6 +38,7 @@ from tuckeropt.oracles import (
     _ref_stationarity,
     ambient_inner,
     embed,
+    euclidean_gradient,
     finite_diff_gradient,
     sample_normal,
     suite_angle,

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from tuckeropt import completion
-from tuckeropt.cli import main
+from tuckeropt.cli import build_parser, main
 from tuckeropt.completion import gen_synthetic, random_tucker, save_problem
 from tuckeropt.tensor_core import save_dense
 from tuckeropt.tucker import load_checkpoint, save_checkpoint, to_dense
@@ -171,14 +171,18 @@ def test_bench_random_init_starts_away_from_the_truth(tmp_path, capsys):
         assert float(mine[0]["test_error"]) > 0, name
 
 
-@pytest.mark.parametrize("start", ["random", "resume"])
+@pytest.mark.parametrize("start", ["random", "resume",
+                                   "resume-above-the-bound"])
 def test_complete_rejects_a_rank_of_the_wrong_length(problem_dir, tmp_path,
                                                      capsys, start):
     if start == "random":
         args = ["--init", "random"]
     else:
+        # a checkpoint above the bound is cut to it, which needs one bound
+        # entry per mode
+        r = (3, 3, 3) if start == "resume-above-the-bound" else (2, 2, 2)
         ckpt = tmp_path / "start.ttkr"
-        save_checkpoint(random_tucker((8, 8, 8), (2, 2, 2), RNG), ckpt)
+        save_checkpoint(random_tucker((8, 8, 8), r, RNG), ckpt)
         args = ["--resume", str(ckpt)]
     code = main(["complete", str(problem_dir), "--rank", "2,2"] + args)
     assert code == 1
@@ -300,3 +304,43 @@ def test_bench_names_every_failed_run(tmp_path, capsys):
     assert failed
     assert code == 1
     assert err.count("FAILED: ") == len(failed)
+
+
+@pytest.mark.parametrize("flag, value", [("--solver", "grap"),
+                                         ("--trace", "x.csv"),
+                                         ("--summary", "s.json")])
+def test_bench_refuses_the_flags_only_complete_reads(tmp_path, capsys, flag,
+                                                     value):
+    # bench runs every solver and names its own outputs: a flag it would
+    # not read is a usage error, not a silent no-op
+    bench = ["bench", "true-rank", "--n", "8,8,8", "--true-rank", "2,2,2",
+             "--out", str(tmp_path / "bench"), flag, value]
+    with pytest.raises(SystemExit) as e:
+        main(bench)
+    assert e.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert not (tmp_path / "bench").exists()
+    args = build_parser().parse_args(["complete", "p", "--rank", "2,2,2",
+                                      flag, value])
+    assert str(vars(args)[flag[2:]]) == value
+
+
+def test_complete_checks_the_rank_before_loading_the_bundle(tmp_path,
+                                                           capsys):
+    code = main(["complete", str(tmp_path / "missing")])
+    assert code == 1
+    assert capsys.readouterr().err == "error: --rank is required for " \
+        "complete\n"
+
+
+@pytest.mark.parametrize("init", ["spectral", "random"])
+def test_bench_refuses_a_rank_of_the_wrong_length_before_writing(
+        tmp_path, capsys, init):
+    out = tmp_path / "bench"
+    code = main(["bench", "true-rank", "--n", "8,8,8", "--true-rank", "2,2,2",
+                 "--rank", "2,2", "--p", "0.3", "--init", init,
+                 "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "has 2 entries" in err
+    assert not out.exists()

@@ -10,7 +10,6 @@ from tuckeropt import completion
 from tuckeropt.completion import (
     CompletionProblem,
     completion_objective,
-    euclidean_gradient,
     gen_synthetic,
     load_problem,
     random_tucker,
@@ -18,7 +17,7 @@ from tuckeropt.completion import (
     test_error as completion_test_error,
 )
 from tuckeropt.geometry import Contractions
-from tuckeropt.oracles import _ref_multi_mode_contract
+from tuckeropt.oracles import _ref_multi_mode_contract, euclidean_gradient
 from tuckeropt.solvers import SolverConfig, solve_grap
 from tuckeropt.tensor_core import (
     SparseCooTensor,
@@ -240,6 +239,17 @@ def test_test_error():
     assert completion_test_error(P, truth) < 1e-12
     other = random_tucker(P.dims, (2, 2, 2), RNG)
     assert completion_test_error(P, other) > 1e-2
+
+
+@pytest.mark.parametrize("n", [7, 9])
+def test_test_error_rejects_an_iterate_of_other_dims(n):
+    # a larger iterate once gave a number for the wrong entries, a smaller
+    # one an IndexError
+    P, _ = _problem(dims=(8, 8, 8))
+    X = random_tucker((n, n, n), (2, 2, 2), RNG)
+    with pytest.raises(ValueError, match=rf"\({n}, {n}, {n}\) do not match "
+                                         r"problem dims \(8, 8, 8\)"):
+        completion_test_error(P, X)
 
 
 def test_completion_objective_handle():

@@ -26,6 +26,7 @@ from tuckeropt.oracles import (
     ambient_inner,
     angle_constants,
     embed,
+    inner,
     sample_normal,
     tucker_rank,
 )
@@ -34,7 +35,6 @@ from tuckeropt.tensor_core import (
     fold,
     fro_norm,
     index_plan,
-    inner,
     mixed_eval,
     mode_product,
 )

@@ -15,6 +15,7 @@ from tuckeropt.oracles import (
     _ref_contract,
     _ref_entries_at,
     _ref_multi_mode_contract,
+    inner,
     tucker_rank,
 )
 from tuckeropt.tensor_core import (
@@ -26,7 +27,6 @@ from tuckeropt.tensor_core import (
     fold,
     fro_norm,
     index_plan,
-    inner,
     load_coo,
     load_dense,
     mixed_eval,
