@@ -27,11 +27,13 @@ from .oracles import CHECK_SUITES, run_check_suites
 from .solvers import (
     SOLVERS,
     SolverConfig,
+    trace_table,
     write_summary_json,
     write_trace_csv,
 )
 from .tensor_core import load_dense
 from .tucker import (
+    check_bound,
     hosvd,
     hosvd_truncate,
     load_checkpoint,
@@ -68,12 +70,6 @@ def _add_shared_flags(p: argparse.ArgumentParser) -> None:
 def _make_config(args) -> SolverConfig:
     return SolverConfig(delta=args.delta, max_iters=args.max_iters,
                         stat_tol=args.tol)
-
-
-def _check_rank(r, dims) -> None:
-    if len(r) != len(dims):
-        raise ValueError(f"rank bound {r} has {len(r)} entries, the problem "
-                         f"has {len(dims)} modes")
 
 
 def _start(problem, r, args, resume=None):
@@ -135,9 +131,9 @@ def cmd_complete(args) -> int:
     if args.rank is None:
         raise ValueError("--rank is required for complete")
     problem = load_problem(args.problem)
-    _check_rank(args.rank, problem.dims)
-    start = _start(problem, args.rank, args, args.resume)
-    X, trace = _run(problem, args.solver, args.rank, start,
+    r = check_bound(args.rank, problem.dims)
+    start = _start(problem, r, args, args.resume)
+    X, trace = _run(problem, args.solver, r, start,
                     _make_config(args), args.solver, args.trace,
                     args.summary)
     if args.save:
@@ -174,11 +170,10 @@ def cmd_bench(args) -> int:
                                           else "scaled"]
     n = args.n or setting["n"]
     r_true = args.true_rank or setting["r_true"]
-    ranks = [args.rank] if args.rank else setting["ranks"]
     p = args.p if args.p is not None else setting["p"]
     # before the bundle is generated and written
-    for r in ranks:
-        _check_rank(r, n)
+    ranks = [check_bound(r, n)
+             for r in ([args.rank] if args.rank else setting["ranks"])]
     if args.init == "spectral":
         check_spectral_fits(n)
     out = args.out
@@ -197,18 +192,13 @@ def cmd_bench(args) -> int:
                             f"{name} r={label}", out / f"{stem}.csv",
                             out / f"{stem}.json")
             codes.append(_exit_code(trace))
-            for rec in trace.records:
-                comparison_rows.append(
-                    [args.suite, label, name, rec.iter, repr(rec.f_value),
-                     repr(rec.stationarity),
-                     "" if rec.test_error is None else repr(rec.test_error)]
-                    + [str(x) for x in rec.rank])
-    header = (["suite", "rank_bound", "solver", "iter", "f", "stationarity",
-               "test_error"] + [f"r{k + 1}" for k in range(len(n))])
+            cols, *rows = trace_table(trace)
+            comparison_rows += [[args.suite, label, name] + row
+                                for row in rows]
     with open(out / f"{args.suite}_comparison.csv", "w") as f:
-        f.write(",".join(header) + "\n")
-        for row in comparison_rows:
-            f.write(",".join(str(x) for x in row) + "\n")
+        f.writelines(",".join(row) + "\n" for row in
+                     [["suite", "rank_bound", "solver"] + cols]
+                     + comparison_rows)
     # the worst run decides: any failure, else any exhausted budget
     return 1 if 1 in codes else max(codes, default=0)
 

@@ -28,7 +28,7 @@ from .tensor_core import (
     save_coo,
     thin_svd,
 )
-from .tucker import TuckerTensor, entries_at, hosvd
+from .tucker import TuckerTensor, check_bound, entries_at, hosvd
 
 _SPECTRAL_INIT_LIMIT = 20_000_000  # densifying above this is refused
 
@@ -92,10 +92,7 @@ def test_error(P: CompletionProblem, X: TuckerTensor) -> float:
 def random_tucker(dims, r, rng) -> TuckerTensor:
     """Random Tucker tensor: standard normal core, orthonormalized factors."""
     dims = tuple(int(n) for n in dims)
-    r = tuple(int(x) for x in r)
-    if len(r) != len(dims):
-        raise ValueError(f"rank {r} has {len(r)} entries, dims {dims} have "
-                         f"{len(dims)}")
+    r = check_bound(r, dims)
     core = rng.standard_normal(r)
     factors = []
     for n, rk in zip(dims, r):

@@ -25,7 +25,7 @@ from .tensor_core import (
     thin_svd,
     unfold,
 )
-from .tucker import TuckerTensor
+from .tucker import TuckerTensor, check_bound
 
 
 @dataclass(frozen=True)
@@ -135,9 +135,7 @@ class Contractions:
                  "_basis", "_residuals")
 
     def __init__(self, X: TuckerTensor, A, r, basis=None):
-        r = tuple(int(x) for x in r)
-        if len(r) != X.ndim:
-            raise ValueError(f"{len(r)} bound entries for {X.ndim} modes: {r}")
+        r = check_bound(r, X.dims)
         if any(rl > rk for rl, rk in zip(X.rank, r)):
             raise ValueError(f"anchor rank {X.rank} exceeds bound {r}")
         self.anchor = X

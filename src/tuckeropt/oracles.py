@@ -33,7 +33,7 @@ from .tensor_core import (
     fold,
     unfold,
 )
-from .tucker import TuckerTensor, hosvd, to_dense
+from .tucker import TuckerTensor, check_bound, hosvd, to_dense
 
 _ORACLE_MAX_DIM = 6
 _ORACLE_MAX_ORDER = 3
@@ -219,10 +219,8 @@ def _deficiency(dims, r, rlow) -> float:
 def angle_constants(dims, r, rlow):
     """(omega_tilde, omega_hat) lower bounds for the two angle conditions."""
     dims = tuple(int(n) for n in dims)
-    r = tuple(int(x) for x in r)
+    r = check_bound(r, dims)
     rlow = tuple(int(x) for x in rlow)
-    if any(a > b for a, b in zip(rlow, r)):
-        raise ValueError(f"rank {rlow} exceeds bound {r}")
     c = _deficiency(dims, r, rlow)
     n_deficient = sum(a < b for a, b in zip(rlow, r))
     return (float(np.sqrt(c / (n_deficient + 1))),
@@ -250,17 +248,15 @@ def exact_tangent_projection_oracle(X: TuckerTensor, A: np.ndarray, r,
     is a certified lower bound on the true projection norm; the returned
     tensor is the embedded projection achieving it.
     """
-    r = tuple(int(x) for x in r)
     d = X.ndim
     dims = X.dims
+    r = check_bound(r, dims)
     if d > _ORACLE_MAX_ORDER or any(n > _ORACLE_MAX_DIM for n in dims):
         raise ValueError(f"oracle limited to order {_ORACLE_MAX_ORDER}, "
                          f"mode size {_ORACLE_MAX_DIM}; got dims {dims}")
     if restarts < 1:
         raise ValueError(f"restarts must be at least 1, got {restarts}")
     rlow = X.rank
-    if any(a > b for a, b in zip(rlow, r)):
-        raise ValueError(f"anchor rank {rlow} exceeds bound {r}")
     rng = np.random.default_rng(seed)
     U = list(X.factors)
     E = _row_space_terms(X, A)      # independent of the complements
@@ -302,7 +298,7 @@ def exact_tangent_projection_oracle(X: TuckerTensor, A: np.ndarray, r,
             best_val = val
             best_W = [w.copy() for w in W]
 
-    V = _ref_approx_project(X, A, r, best_W)
+    V = _ref_approx_project(X, A, best_W)
     return V, float(np.linalg.norm(V.ravel()))
 
 
@@ -336,13 +332,13 @@ def _check_small(dims):
         raise ValueError(f"instance too large for dense reference: {dims}")
 
 
-def _ref_approx_project(X: TuckerTensor, A, r, complements) -> np.ndarray:
+def _ref_approx_project(X: TuckerTensor, A, complements) -> np.ndarray:
     _check_small(X.dims)
     S = _widen(X, complements)
     return sum(_projection_terms(X, _dense(A), S, S))
 
 
-def _ref_partial_project(X: TuckerTensor, A, r, complements):
+def _ref_partial_project(X: TuckerTensor, A, complements):
     _check_small(X.dims)
     cands = _projection_terms(X, _dense(A), _widen(X, complements), X.factors)
     norms = [float(np.linalg.norm(c.ravel())) for c in cands]

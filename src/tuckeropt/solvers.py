@@ -28,6 +28,7 @@ from .tensor_core import delta_rank, fro_norm
 from .tucker import (
     TuckerTensor,
     add_scaled_tangent,
+    check_bound,
     hosvd_truncate,
     hosvd_truncations,
     mode_singular_values,
@@ -88,10 +89,12 @@ class SolverConfig:
             raise ValueError("rho must lie in (0, 1)")
         if not 0 < self.armijo_a < 1:
             raise ValueError("armijo_a must lie in (0, 1)")
-        if self.delta <= 0:
-            raise ValueError("delta must be positive")
-        if self.step_floor <= 0:
-            raise ValueError("step_floor must be positive")
+        if not (math.isfinite(self.delta) and self.delta > 0):
+            raise ValueError("delta must be positive and finite")
+        if not (math.isfinite(self.step_floor) and self.step_floor > 0):
+            raise ValueError("step_floor must be positive and finite")
+        if not (math.isfinite(self.stat_tol) and self.stat_tol >= 0):
+            raise ValueError("stat_tol must be finite and non-negative")
         if self.max_iters < 0 or self.candidate_cap < 1:
             raise ValueError("invalid iteration/candidate limits")
 
@@ -174,8 +177,6 @@ def armijo_search(obj: ObjectiveHandle, X: TuckerTensor, V: TangentVector,
 
 def grap_r_index_sets(X: TuckerTensor, delta: float):
     """Per-mode candidate rank sets {delta-rank, ..., rank}."""
-    if delta <= 0:
-        raise ValueError("delta must be positive")
     sets = []
     for sigma in mode_singular_values(X):
         rk = sigma.size
@@ -343,12 +344,11 @@ def _solve(obj, X0, r, cfg, *, retraction_free, rank_decrease, name,
     rather than the default delta * sigma_max(X0).  A run resumed at an
     index at or past ``cfg.max_iters`` records its start point and ends.
     """
-    r = tuple(int(x) for x in r)
-    if len(r) != X0.ndim:
-        raise ValueError(f"rank bound {r} has {len(r)} entries, the start "
-                         f"point has {X0.ndim} modes")
+    r = check_bound(r, X0.dims)
     if any(rl > rk for rl, rk in zip(X0.rank, r)):
         raise ValueError(f"start rank {X0.rank} exceeds bound {r}")
+    if delta_eff is not None and not 0 < delta_eff < math.inf:
+        raise ValueError(f"threshold {delta_eff} is not positive and finite")
     t_start = time.perf_counter()
     if rank_decrease and delta_eff is None:
         delta_eff = _effective_delta(X0, cfg)
@@ -431,22 +431,26 @@ SOLVERS = {"grap": solve_grap, "rfgrap": solve_rfgrap,
 # ---------------------------------------------------------------------------
 # Trace output
 
-def write_trace_csv(trace: SolverTrace, path) -> None:
-    """CSV with one row per iteration (wall time varies between runs)."""
+def trace_table(trace: SolverTrace):
+    """The trace CSV's header, then one row per iteration, as lists of
+    strings (wall time varies between runs)."""
     d = len(trace.final().rank)
-    cols = (["iter", "f", "stationarity", "grad_norm", "dir_norm", "step",
-             "backtracks"] + [f"r{k + 1}" for k in range(d)]
-            + ["candidates", "time_s", "test_error"])
+    yield (["iter", "f", "stationarity", "grad_norm", "dir_norm", "step",
+            "backtracks"] + [f"r{k + 1}" for k in range(d)]
+           + ["candidates", "time_s", "test_error"])
+    for rec in trace.records:
+        yield ([str(rec.iter), repr(rec.f_value), repr(rec.stationarity),
+                repr(rec.grad_norm), repr(rec.direction_norm),
+                repr(rec.stepsize), str(rec.backtracks)]
+               + [str(x) for x in rec.rank]
+               + [str(rec.n_candidates), repr(rec.wall_time_s),
+                  "" if rec.test_error is None else repr(rec.test_error)])
+
+
+def write_trace_csv(trace: SolverTrace, path) -> None:
+    """CSV of :func:`trace_table`: one row per iteration."""
     with open(path, "w") as f:
-        f.write(",".join(cols) + "\n")
-        for rec in trace.records:
-            row = [str(rec.iter), repr(rec.f_value), repr(rec.stationarity),
-                   repr(rec.grad_norm), repr(rec.direction_norm),
-                   repr(rec.stepsize), str(rec.backtracks)]
-            row += [str(x) for x in rec.rank]
-            row += [str(rec.n_candidates), repr(rec.wall_time_s),
-                    "" if rec.test_error is None else repr(rec.test_error)]
-            f.write(",".join(row) + "\n")
+        f.writelines(",".join(row) + "\n" for row in trace_table(trace))
 
 
 def write_summary_json(trace: SolverTrace, path) -> None:

@@ -8,6 +8,7 @@ core dimensions always equal the Tucker rank of the represented tensor.
 from __future__ import annotations
 
 import math
+import operator
 import struct
 from dataclasses import dataclass
 
@@ -57,9 +58,26 @@ class TuckerTensor:
     def rank(self) -> tuple:
         return self.core.shape
 
-    def fro_norm(self) -> float:
-        # factors are orthonormal, so the norm lives in the core
-        return float(np.linalg.norm(self.core.ravel()))
+
+def check_bound(r, dims) -> tuple:
+    """The Tucker-rank bound r as a tuple of ints, checked against the
+    tensor dims: one integer r_k per mode with 1 <= r_k <= n_k.  Every
+    function that takes a rank bound applies this rule where it enters; a
+    bound that breaks it raises a ``ValueError`` that names the mode.
+    """
+    r = tuple(r)
+    if len(r) != len(dims):
+        raise ValueError(f"rank bound {r} has {len(r)} entries for "
+                         f"{len(dims)} modes")
+    for k, (rk, n) in enumerate(zip(r, dims), start=1):
+        try:
+            ok = 1 <= operator.index(rk) <= n
+        except TypeError:       # 2.5 is refused, not truncated to 2
+            ok = False
+        if not ok:
+            raise ValueError(f"rank bound of mode {k} is {rk}; it must be "
+                             f"an integer in 1..{n}")
+    return tuple(map(operator.index, r))
 
 
 class _Node:
@@ -115,26 +133,21 @@ def _st_hosvd(A: np.ndarray, r, tree=None):
 
 def hosvd(A: np.ndarray, r) -> TuckerTensor:
     """Truncated HOSVD of a dense tensor onto Tucker rank at most r."""
-    r = tuple(int(x) for x in r)
-    if len(r) != A.ndim:
-        raise ValueError("rank tuple length must match tensor order")
-    for k, (rk, nk) in enumerate(zip(r, A.shape)):
-        nmk = int(np.prod(A.shape, dtype=np.int64)) // nk
-        if not 0 <= rk <= min(nk, nmk):
-            raise ValueError(f"rank {rk} invalid for mode {k + 1} of dims {A.shape}")
-    core, factors, _ = _st_hosvd(A, r)
+    core, factors, _ = _st_hosvd(A, check_bound(r, A.shape))
     return TuckerTensor(core, tuple(factors))
 
 
 def hosvd_truncate(T: TuckerTensor, r, tree=None) -> TuckerTensor:
     """Core-only recompression; equals hosvd(to_dense(T), r) without densifying.
 
-    ``tree`` is a dict shared by truncations of the same T, which then
-    share their SVD steps (see :func:`hosvd_truncations`).
+    The target r has one entry per mode, none above T's rank; an entry 0
+    truncates to the zero tensor.  ``tree`` is a dict shared by truncations
+    of the same T, which then share their SVD steps (see
+    :func:`hosvd_truncations`).
     """
     r = tuple(int(x) for x in r)
-    if any(rk > ck for rk, ck in zip(r, T.rank)):
-        raise ValueError(f"target rank {r} exceeds current rank {T.rank}")
+    if len(r) != T.ndim or any(rk > ck for rk, ck in zip(r, T.rank)):
+        raise ValueError(f"target rank {r} does not fit current rank {T.rank}")
     tree = {} if tree is None else tree
     core, ws, kept = _st_hosvd(T.core, r, tree)
     factors = []

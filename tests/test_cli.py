@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from tuckeropt import completion
+from tuckeropt import cli, completion
 from tuckeropt.cli import build_parser, main
 from tuckeropt.completion import gen_synthetic, random_tucker, save_problem
 from tuckeropt.tensor_core import save_dense
@@ -171,23 +171,37 @@ def test_bench_random_init_starts_away_from_the_truth(tmp_path, capsys):
         assert float(mine[0]["test_error"]) > 0, name
 
 
+# a --rank that breaks the bound rule on the 8^3 bundle, and the message
+BAD_RANKS = [("2,2", "has 2 entries for 3 modes"),
+             ("0,2,2", "mode 1 is 0; it must be an integer in 1..8"),
+             ("2,2,9", "mode 3 is 9; it must be an integer in 1..8")]
+
+
 @pytest.mark.parametrize("start", ["random", "resume",
                                    "resume-above-the-bound"])
 def test_complete_rejects_a_rank_of_the_wrong_length(problem_dir, tmp_path,
-                                                     capsys, start):
+                                                     capsys, monkeypatch,
+                                                     start):
+    # a bound of the wrong length, with a 0 or above n_k, is refused
+    # before any checkpoint is read or any output written
     if start == "random":
         args = ["--init", "random"]
     else:
-        # a checkpoint above the bound is cut to it, which needs one bound
-        # entry per mode
+        # a checkpoint above the bound is cut to it, which needs a bound
+        # that keeps the rule
         r = (3, 3, 3) if start == "resume-above-the-bound" else (2, 2, 2)
         ckpt = tmp_path / "start.ttkr"
         save_checkpoint(random_tucker((8, 8, 8), r, RNG), ckpt)
         args = ["--resume", str(ckpt)]
-    code = main(["complete", str(problem_dir), "--rank", "2,2"] + args)
-    assert code == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "has 2 entries" in err
+        monkeypatch.setattr(cli, "load_checkpoint", None)
+    trace = tmp_path / "trace.csv"
+    for rank, message in BAD_RANKS:
+        code = main(["complete", str(problem_dir), "--rank", rank,
+                     "--trace", str(trace)] + args)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+        assert not trace.exists()
 
 
 def test_bench_under_rank_tiny(tmp_path, capsys):
@@ -243,6 +257,30 @@ def test_hosvd_command(tmp_path, capsys):
     assert "rank: (2, 2, 2)" in out
     T, _, _ = load_checkpoint(ckpt)
     assert np.allclose(to_dense(T), A, atol=1e-10)
+
+
+def test_hosvd_command_refuses_a_bound_that_breaks_the_rule(tmp_path,
+                                                            capsys):
+    src = tmp_path / "a.tdns"
+    save_dense(RNG.standard_normal((8, 8, 8)), src)
+    ckpt = tmp_path / "a.ttkr"
+    for rank, message in BAD_RANKS:
+        code = main(["hosvd", str(src), "--rank", rank, "--save", str(ckpt)])
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error:") and message in err
+        assert not ckpt.exists()
+
+
+def test_hosvd_command_without_rank_caps_at_the_numerical_rank(tmp_path,
+                                                               capsys):
+    # the default bound is the dims: on 8x2x2, mode 1 has numerical rank
+    # at most 2 * 2 = 4, and the HOSVD keeps no more
+    A = RNG.standard_normal((8, 2, 2))
+    src = tmp_path / "a.tdns"
+    save_dense(A, src)
+    assert main(["hosvd", str(src)]) == 0
+    assert "rank: (4, 2, 2)" in capsys.readouterr().out
 
 
 def test_hosvd_command_rejects_a_truncated_file(tmp_path, capsys):
@@ -336,11 +374,14 @@ def test_complete_checks_the_rank_before_loading_the_bundle(tmp_path,
 @pytest.mark.parametrize("init", ["spectral", "random"])
 def test_bench_refuses_a_rank_of_the_wrong_length_before_writing(
         tmp_path, capsys, init):
+    # as complete does, for a bound of the wrong length, with a 0 or
+    # above n_k
     out = tmp_path / "bench"
-    code = main(["bench", "true-rank", "--n", "8,8,8", "--true-rank", "2,2,2",
-                 "--rank", "2,2", "--p", "0.3", "--init", init,
-                 "--out", str(out)])
-    assert code == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "has 2 entries" in err
-    assert not out.exists()
+    for rank, message in BAD_RANKS:
+        code = main(["bench", "true-rank", "--n", "8,8,8",
+                     "--true-rank", "2,2,2", "--rank", rank, "--p", "0.3",
+                     "--init", init, "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+        assert not out.exists()

@@ -56,13 +56,6 @@ def test_gen_synthetic_deterministic():
     assert np.array_equal(t1.core, t2.core)
 
 
-def test_random_tucker_rejects_a_rank_of_the_wrong_length():
-    rng = np.random.default_rng(0)
-    for r in ((2, 2), (2, 2, 2, 2)):
-        with pytest.raises(ValueError, match=rf"has {len(r)} entries.* have 3"):
-            random_tucker((10, 9, 8), r, rng)
-
-
 def test_problem_rejects_non_finite_values():
     # the repro: one NaN among Omega's values, then the same check on Gamma
     P, _ = gen_synthetic((10, 9, 8), (2, 2, 2), 0.3, seed=1)
@@ -184,11 +177,12 @@ def test_objective_gradient_finite_difference():
 
 def _contract(S, mats):
     """S x_j mats[j]^T over the modes where mats[j] is not None, formed by
-    the Contractions object of a point with those factors."""
+    the Contractions object of a point with those factors (rank 0 on the
+    identity modes, whose bound 1 no "I" pattern reads)."""
     factors = tuple(np.zeros((n, 0)) if M is None else M
                     for n, M in zip(S.dims, mats))
     X = TuckerTensor(np.zeros(tuple(M.shape[1] for M in factors)), factors)
-    return Contractions(X, S, X.rank).contract(["I" if M is None else "U"
+    return Contractions(X, S, [max(rk, 1) for rk in X.rank]).contract(["I" if M is None else "U"
                                                 for M in mats])
 
 

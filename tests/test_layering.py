@@ -1,17 +1,19 @@
 """The package's layers import one another in one direction only, it
-exports only what its scripts and examples use, and the README's examples
-run."""
+exports only what its scripts and examples use, the README's examples
+run, and its documented command lines parse."""
 
 import ast
 import contextlib
 import inspect
 import io
 import re
+import shlex
 from pathlib import Path
 
 import pytest
 
 import tuckeropt
+from tuckeropt.cli import build_parser
 
 # each module may import only from the modules before it
 ORDER = ("tensor_core", "tucker", "geometry", "solvers", "completion",
@@ -139,6 +141,30 @@ def test_readme_python_blocks_run(block):
     source = _readme_blocks()[block]
     with contextlib.redirect_stdout(io.StringIO()):
         exec(compile(source, f"README.md block {block + 1}", "exec"), {})
+
+
+def _documented_command_lines():
+    """The ``tuckeropt`` lines of the README's sh blocks and the CLI
+    walkthrough, with continuations joined and each cut at ``||``."""
+    texts = re.findall(r"```sh\n(.*?)```", (ROOT / "README.md").read_text(),
+                       re.S)
+    texts.append((ROOT / "demos" / "cli_walkthrough.sh").read_text())
+    lines = []
+    for text in texts:
+        for line in text.replace("\\\n", " ").splitlines():
+            line = line.split("||")[0].strip()
+            if line.startswith("tuckeropt "):
+                lines.append(line)
+    return lines
+
+
+def test_documented_command_lines_parse():
+    # a flag removed or renamed without its docs fails here
+    lines = _documented_command_lines()
+    assert lines
+    parser = build_parser()
+    for line in lines:
+        parser.parse_args(shlex.split(line)[1:])
 
 
 def test_package_imports_names_from_where_they_are_defined():

@@ -17,7 +17,9 @@ from tuckeropt.completion import (
     spectral_init,
 )
 from tuckeropt.geometry import Contractions, approx_project, tangent_norm
+from tuckeropt.oracles import angle_constants, exact_tangent_projection_oracle
 from tuckeropt.solvers import (
+    SOLVERS,
     IterRecord,
     LineSearchFailure,
     ObjectiveHandle,
@@ -33,8 +35,11 @@ from tuckeropt.solvers import (
     write_summary_json,
     write_trace_csv,
 )
+from tuckeropt.tensor_core import fro_norm
 from tuckeropt.tucker import (
     TuckerTensor,
+    check_bound,
+    hosvd,
     hosvd_truncate,
     load_checkpoint,
     save_checkpoint,
@@ -64,10 +69,26 @@ def test_config_validation():
         SolverConfig(rho=1.0)
     with pytest.raises(ValueError):
         SolverConfig(armijo_a=0.0)
-    with pytest.raises(ValueError):
-        SolverConfig(delta=-1.0)
+    # a NaN delta leaves grap-r one candidate per iteration, a NaN
+    # step_floor fails every line search, and a NaN or negative stat_tol
+    # is never met
+    for bad in (dict(delta=-1.0), dict(delta=np.nan), dict(delta=np.inf),
+                dict(step_floor=np.nan), dict(step_floor=np.inf),
+                dict(stat_tol=np.nan), dict(stat_tol=-1e-8),
+                dict(stat_tol=np.inf)):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            SolverConfig(**bad)
     with pytest.raises(ValueError):
         SolverConfig(candidate_cap=0)
+    # a handed-in threshold follows the checkpoint's rule, and is refused
+    # before f is evaluated
+    _, _, obj, X0 = _completion_setup()
+    for delta_eff in (0.0, -1.0, np.nan, np.inf):
+        log = []
+        with pytest.raises(ValueError, match="not positive and finite"):
+            solve_grap_r(_counting(obj, log), X0, (2, 2, 2), SolverConfig(),
+                         delta_eff=delta_eff)
+        assert log == []
 
 
 def test_armijo_accepts_descent():
@@ -204,7 +225,7 @@ def test_steps_from_rank_zero_candidate():
     # from the zero candidate must grow back into the bound without errors
     _, _, obj, X0 = _completion_setup()
     Z = hosvd_truncate(X0, (0,) + X0.rank[1:])
-    assert Z.rank == (0, 0, 0) and Z.fro_norm() == 0.0
+    assert Z.rank == (0, 0, 0) and fro_norm(Z.core) == 0.0
     cfg = SolverConfig(max_iters=1)
     for solve in (solve_grap, solve_rfgrap):
         Y, _ = solve(obj, Z, X0.rank, cfg)
@@ -449,14 +470,52 @@ def test_solver_rejects_oversized_start():
         solve_grap(obj, X0, (1, 1, 1), SolverConfig())
 
 
-@pytest.mark.parametrize("solve", [solve_grap, solve_rfgrap, solve_grap_r,
-                                   solve_rfgrap_r])
-def test_solver_rejects_a_rank_bound_of_the_wrong_length(solve):
-    # a bound that drops a mode fails before f or grad f is evaluated
-    _, _, obj, X0 = _completion_setup()
+# bounds on dims (5, 5, 5) that break the rule 1 <= r_k <= n_k, one
+# integer per mode, and the message each raises
+BAD_BOUNDS = {
+    "short": ((2, 2), r"\(2, 2\) has 2 entries for 3 modes"),
+    "long": ((2, 2, 2, 2), r"has 4 entries for 3 modes"),
+    "zero": ((2, 0, 2), r"mode 2 is 0; it must be an integer in 1\.\.5"),
+    "above-n": ((2, 2, 6), r"mode 3 is 6; it must be an integer in 1\.\.5"),
+    "fraction": ((2.5, 2, 2), r"mode 1 is 2\.5; it must be an integer"),
+}
+
+
+def _bound_entry_points(log):
+    """Every library function that takes a rank bound, as a call on the
+    bound alone; the solvers' objective appends to ``log``."""
+    rng = np.random.default_rng(5)
+    P, _ = gen_synthetic((5, 5, 5), (2, 2, 2), 0.3, seed=4)
+    X = random_tucker(P.dims, (2, 2, 2), rng)
+    A = rng.standard_normal(P.dims)
+    obj = _counting(completion_objective(P), log)
+    calls = {
+        "check_bound": lambda r: check_bound(r, P.dims),
+        "hosvd": lambda r: hosvd(A, r),
+        "spectral_init": lambda r: spectral_init(P, r),
+        "random_tucker": lambda r: random_tucker(P.dims, r, rng),
+        "gen_synthetic": lambda r: gen_synthetic(P.dims, r, 0.3, seed=0),
+        "Contractions": lambda r: Contractions(X, A, r),
+        "angle_constants": lambda r: angle_constants(P.dims, r, (1, 1, 1)),
+        "exact_tangent_projection_oracle":
+            lambda r: exact_tangent_projection_oracle(X, A, r, restarts=1,
+                                                      seed=0),
+    }
+    for name, solve in SOLVERS.items():
+        calls[name] = (lambda r, solve=solve:
+                       solve(obj, X, r, SolverConfig()))
+    return calls
+
+
+@pytest.mark.parametrize("entry", sorted(_bound_entry_points([])))
+@pytest.mark.parametrize("case", sorted(BAD_BOUNDS))
+def test_entry_points_refuse_a_bound_that_breaks_the_rule(entry, case):
+    # each refuses the bound where it enters, with a message that names
+    # the mode; a solver does so before f or grad f is evaluated
+    bound, message = BAD_BOUNDS[case]
     log = []
-    with pytest.raises(ValueError, match=r"\(2, 2\) has 2 entries.* 3 modes"):
-        solve(_counting(obj, log), X0, (2, 2), SolverConfig())
+    with pytest.raises(ValueError, match=message):
+        _bound_entry_points(log)[entry](bound)
     assert log == []
 
 

@@ -614,9 +614,11 @@ def _anchored(U):
 
 
 def _contractions(U, A):
-    """The Contractions of A at ``_anchored(U)``, bounded by its rank."""
+    """The Contractions of A at ``_anchored(U)``, bounded by its rank
+    (1 on a zero-width factor's mode, which its "I" and "U" patterns do
+    not read)."""
     X = _anchored(U)
-    return Contractions(X, A, X.rank)
+    return Contractions(X, A, [max(rk, 1) for rk in X.rank])
 
 
 def test_contract_matches_dense_reference():

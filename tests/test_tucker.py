@@ -139,8 +139,10 @@ def test_truncation_tree_runs_one_svd_per_kept_prefix(monkeypatch, sets, svds):
         for a, b in zip(Y.factors + tuple(ws), factors + ref_ws):
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
         assert all(a <= b for a, b in zip(Y.rank, r))
-    with pytest.raises(ValueError):
-        hosvd_truncations(T, [(2, 2, 2), (4, 2, 2)])
+    # a target above T's rank, or without one entry per mode
+    for bad in ((4, 2, 2), (2, 2), (2, 2, 2, 2)):
+        with pytest.raises(ValueError):
+            hosvd_truncations(T, [(2, 2, 2), bad])
 
 
 @pytest.mark.parametrize("r", [(3, 1, 0), (3, 0, 3), (0, 3, 3), (0, 0, 0)])
