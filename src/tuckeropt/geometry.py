@@ -19,9 +19,11 @@ from .tensor_core import (
     SparseCooTensor,
     cutoff_rank,
     fold,
+    fro_norm,
     mixed_eval,
     mode_product,
     multi_mode_contract,
+    projected_unfolding_r,
     thin_svd,
     unfold,
 )
@@ -118,7 +120,8 @@ class Contractions:
     :meth:`_direct`), so that at a full-rank point in d = 3 the d mode
     terms and the core term all come from the two patterns (I, I, U) and
     (I, U, I), and a rank candidate's complement patterns are the ones its
-    mode terms come from.
+    mode terms come from.  Nothing on the solver path asks for the
+    all-identity pattern, which a sparse A would densify to form.
 
     A rank candidate X_c of an iterate X, whose factors are U_j W_j with
     U_j those of X (see :func:`~tuckeropt.tucker.hosvd_truncations`), may
@@ -128,7 +131,9 @@ class Contractions:
     modes, the identity elsewhere) by dense mode products: W_j^T on "U"
     modes and [U_j W_j | Ucomp_j]^T on "W" modes.  That equals
     contracting A directly, (A x_j U_j^T) x_j W_j^T = A x_j (U_j W_j)^T, up
-    to rounding.
+    to rounding.  At a point deficient in every mode, whose patterns with
+    a "W" have no "U", the basis would serve those from its all-identity
+    pattern; with a sparse A they are formed directly instead.
     """
 
     __slots__ = ("anchor", "tensor", "bound", "complements", "_memo",
@@ -163,7 +168,7 @@ class Contractions:
         D = self._memo.get(key)
         if D is None:
             mats = [self._mode_matrix(j, m) for j, m in enumerate(key)]
-            if self._basis is None:
+            if self._basis is None or _all_w(key, self.tensor):
                 D = self._direct(key, mats)
             else:
                 D = self._served(key, mats)
@@ -200,7 +205,10 @@ class Contractions:
 
         A pattern with two or more matrix modes, or with no identity mode,
         is B_s^T applied to the pattern with its first matrix mode s left
-        as it is, which is formed (once) first.  A pattern with one matrix
+        as it is, which is formed (once) first.  A sparse A's pattern whose
+        matrix modes are all "W" takes s as its last matrix mode instead,
+        so that at a point deficient in every mode the complement patterns
+        and the C block all grow from (W, I, ..., I).  A pattern with one matrix
         mode is that mode's product with a dense A, or one kernel call on a
         sparse A; the kernel skips the last identity mode when it follows
         the matrix mode, else the first one, so that its partial is
@@ -210,7 +218,7 @@ class Contractions:
         matrix = [j for j, M in enumerate(mats) if M is not None]
         eye = [j for j, M in enumerate(mats) if M is None]
         if len(matrix) > 1 or not eye:
-            s = matrix[0]
+            s = matrix[-1] if _all_w(modes, A) else matrix[0]
             parent = self.contract(modes[:s] + ("I",) + modes[s + 1:])
             return mode_product(parent, s + 1, mats[s].T)
         sparse = isinstance(A, SparseCooTensor)
@@ -235,6 +243,14 @@ class Contractions:
             if B is not None:
                 P = mode_product(P, j + 1, (ws[j] if m == "U" else B).T)
         return P
+
+
+def _all_w(modes, A) -> bool:
+    """Whether A is sparse and every matrix mode of the pattern ``modes`` is
+    a "W": at a point deficient in every mode, a complement pattern or the
+    C block, which grow from (W, I, ..., I) (see :meth:`Contractions._direct`).
+    """
+    return isinstance(A, SparseCooTensor) and "W" in modes and "U" not in modes
 
 
 def _pad_complement(existing: np.ndarray, q: int) -> np.ndarray:
@@ -269,6 +285,12 @@ def choose_singular_complement(G: Contractions):
     previously chosen subspaces have been applied, projected orthogonal to
     U_k.  Rank-deficient cases are padded with a deterministic orthonormal
     complement.  Fills ``G.complements`` in mode order and returns them.
+
+    Only U and sigma of each projected unfolding M are used, so a wide M
+    (more than twice as wide as tall) hands its SVD the R factor of M^T,
+    which has both, instead.  At a point deficient in every mode, the
+    first M is the projected unfolding of A itself; a sparse A gives its R
+    factor from its entries (:func:`~tuckeropt.tensor_core.projected_unfolding_r`).
     """
     X = G.anchor
     rlow, r = X.rank, G.bound
@@ -278,9 +300,15 @@ def choose_singular_complement(G: Contractions):
         # earlier deficient modes take their widened basis, later ones none
         modes = [("I" if j >= k else "W") if j in deficient else "U"
                  for j in range(d)]
-        B = unfold(G.contract(modes), k + 1)
         U = X.factors[k]
-        M = B - U @ (U.T @ B)
+        if set(modes) == {"I"} and isinstance(G.tensor, SparseCooTensor):
+            # deficient in every mode: M would be A's own unfolding
+            M = projected_unfolding_r(G.tensor, U, k + 1).T
+        else:
+            B = unfold(G.contract(modes), k + 1)
+            M = B - U @ (U.T @ B)
+            if M.shape[1] > 2 * M.shape[0]:
+                M = np.linalg.qr(M.T, mode="r").T
         q = r[k] - rlow[k]
         Q, sigma, _ = thin_svd(M)
         keep = min(cutoff_rank(sigma), q)
@@ -312,8 +340,9 @@ def _project(G: Contractions, widen: bool):
     Both projections are odd in A: -A has the same complements as A
     (thin_svd gives -M the same U as M), and its C, Udot and single-factor
     branch terms are those of A times -1.  That holds bit for bit, except
-    that LAPACK may round the SVD of -M differently when M has exact zeros,
-    such as a sparse gradient's unobserved entries densified.
+    that LAPACK may round the QR or SVD of -M differently when an exact
+    zero of M lands on a pivot, as an unobserved entry of a sparse gradient
+    can where U_k has no columns to project it off.
     """
     X = G.anchor
     choose_singular_complement(G)
@@ -359,12 +388,14 @@ def stationarity_measure(G: Contractions) -> float:
     violates the normal-cone condition at X = G.anchor.
 
     Modes where the rank of X is below G.bound contribute no mode term, and
-    leave the core term uncontracted in that mode.
+    leave the core term uncontracted in that mode: deficient in every mode,
+    the core term is the norm of the tensor itself, read off its values.
     """
     X = G.anchor
     deficient = [rl < rk for rl, rk in zip(X.rank, G.bound)]
     modes = ["I" if dk else "U" for dk in deficient]
-    core_resid = float(np.linalg.norm(G.contract(modes).ravel()))
+    core_resid = (fro_norm(G.tensor) if all(deficient) else
+                  float(np.linalg.norm(G.contract(modes).ravel())))
     mode_resid = [0.0 if dk else float(np.linalg.norm(
         G.mode_residual(k) @ unfold(X.core, k + 1).T))
         for k, dk in enumerate(deficient)]

@@ -390,6 +390,14 @@ def _ref_multi_mode_contract(S: SparseCooTensor, factors, skip: int) -> np.ndarr
     return _naive_multi_contract(S.to_dense(), list(factors), skip)
 
 
+def _ref_projected_unfolding_r(S: SparseCooTensor, U: np.ndarray,
+                               k: int) -> np.ndarray:
+    """R factor of ((I - U U^T) S_(k))^T by QR of the dense transpose."""
+    _check_small(S.dims)
+    M = unfold(S.to_dense(), k)
+    return np.linalg.qr((M - U @ (U.T @ M)).T, mode="r")
+
+
 def _ref_contract(A, mats) -> np.ndarray:
     """A x_k mats[k]^T over every mode (None: identity), fully dense."""
     sparse = isinstance(A, SparseCooTensor)

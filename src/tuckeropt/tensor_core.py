@@ -34,12 +34,13 @@ class IndexPlan:
     ``len(plan)`` is the number of tuples.
     """
 
-    __slots__ = ("idx", "cols", "_fibres")
+    __slots__ = ("idx", "cols", "_fibres", "_orders")
 
     def __init__(self, idx: np.ndarray):
         self.idx = idx
         self.cols = tuple(idx[:, k] - 1 for k in range(idx.shape[1]))
         self._fibres = {}
+        self._orders = {}
 
     def __len__(self) -> int:
         return self.idx.shape[0]
@@ -51,13 +52,26 @@ class IndexPlan:
         request per (modes, sizes) and kept."""
         key = (tuple(modes), tuple(sizes))
         if key not in self._fibres:
-            fib = np.zeros(len(self), dtype=np.int64)
-            stride = 1
-            for k, n in zip(*key):
-                fib += self.cols[k] * stride
-                stride *= n
-            self._fibres[key] = fib
+            self._fibres[key] = self._index(*key)
         return self._fibres[key]
+
+    def _index(self, modes, sizes) -> np.ndarray:
+        """What :meth:`fibres` returns, formed anew."""
+        fib = np.zeros(len(self), dtype=np.int64)
+        stride = 1
+        for k, n in zip(modes, sizes):
+            fib += self.cols[k] * stride
+            stride *= n
+        return fib
+
+    def fibre_order(self, modes, sizes) -> np.ndarray:
+        """The stable order that sorts the tuples by their index in
+        :meth:`fibres` (modes, sizes).  Built on first request per (modes,
+        sizes) and kept; the index itself is not."""
+        key = (tuple(modes), tuple(sizes))
+        if key not in self._orders:
+            self._orders[key] = np.argsort(self._index(*key), kind="stable")
+        return self._orders[key]
 
 
 def strictly_increasing(idx: np.ndarray) -> bool:
@@ -245,6 +259,10 @@ def cutoff_rank(sigma: np.ndarray, tau: float = DEFAULT_RANK_TOL) -> int:
 # its largest per-entry temporaries.
 _SCATTER_BLOCK = 1 << 15
 
+# Elements per column block of projected_unfolding_r: a 30^3 unfolding is
+# one block, and a 400^3 one takes 655-fibre blocks of 2 MB.
+_QR_BLOCK = 1 << 18
+
 
 def index_plan(idx, dims) -> IndexPlan:
     """Checked :class:`IndexPlan` of plain 1-based index tuples over ``dims``
@@ -347,6 +365,59 @@ def multi_mode_contract(S: SparseCooTensor, factors, skip: int) -> np.ndarray:
     P = part.reshape([q] + [S.dims[j] for j in lead[::-1]]).transpose()
     P = P.transpose(np.argsort(lead + [m]))
     return unfold(P, skip)
+
+
+def projected_unfolding_r(S: SparseCooTensor, U: np.ndarray,
+                          k: int) -> np.ndarray:
+    """R factor of ((I - U U^T) S_(k))^T, from the entries of S, never
+    densified.
+
+    M = (I - U U^T) S_(k) has M M^T = R^T R, so R^T has the left singular
+    vectors and singular values of M, without M's wide right factor.  The
+    columns of S_(k) are the mode-k fibres of S.  An empty fibre is a zero
+    column of M, which changes neither; it is skipped, so that no zero row
+    of M^T lands on a QR pivot, where LAPACK would round -S otherwise than
+    the negation of S.  The others are
+    taken in the unfolding's column order (:meth:`IndexPlan.fibre_order`),
+    in blocks of about ``_QR_BLOCK`` elements, as a tall-skinny QR: each
+    block B of columns is scattered from S's entries beside R^T, projected,
+    B - U (U^T B), and R becomes the R factor of [R^T B]^T.
+
+    Returns the (min(n_k, f), n_k) upper-triangular R, for f non-empty
+    fibres.
+    """
+    d = len(S.dims)
+    if not 1 <= k <= d:
+        raise ValueError(f"mode {k} out of range")
+    n = S.dims[k - 1]
+    if U.shape[0] != n:
+        raise ValueError(f"basis has {U.shape[0]} rows, mode {k} has size {n}")
+    R = np.zeros((0, n))
+    if S.nnz == 0:
+        return R
+    others = [j for j in range(d) if j != k - 1]
+    sizes = [S.dims[j] for j in others]
+    order = S.plan.fibre_order(others, sizes)
+    fib = S.plan._index(others, sizes).take(order)
+    # each entry's column of M, in that order, counting non-empty fibres only
+    slot = np.zeros(S.nnz, dtype=np.int64)
+    np.cumsum(fib[1:] != fib[:-1], out=slot[1:])
+    del fib
+    nf = slot[-1] + 1
+    step = max(1, _QR_BLOCK // n)
+    for a in range(0, nf, step):
+        lo, hi = np.searchsorted(slot, (a, a + step))
+        sel = order[lo:hi]
+        # [R^T B], whose transpose is the Fortran-order operand QR takes
+        width = len(R) + min(step, nf - a)
+        RB = np.zeros((n, width))
+        RB[:, :len(R)] = R.T
+        np.put(RB, S.plan.cols[k - 1].take(sel) * width
+               + (slot[lo:hi] - a + len(R)), S.vals.take(sel))
+        B = RB[:, len(R):]
+        B -= U @ (U.T @ B)
+        R = np.linalg.qr(RB.T, mode="r")
+    return R
 
 
 # ---------------------------------------------------------------------------

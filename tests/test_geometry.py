@@ -1,6 +1,7 @@
 """Unit tests for tangent-cone projections and stationarity."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from tuckeropt import geometry
 from tuckeropt.completion import (
     completion_objective,
+    criterion9,
     gen_synthetic,
     random_tucker,
 )
@@ -30,6 +32,7 @@ from tuckeropt.oracles import (
     sample_normal,
     tucker_rank,
 )
+from tuckeropt.solvers import SolverConfig, solve_rfgrap_r
 from tuckeropt.tensor_core import (
     SparseCooTensor,
     fold,
@@ -161,6 +164,92 @@ def test_sparse_dense_projection_agree():
     Vd = approx_project(Contractions(X, S.to_dense(), r))
     Vs = approx_project(Contractions(X, S, r))
     assert np.allclose(embed(Vd), embed(Vs), atol=1e-10)
+
+
+def _projector(U):
+    return U @ U.T
+
+
+def _everywhere_deficient_cases():
+    """(X, sparse A, r) with X deficient in every mode, d = 3 and 4,
+    complement widths 1 to 3; the last of each order has an A whose
+    partial projection takes a factor branch (A lives in the span of the
+    U_j but mode 2, where it has rank 3 outside U_2 and only one direction
+    fits the complement)."""
+    rng = np.random.default_rng(41)
+    cases = []
+    for dims in ((6, 7, 5), (6, 7, 5, 6)):
+        d = len(dims)
+        r = (4,) * d
+        for q in (1, 2, 3):
+            X = random_tucker(dims, (4 - q,) * d, rng)
+            cases.append((X, _sparse(rng.standard_normal(dims), rng=rng), r))
+        X = random_tucker(dims, (3,) * d, rng)
+        A = X.core
+        for j, U in enumerate(X.factors):
+            A = mode_product(A, j + 1, _perp(U)[:, :3] if j == 1 else U)
+        A = A + 0.01 * rng.standard_normal(dims)
+        cases.append((X, _sparse(A, 0.6, rng), r))
+    return cases
+
+
+@pytest.mark.parametrize("case", range(8))
+def test_sparse_and_dense_gradients_agree_deficient_in_every_mode(case):
+    # the sparse path takes the first complement from the R factor streamed
+    # off the entries and the stationarity core term from the values; the
+    # dense path unfolds the densified tensor; both agree to 1e-12
+    X, S, r = _everywhere_deficient_cases()[case]
+    D = S.to_dense()
+    rel = 1e-12
+    stat_s = stationarity_measure(Contractions(X, S, r))
+    stat_d = stationarity_measure(Contractions(X, D, r))
+    assert stat_s == pytest.approx(stat_d, rel=rel, abs=0)
+    for Us, Ud in zip(choose_singular_complement(Contractions(X, S, r)),
+                      choose_singular_complement(Contractions(X, D, r))):
+        assert Us.shape == Ud.shape
+        assert np.abs(_projector(Us) - _projector(Ud)).max() <= rel
+    Vs = embed(approx_project(Contractions(X, S, r)))
+    Vd = embed(approx_project(Contractions(X, D, r)))
+    assert np.linalg.norm(Vs - Vd) <= rel * np.linalg.norm(Vd)
+    (Ws, bs), (Wd, bd) = (partial_project(Contractions(X, S, r)),
+                          partial_project(Contractions(X, D, r)))
+    assert bs == bd == (2 if case in (3, 7) else 0)
+    assert np.linalg.norm(embed(Ws) - embed(Wd)) \
+        <= rel * np.linalg.norm(embed(Wd))
+
+
+def test_a_point_deficient_in_every_mode_never_densifies(monkeypatch):
+    # at 100^3, p = 0.01, a rank-(2, 2, 2) point under the bound (3, 3, 3)
+    # measures stationarity and projects its sparse gradient without the
+    # 8 MB dense tensor: the complement comes from an R factor streamed
+    # off the entries and the core term from the values.  Three iterations
+    # of the over-rank instance's rfgrap-r, whose candidates include one
+    # deficient in every mode, never densify either.
+    rng = np.random.default_rng(5)
+    dims = (100, 100, 100)
+    lin = rng.choice(10 ** 6, 10 ** 4, replace=False)
+    S = SparseCooTensor(dims, np.column_stack(np.unravel_index(lin, dims)) + 1,
+                        rng.standard_normal(lin.size))
+    X = random_tucker(dims, (2, 2, 2), rng)
+    P = criterion9().problem
+    X0 = random_tucker(P.dims, (3, 3, 3), np.random.default_rng(1029))
+    cfg = SolverConfig(max_iters=3, stat_tol=1e-14, delta=0.2,
+                       candidate_cap=150)
+
+    def refuse(self):
+        raise AssertionError("a sparse tensor was densified")
+    monkeypatch.setattr(SparseCooTensor, "to_dense", refuse)
+    tracemalloc.start()
+    try:
+        G = Contractions(X, S, (3, 3, 3))
+        stationarity_measure(G)
+        approx_project(G)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 10 ** 6, f"peak {peak / 1e6:.1f} MB"
+    _, trace = solve_rfgrap_r(completion_objective(P), X0, (3, 3, 3), cfg)
+    assert [rec.n_candidates for rec in trace.records] == [0, 1, 8, 8]
 
 
 def test_tangent_space_project_full_rank():

@@ -384,7 +384,9 @@ def test_multi_candidate_iteration_kernel_calls(monkeypatch):
     # the iterate's basis, make the two contractions (I, I, U) and (I, U, I)
     # that their mode terms come from; the candidate deficient in modes 2
     # and 3 also needs (U, I, I) for its complement, and the one deficient
-    # everywhere densifies its gradient for it
+    # everywhere forms (W, I, I), from which its later complement patterns
+    # and C block grow (its first complement comes from an R factor of its
+    # sparse gradient, not from a contraction)
     P, _ = gen_synthetic((10, 9, 8), (2, 2, 2), 0.3, seed=5)
     X0 = random_tucker(P.dims, (3, 3, 3), np.random.default_rng(6))
     cfg = SolverConfig(max_iters=1)
@@ -394,7 +396,7 @@ def test_multi_candidate_iteration_kernel_calls(monkeypatch):
     assert trace.records[1].n_candidates == 8
     start, end = (i for i, e in enumerate(log) if e == "iteration")
     block = log[start + 1:end]
-    assert sorted(block) == [(0,)] + [(1,)] * 8 + [(2,)] * 8
+    assert sorted(block) == [(0,)] * 2 + [(1,)] * 8 + [(2,)] * 8
 
 
 def test_rank_decrease_reuses_the_iterate_for_its_own_rank():

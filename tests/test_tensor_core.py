@@ -15,6 +15,7 @@ from tuckeropt.oracles import (
     _ref_contract,
     _ref_entries_at,
     _ref_multi_mode_contract,
+    _ref_projected_unfolding_r,
     inner,
     tucker_rank,
 )
@@ -32,6 +33,7 @@ from tuckeropt.tensor_core import (
     mixed_eval,
     mode_product,
     multi_mode_contract,
+    projected_unfolding_r,
     save_coo,
     save_dense,
     strictly_increasing,
@@ -747,6 +749,87 @@ def test_mixed_eval_of_empty_operands_is_zero():
     empty = index_plan(np.zeros((0, 3)), dims)
     got = mixed_eval(rng.standard_normal((2, 2, 2)), mats, empty)
     assert got.shape == (0,)
+
+
+def _left_singular(R):
+    """sigma and left singular vectors of R^T."""
+    Q, sigma, _ = thin_svd(R.T)
+    return sigma, Q
+
+
+# (dims, mode k, columns of U, what is left unobserved)
+_PROJECTED_R_CASES = [
+    ((7, 9), 1, 2, None),
+    ((6, 5), 2, 1, "slice"),
+    ((5, 6, 4), 1, 2, None),
+    ((5, 6, 4), 2, 3, "slice"),
+    ((5, 6, 4), 3, 0, None),
+    ((4, 3, 5, 3), 3, 2, "slice"),
+    ((4, 3, 5, 3), 1, 0, "slice"),
+    ((5, 6, 4), 1, 2, "all"),
+    ((5, 6, 4), 2, 0, "all"),
+]
+
+
+@pytest.mark.parametrize("dims, k, q, unobserved", _PROJECTED_R_CASES)
+@pytest.mark.parametrize("block", [2, None])
+def test_projected_unfolding_r_matches_dense_qr(monkeypatch, dims, k, q,
+                                               unobserved, block):
+    # the R factor streamed from the entries and the dense QR give the
+    # same sigma and leading left singular subspaces of R^T, whether the
+    # fibres come in one block or two at a time; a slice of another mode
+    # left unobserved empties fibres, and no entries at all give no rows
+    if block is not None:
+        monkeypatch.setattr(tensor_core, "_QR_BLOCK", block * dims[k - 1])
+    rng = np.random.default_rng(len(dims) + k + q)
+    S = _random_coo(dims, 0.5, rng)
+    if unobserved == "slice":
+        j = k % len(dims)
+        keep = S.idx[:, j] != 2
+        S = SparseCooTensor(dims, S.idx[keep], S.vals[keep])
+    elif unobserved == "all":
+        S = SparseCooTensor(dims, np.zeros((0, len(dims))), [])
+    U = thin_svd(rng.standard_normal((dims[k - 1], q)))[0][:, :q]
+    R = projected_unfolding_r(S, U, k)
+    ref = _ref_projected_unfolding_r(S, U, k)
+    n = dims[k - 1]
+    assert R.shape[1] == n and R.shape[0] <= n
+    assert np.array_equal(R, np.triu(R))
+    sigma, Q = _left_singular(R)
+    sigma_ref, Q_ref = _left_singular(ref)
+    scale = max(sigma_ref[:1], default=0.0)
+    assert np.allclose(np.pad(sigma, (0, n - len(sigma))), sigma_ref,
+                       rtol=0, atol=1e-12 * scale)
+    if unobserved == "all":
+        assert R.shape == (0, n)
+        return
+    keep = cutoff_rank(sigma_ref)
+    assert keep == n - q        # U's columns are the only null directions
+    for t in range(1, keep + 1):
+        if sigma_ref[t - 1] - sigma_ref[min(t, keep - 1)] > 1e-3 * scale \
+                or t == keep:
+            P = Q[:, :t] @ Q[:, :t].T
+            P_ref = Q_ref[:, :t] @ Q_ref[:, :t].T
+            assert np.abs(P - P_ref).max() <= 1e-12 * max(1.0, t)
+
+
+def test_projected_unfolding_r_checks_its_arguments():
+    S = _random_coo((4, 3, 5), 0.5, np.random.default_rng(3))
+    with pytest.raises(ValueError):
+        projected_unfolding_r(S, np.zeros((4, 1)), 4)
+    with pytest.raises(ValueError):
+        projected_unfolding_r(S, np.zeros((3, 1)), 1)
+
+
+def test_index_plan_fibre_order_sorts_by_fibre_once():
+    plan = index_plan([[2, 1, 3], [1, 2, 1], [4, 2, 2], [3, 1, 3]],
+                      (4, 2, 3))
+    # fibre indices over modes 3 and 2, mode 3 fastest: [2, 3, 4, 2]; the
+    # two tuples of fibre 2 keep their order
+    order = plan.fibre_order((2, 1), (3, 2))
+    assert order.tolist() == [0, 3, 1, 2]
+    assert order is plan.fibre_order([2, 1], [3, 2])
+    assert plan.fibre_order((0,), (4,)).tolist() == [1, 0, 3, 2]
 
 
 def test_index_plan_fibres_index_any_mode_subset():
