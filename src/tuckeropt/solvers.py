@@ -1,9 +1,10 @@
 """First-order solvers on the bounded-Tucker-rank set.
 
-Four methods share one skeleton: a projected line-search step built from
+Four methods share one iteration: a projected line-search step built from
 either the approximate projection (retracted variants) or the partial
-projection (retraction-free variants), optionally wrapped in a rank-decrease
-outer loop that enumerates lower-rank candidates and keeps the best one.
+projection (retraction-free variants), taken from every rank candidate of
+the iterate, of which the best is kept.  The rank-decreasing variants weigh
+lower-rank candidates; the plain ones have one, the iterate's own rank.
 """
 
 from __future__ import annotations
@@ -29,6 +30,8 @@ from .tucker import (
     TuckerTensor,
     add_scaled_tangent,
     check_bound,
+    check_count,
+    check_threshold,
     hosvd_truncate,
     hosvd_truncations,
     mode_singular_values,
@@ -95,8 +98,8 @@ class SolverConfig:
             raise ValueError("step_floor must be positive and finite")
         if not (math.isfinite(self.stat_tol) and self.stat_tol >= 0):
             raise ValueError("stat_tol must be finite and non-negative")
-        if self.max_iters < 0 or self.candidate_cap < 1:
-            raise ValueError("invalid iteration/candidate limits")
+        check_count(self.max_iters, "max_iters", 0)
+        check_count(self.candidate_cap, "candidate_cap", 1)
 
 
 @dataclass(frozen=True)
@@ -200,21 +203,12 @@ def rfgrap_r_index_sets(X: TuckerTensor, delta: float):
 
 @dataclass(frozen=True)
 class _StepInfo:
-    f_after: float
-    stepsize: float
-    direction_norm: float
-    backtracks: int
+    """A step's outcome; the defaults are those of no move."""
 
-
-def _initial_stepsize(obj, X, V, vnorm, cfg, retraction_free):
-    sbar = None
-    if obj.initial_step is not None:
-        sbar = obj.initial_step(X, V)
-    if sbar is None or not math.isfinite(sbar) or sbar <= 0:
-        sbar = min(1.0, 1.0 / vnorm)
-    if not retraction_free:
-        sbar = min(sbar, 1.0 / vnorm)
-    return max(sbar, cfg.step_floor)
+    f_after: float = math.nan
+    stepsize: float = 0.0
+    direction_norm: float = 0.0
+    backtracks: int = 0
 
 
 def _direction_step(obj, grad, fX, cfg, retraction_free):
@@ -224,7 +218,9 @@ def _direction_step(obj, grad, fX, cfg, retraction_free):
     ``grad`` is the :class:`Contractions` object of grad f(X), whose
     contractions the stationarity measure at X may already have formed.
     The direction is the projection of -grad f, taken as minus the
-    projection of grad f: both projections are odd in their argument.
+    projection of grad f: both projections are odd in their argument.  The
+    search starts at the objective's proposal, else at min(1, 1/||V||),
+    which also caps a retracted variant's proposal.
     """
     if retraction_free:
         V, _branch = partial_project(grad)
@@ -234,11 +230,14 @@ def _direction_step(obj, grad, fX, cfg, retraction_free):
     V = TangentVector(X, -V.C, tuple(-U for U in V.Udot), V.Ucomp)
     vnorm = tangent_norm(V)
     if vnorm == 0.0:
-        return X, _StepInfo(f_after=fX, stepsize=0.0, direction_norm=0.0,
-                            backtracks=0)
-    dir_inner = vnorm * vnorm
-    sbar = _initial_stepsize(obj, X, V, vnorm, cfg, retraction_free)
-    s, Y, bt, fY = armijo_search(obj, X, V, dir_inner, sbar, cfg,
+        return X, _StepInfo(f_after=fX)
+    sbar = obj.initial_step(X, V) if obj.initial_step is not None else None
+    if sbar is None or not math.isfinite(sbar) or sbar <= 0:
+        sbar = min(1.0, 1.0 / vnorm)
+    if not retraction_free:
+        sbar = min(sbar, 1.0 / vnorm)
+    s, Y, bt, fY = armijo_search(obj, X, V, vnorm * vnorm,
+                                 max(sbar, cfg.step_floor), cfg,
                                  retracted=not retraction_free, r=r, fX=fX)
     return Y, _StepInfo(f_after=fY, stepsize=s, direction_norm=vnorm,
                         backtracks=bt)
@@ -253,10 +252,6 @@ def _make_record(obj, X, fX, gnorm, stat, t, info, n_candidates, t_start):
                       n_candidates=n_candidates, backtracks=info.backtracks,
                       wall_time_s=time.perf_counter() - t_start,
                       test_error=terr)
-
-
-_NO_STEP = _StepInfo(f_after=float("nan"), stepsize=0.0, direction_norm=0.0,
-                     backtracks=0)
 
 
 def _effective_delta(X0: TuckerTensor, cfg: SolverConfig) -> float:
@@ -279,38 +274,36 @@ def _candidate_ranks(X, cfg, retraction_free, delta_eff):
     return list(itertools.product(*sets))
 
 
-def _rank_decrease_step(obj, fX, grad, cfg, retraction_free, delta_eff):
-    """Evaluate every lower-rank candidate of X = grad.anchor, keep the best;
-    returns (Y, info, n).
+def _step(obj, fX, grad, cfg, retraction_free, delta):
+    """The best candidate step from X = grad.anchor; returns (Y, info, n).
 
-    Every nominal candidate rl is truncated, but the step is taken once per
-    distinct truncated rank: hosvd_truncate's result depends only on the
-    per-mode kept counts, which its rank reports, so candidates that truncate
-    alike give the same step.  Each distinct rank is represented by its
-    smallest (sum(rl), rl), which is the candidate the tie-break key
-    (f, sum(rl), rl) would pick among them.  n is the nominal count.
+    A plain solver (``delta`` None) has one candidate, X's own rank, and
+    its failed search raises :class:`LineSearchFailure`.  A rank-decreasing
+    one truncates every candidate rl of its index sets at threshold
+    ``delta`` through one tree, and steps once per distinct truncated rank
+    (a truncation depends only on the kept counts, which its rank reports),
+    from that rank's smallest (sum(rl), rl): the candidate the key
+    (f, sum(rl), rl) would pick among them.  It raises
+    :class:`CandidateExhaustion`, with one line per failed candidate, when
+    every step failed.  n is the nominal count.
 
-    X stands in for its own rank: a truncation that keeps X.rank equals X up
-    to rounding, so that candidate steps from X itself, with the f(X) and
-    the :class:`Contractions` object ``grad`` of grad f(X) that the caller
-    already has.  Only the other distinct ranks evaluate f and grad f.
-
-    Those other candidates are served from X's basis: their factors are
-    U_k W_k, so their contractions are X-basis contractions of their own
-    gradient followed by small W products (see :class:`Contractions`).
-    Each candidate forms its patterns on demand and drops them after its
-    step.
+    X stands in for its own rank, with the f(X) and the
+    :class:`Contractions` object ``grad`` of grad f(X) that the caller has,
+    so a zero step from it returns X itself.  Only the other ranks evaluate
+    f and grad f.  Their factors are U_k W_k, so their contractions are
+    X-basis contractions of their own gradient followed by small W
+    products (see :class:`Contractions`).
     """
     X, r = grad.anchor, grad.bound
-    cands = _candidate_ranks(X, cfg, retraction_free, delta_eff)
-    distinct = {}
-    for rl, (Xc, ws) in zip(cands, hosvd_truncations(X, cands)):
-        seen = distinct.get(Xc.rank)
-        if seen is None or (sum(rl), rl) < (sum(seen[0]), seen[0]):
-            distinct[Xc.rank] = (rl, Xc, ws)
-    best_key = None
-    best = None
-    failures = []
+    if delta is None:
+        cands, distinct = [X.rank], {X.rank: (X.rank, X, None)}
+    else:
+        cands, distinct = _candidate_ranks(X, cfg, retraction_free, delta), {}
+        for rl, (Xc, ws) in zip(cands, hosvd_truncations(X, cands)):
+            seen = distinct.get(Xc.rank)
+            if seen is None or (sum(rl), rl) < (sum(seen[0]), seen[0]):
+                distinct[Xc.rank] = (rl, Xc, ws)
+    best, failures = None, []
     for rl, Xc, ws in distinct.values():
         if Xc.rank == X.rank:
             fc, gc = fX, grad
@@ -320,17 +313,18 @@ def _rank_decrease_step(obj, fX, grad, cfg, retraction_free, delta_eff):
         try:
             Yc, info = _direction_step(obj, gc, fc, cfg, retraction_free)
         except LineSearchFailure as e:
+            if delta is None:
+                raise
             failures.append(f"candidate {rl}: {e}")
             continue
         key = (info.f_after, sum(rl), rl)
-        if best_key is None or key < best_key:
-            best_key = key
-            best = (Yc, info)
+        if best is None or key < best[0]:
+            best = (key, Yc, info)
     if best is None:
         raise CandidateExhaustion(
             f"all {len(cands)} rank candidates failed the line search",
             diagnostics=failures)
-    return best[0], best[1], len(cands)
+    return best[1], best[2], len(cands)
 
 
 def _solve(obj, X0, r, cfg, *, retraction_free, rank_decrease, name,
@@ -343,60 +337,50 @@ def _solve(obj, X0, r, cfg, *, retraction_free, rank_decrease, name,
     the iteration index, and the rank-decrease threshold is ``delta_eff``
     rather than the default delta * sigma_max(X0).  A run resumed at an
     index at or past ``cfg.max_iters`` records its start point and ends.
+    Every iteration records its point, then steps (see :func:`_step`); a
+    step that returns X itself ends the run ``"stalled"``.
     """
     r = check_bound(r, X0.dims)
     if any(rl > rk for rl, rk in zip(X0.rank, r)):
         raise ValueError(f"start rank {X0.rank} exceeds bound {r}")
-    if delta_eff is not None and not 0 < delta_eff < math.inf:
-        raise ValueError(f"threshold {delta_eff} is not positive and finite")
+    check_count(start, "start", 0)
+    check_threshold(delta_eff)
     t_start = time.perf_counter()
     if rank_decrease and delta_eff is None:
         delta_eff = _effective_delta(X0, cfg)
     trace = SolverTrace(solver=name, delta_eff=delta_eff)
-    X = X0
-    pending = _NO_STEP
-    n_candidates = 0
-    for t in range(start, max(start, cfg.max_iters) + 1):
+    X, t, pending, n_candidates = X0, start, _StepInfo(), 0
+    while trace.termination == "running":
         fX, grad = _f_and_grad(obj, X)
         gnorm = fro_norm(grad)
-        if not (math.isfinite(fX) and math.isfinite(gnorm)):
-            # nothing below is defined on non-finite data
-            trace.records.append(_make_record(obj, X, fX, gnorm, math.nan, t,
-                                              pending, n_candidates, t_start))
-            trace.termination = "non_finite"
-            return X, trace
-        contractions = Contractions(X, grad, r)
-        stat = stationarity_measure(contractions)
+        finite = math.isfinite(fX) and math.isfinite(gnorm)
+        stat = math.nan     # nothing below is defined on non-finite data
+        if finite:
+            contractions = Contractions(X, grad, r)
+            stat = stationarity_measure(contractions)
         trace.records.append(_make_record(obj, X, fX, gnorm, stat, t, pending,
                                           n_candidates, t_start))
-        if stat <= cfg.stat_tol:
+        if not finite:
+            trace.termination = "non_finite"
+        elif stat <= cfg.stat_tol:
             trace.termination = "converged"
-            return X, trace
-        if t >= cfg.max_iters:
+        elif t >= cfg.max_iters:
             trace.termination = "max_iters"
-            return X, trace
-        if rank_decrease:
+        else:
             try:
-                X, pending, n_candidates = _rank_decrease_step(
-                    obj, fX, contractions, cfg, retraction_free, delta_eff)
+                Y, pending, n_candidates = _step(
+                    obj, fX, contractions, cfg, retraction_free,
+                    delta_eff if rank_decrease else None)
+            except LineSearchFailure as e:
+                trace.termination = "line_search_failure"
+                trace.diagnostics = (str(e),)
             except CandidateExhaustion as e:
                 trace.termination = "candidate_exhaustion"
                 trace.diagnostics = (str(e),) + e.diagnostics
-                return X, trace
-            continue
-        try:
-            Y, pending = _direction_step(obj, contractions, fX, cfg,
-                                         retraction_free)
-        except LineSearchFailure as e:
-            trace.termination = "line_search_failure"
-            trace.diagnostics = (str(e),)
-            return X, trace
-        n_candidates = 1
-        if pending.stepsize == 0.0:
-            trace.termination = "stalled"
-            return X, trace
-        X = Y
-    trace.termination = "max_iters"
+            else:
+                if Y is X:
+                    trace.termination = "stalled"
+                X, t = Y, t + 1
     return X, trace
 
 

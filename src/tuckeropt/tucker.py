@@ -59,6 +59,26 @@ class TuckerTensor:
         return self.core.shape
 
 
+def check_count(value, what, least, most=math.inf) -> int:
+    """``value`` as an int, checked to be an integer in least..most; any
+    other value (2.5 too, rather than truncating it to 2) raises a
+    ``ValueError`` that names ``what``."""
+    try:
+        if least <= operator.index(value) <= most:
+            return operator.index(value)
+    except TypeError:
+        pass
+    span = f"in {least}..{most}" if most < math.inf else f">= {least}"
+    raise ValueError(f"{what} is {value}; it must be an integer {span}")
+
+
+def check_threshold(delta_eff, what="threshold") -> None:
+    """Refuse a rank-decrease threshold that is neither None nor positive
+    and finite, with a ``ValueError`` that names ``what``."""
+    if delta_eff is not None and not 0 < delta_eff < math.inf:
+        raise ValueError(f"{what} {delta_eff} is not positive and finite")
+
+
 def check_bound(r, dims) -> tuple:
     """The Tucker-rank bound r as a tuple of ints, checked against the
     tensor dims: one integer r_k per mode with 1 <= r_k <= n_k.  Every
@@ -69,15 +89,8 @@ def check_bound(r, dims) -> tuple:
     if len(r) != len(dims):
         raise ValueError(f"rank bound {r} has {len(r)} entries for "
                          f"{len(dims)} modes")
-    for k, (rk, n) in enumerate(zip(r, dims), start=1):
-        try:
-            ok = 1 <= operator.index(rk) <= n
-        except TypeError:       # 2.5 is refused, not truncated to 2
-            ok = False
-        if not ok:
-            raise ValueError(f"rank bound of mode {k} is {rk}; it must be "
-                             f"an integer in 1..{n}")
-    return tuple(map(operator.index, r))
+    return tuple(check_count(rk, f"rank bound of mode {k}", 1, n)
+                 for k, (rk, n) in enumerate(zip(r, dims), start=1))
 
 
 class _Node:
@@ -268,8 +281,12 @@ def save_checkpoint(T: TuckerTensor, path, iteration: int = 0,
 
     The run state is the u64 iteration index of T and the f64
     rank-decrease threshold delta_eff the run used (NaN for none), so that
-    a solver resumed from T continues the same iterate sequence.
+    a solver resumed from T continues the same iterate sequence.  Both
+    are checked, as :func:`load_checkpoint` reads them, before the file is
+    opened.
     """
+    check_count(iteration, "checkpoint iteration", 0, 2 ** 64 - 1)
+    check_threshold(delta_eff, "checkpoint threshold")
     with open(path, "wb") as f:
         f.write(_CKPT_MAGIC)
         f.write(struct.pack("<I", T.ndim))
@@ -304,11 +321,8 @@ def load_checkpoint(path):
             raise ValueError(f"{path}: truncated {what} header")
         iteration, delta_eff = struct.unpack_from("<Qd", data, head)
         head += 16
-        if math.isnan(delta_eff):
-            delta_eff = None
-        elif not (math.isfinite(delta_eff) and delta_eff > 0):
-            raise ValueError(f"{path}: checkpoint threshold {delta_eff} is "
-                             f"not positive and finite")
+        delta_eff = None if math.isnan(delta_eff) else delta_eff
+        check_threshold(delta_eff, f"{path}: checkpoint threshold")
     sizes = [math.prod(rank)] + [n * r for n, r in zip(dims, rank)]
     vals = read_binary_values(path, data, head, sum(sizes), what)
     core, *factors = np.split(vals, np.cumsum(sizes)[:-1])

@@ -10,7 +10,12 @@ from tuckeropt import cli, completion
 from tuckeropt.cli import build_parser, main
 from tuckeropt.completion import gen_synthetic, random_tucker, save_problem
 from tuckeropt.tensor_core import save_dense
-from tuckeropt.tucker import load_checkpoint, save_checkpoint, to_dense
+from tuckeropt.tucker import (
+    hosvd_truncate,
+    load_checkpoint,
+    save_checkpoint,
+    to_dense,
+)
 
 RNG = np.random.default_rng(42)
 
@@ -77,6 +82,37 @@ def test_complete_resume(problem_dir, tmp_path):
     assert [r["candidates"] for r in full[4:]] == \
         [r["candidates"] for r in resumed[1:]]
     assert any(int(r["candidates"]) > 1 for r in full)
+
+
+def test_complete_resume_cuts_a_checkpoint_above_the_bound(problem_dir,
+                                                           tmp_path):
+    # a rank-(3, 3, 3) checkpoint resumed under --rank 2,2,2 starts from its
+    # truncation to the bound, numbered on from the saved iteration
+    X = random_tucker((8, 8, 8), (3, 3, 3), RNG)
+    ckpt, trace = tmp_path / "start.ttkr", tmp_path / "trace.csv"
+    save_checkpoint(X, ckpt, 5)
+    code = main(["complete", str(problem_dir), "--rank", "2,2,2",
+                 "--solver", "grap", "--max-iters", "8", "--resume",
+                 str(ckpt), "--trace", str(trace)])
+    assert code in (0, 2)
+    rows = _csv_rows(trace)
+    assert [r["iter"] for r in rows] == ["5", "6", "7", "8"]
+    assert all((r["r1"], r["r2"], r["r3"]) == ("2", "2", "2") for r in rows)
+    obj = completion.completion_objective(
+        completion.load_problem(problem_dir))
+    assert float(rows[0]["f"]) == obj.eval(hosvd_truncate(X, (2, 2, 2)))
+
+
+def test_complete_resume_refuses_a_checkpoint_of_other_dims(problem_dir,
+                                                            tmp_path, capsys):
+    ckpt, trace = tmp_path / "start.ttkr", tmp_path / "trace.csv"
+    save_checkpoint(random_tucker((8, 8, 7), (2, 2, 2), RNG), ckpt)
+    code = main(["complete", str(problem_dir), "--rank", "2,2,2",
+                 "--resume", str(ckpt), "--trace", str(trace)])
+    assert code == 1
+    assert ("checkpoint dims (8, 8, 7) do not match problem dims (8, 8, 8)"
+            in capsys.readouterr().err)
+    assert not trace.exists()
 
 
 def test_complete_exit_code_on_bad_input(tmp_path, capsys):

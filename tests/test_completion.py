@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from tuckeropt import completion
+from tuckeropt import completion, geometry
 from tuckeropt.completion import (
     CompletionProblem,
     completion_objective,
@@ -16,9 +16,9 @@ from tuckeropt.completion import (
     save_problem,
     test_error as completion_test_error,
 )
-from tuckeropt.geometry import Contractions
+from tuckeropt.geometry import Contractions, TangentVector, tangent_norm
 from tuckeropt.oracles import _ref_multi_mode_contract, euclidean_gradient
-from tuckeropt.solvers import SolverConfig, solve_grap
+from tuckeropt.solvers import SolverConfig, solve_grap, solve_rfgrap
 from tuckeropt.tensor_core import (
     SparseCooTensor,
     index_plan,
@@ -320,6 +320,31 @@ def test_initial_step_minimizes_parabola():
     eps = 1e-4 * s
     assert phi(s) <= phi(s + eps) + 1e-12
     assert phi(s) <= phi(s - eps) + 1e-12
+
+
+def test_initial_step_is_none_off_the_observed_entries(monkeypatch):
+    # a direction that moves only the unobserved slice i_1 = 6 leaves
+    # P_Omega unchanged: no parabola, no proposed step
+    P, _ = _problem()
+    keep = P.omega.idx[:, 0] < 6
+    P = CompletionProblem(
+        P.dims, SparseCooTensor(P.dims, P.omega.idx[keep],
+                                P.omega.vals[keep]), P.gamma, P.p)
+    X = random_tucker(P.dims, (2, 2, 2), RNG)
+    Udot = [np.zeros((6, 2)) for _ in range(3)]
+    Udot[0][5] = 1.0
+    V = TangentVector(X, np.zeros((2, 2, 2)), tuple(Udot),
+                      tuple(np.zeros((6, 0)) for _ in range(3)))
+    obj = completion_objective(P)
+    assert tangent_norm(V) > 0 and obj.initial_step(X, V) is None
+    # with no proposal the solver starts its search at min(1, 1/||V||)
+    monkeypatch.setattr(geometry, "tangent_entries_at",
+                        lambda V, plan: np.zeros(len(plan.cols[0])))
+    for solve in (solve_grap, solve_rfgrap):
+        _, trace = solve(obj, X, (2, 2, 2), SolverConfig(max_iters=1))
+        rec = trace.final()
+        assert rec.stepsize == (min(1.0, 1.0 / rec.direction_norm)
+                                * 0.5 ** rec.backtracks)
 
 
 def test_problem_bundle_roundtrip(tmp_path):

@@ -16,7 +16,12 @@ from tuckeropt.completion import (
     random_tucker,
     spectral_init,
 )
-from tuckeropt.geometry import Contractions, approx_project, tangent_norm
+from tuckeropt.geometry import (
+    Contractions,
+    TangentVector,
+    approx_project,
+    tangent_norm,
+)
 from tuckeropt.oracles import angle_constants, exact_tangent_projection_oracle
 from tuckeropt.solvers import (
     SOLVERS,
@@ -70,12 +75,13 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(armijo_a=0.0)
     # a NaN delta leaves grap-r one candidate per iteration, a NaN
-    # step_floor fails every line search, and a NaN or negative stat_tol
-    # is never met
+    # step_floor fails every line search, a NaN or negative stat_tol is
+    # never met, and max_iters and candidate_cap are counts, not 2.5
     for bad in (dict(delta=-1.0), dict(delta=np.nan), dict(delta=np.inf),
                 dict(step_floor=np.nan), dict(step_floor=np.inf),
                 dict(stat_tol=np.nan), dict(stat_tol=-1e-8),
-                dict(stat_tol=np.inf)):
+                dict(stat_tol=np.inf), dict(max_iters=2.5),
+                dict(candidate_cap=2.5)):
         with pytest.raises(ValueError, match=next(iter(bad))):
             SolverConfig(**bad)
     with pytest.raises(ValueError):
@@ -89,6 +95,18 @@ def test_config_validation():
             solve_grap_r(_counting(obj, log), X0, (2, 2, 2), SolverConfig(),
                          delta_eff=delta_eff)
         assert log == []
+
+
+@pytest.mark.parametrize("solve", [solve_grap, solve_rfgrap, solve_grap_r,
+                                   solve_rfgrap_r])
+def test_solvers_refuse_a_negative_start(solve):
+    # the records would be numbered -3, -2, ...; the start is refused
+    # before f is evaluated
+    _, _, obj, X0 = _completion_setup()
+    log = []
+    with pytest.raises(ValueError, match="start is -3"):
+        solve(_counting(obj, log), X0, (2, 2, 2), SolverConfig(), start=-3)
+    assert log == []
 
 
 def test_armijo_accepts_descent():
@@ -326,6 +344,29 @@ def test_rank_decrease_steps_once_per_distinct_truncated_rank(monkeypatch):
         assert block.count("eval_grad") == len(set(ranks) - {rank}) + 1
         collapsed += len(ranks) - len(set(ranks))
     assert collapsed > 0
+
+
+@pytest.mark.parametrize("solve", [solve_grap, solve_rfgrap, solve_grap_r,
+                                   solve_rfgrap_r])
+def test_a_step_that_leaves_the_iterate_in_place_ends_stalled(solve,
+                                                              monkeypatch):
+    # with every projection zero, the only candidate (the iterate's own
+    # rank, at a full-rank point) steps nowhere: one stall rule for all four
+    _, _, obj, X0 = _completion_setup()
+
+    def zero(G):
+        X, r = G.anchor, G.bound
+        return TangentVector(
+            X, np.zeros(r), tuple(np.zeros((n, rk)) for n, rk in
+                                  zip(X.dims, X.rank)),
+            tuple(np.zeros((n, b - rk)) for n, b, rk in
+                  zip(X.dims, r, X.rank)))
+    monkeypatch.setattr(solvers, "approx_project", zero)
+    monkeypatch.setattr(solvers, "partial_project", lambda G: (zero(G), 0))
+    X, trace = solve(obj, X0, X0.rank, SolverConfig(max_iters=7))
+    assert trace.termination == "stalled"
+    assert X is X0 and len(trace.records) == 1
+    assert trace.records[0].stationarity > 0
 
 
 def _records(trace):

@@ -213,6 +213,21 @@ def test_add_scaled_tangent_full_bound():
     assert np.allclose(to_dense(Y), to_dense(X) + 0.5 * embed(V), atol=1e-10)
 
 
+def test_add_scaled_tangent_checks_the_anchor():
+    # a V anchored at an equal copy of T steps from T as from the copy; one
+    # anchored at a point of another rank is refused
+    X = random_tucker((6, 6, 6), (2, 2, 2), RNG)
+    A = RNG.standard_normal((6, 6, 6))
+    V = approx_project(Contractions(X, A, (3, 3, 3)))
+    copy = TuckerTensor(X.core.copy(), tuple(U.copy() for U in X.factors))
+    Y, Z = add_scaled_tangent(X, 0.5, V), add_scaled_tangent(copy, 0.5, V)
+    assert np.array_equal(Y.core, Z.core)
+    assert all(np.array_equal(a, b) for a, b in zip(Y.factors, Z.factors))
+    other = random_tucker((6, 6, 6), (2, 3, 2), RNG)
+    with pytest.raises(ValueError, match="anchored at a different point"):
+        add_scaled_tangent(other, 0.5, V)
+
+
 def test_checkpoint_roundtrip(tmp_path):
     T = random_tucker((5, 4, 6), (2, 3, 2), RNG)
     path = tmp_path / "x.ttkr"
@@ -230,6 +245,21 @@ def test_checkpoint_roundtrip(tmp_path):
     path.write_bytes(b"TTKR1" + data[5:head] + data[head + 16:])
     S, *got = load_checkpoint(path)
     assert np.array_equal(S.core, T.core) and tuple(got) == (0, None)
+
+
+@pytest.mark.parametrize("state, message", [
+    ((-1, None), "iteration is -1"), ((2.5, None), "iteration is 2.5"),
+    ((2 ** 64, None), "iteration is 18446744073709551616"),
+    ((0, -1.0), "threshold -1.0"), ((0, 0.0), "threshold 0.0"),
+    ((0, math.nan), "threshold nan"), ((0, math.inf), "threshold inf")])
+def test_save_checkpoint_refuses_what_load_refuses(tmp_path, state, message):
+    # an iteration that is not a u64 count and a threshold that is not
+    # positive and finite are refused before the file is opened
+    T = random_tucker((5, 4, 6), (2, 3, 2), RNG)
+    path = tmp_path / "x.ttkr"
+    with pytest.raises(ValueError, match=message):
+        save_checkpoint(T, path, *state)
+    assert not path.exists()
 
 
 def test_checkpoint_rejects_garbage(tmp_path):
