@@ -15,7 +15,6 @@ from pathlib import Path
 import numpy as np
 
 from .completion import (
-    check_spectral_fits,
     completion_objective,
     gen_synthetic,
     load_problem,
@@ -174,8 +173,6 @@ def cmd_bench(args) -> int:
     # before the bundle is generated and written
     ranks = [check_bound(r, n)
              for r in ([args.rank] if args.rank else setting["ranks"])]
-    if args.init == "spectral":
-        check_spectral_fits(n)
     out = args.out
     problem, _truth = gen_synthetic(n, r_true, p, seed=args.seed)
     save_problem(problem, out / f"{args.suite}_problem", seed=args.seed,

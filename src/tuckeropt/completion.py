@@ -30,8 +30,6 @@ from .tensor_core import (
 )
 from .tucker import TuckerTensor, check_bound, entries_at, hosvd
 
-_SPECTRAL_INIT_LIMIT = 20_000_000  # densifying above this is refused
-
 
 @dataclass(frozen=True)
 class CompletionProblem:
@@ -142,18 +140,9 @@ def gen_synthetic(n, r_true, p: float, seed: int):
     return CompletionProblem(dims, omega, gamma, p), truth
 
 
-def check_spectral_fits(dims) -> None:
-    """Refuse spectral initialization of a tensor of more entries than
-    ``_SPECTRAL_INIT_LIMIT``, which it would densify."""
-    if int(np.prod(dims, dtype=np.int64)) > _SPECTRAL_INIT_LIMIT:
-        raise ValueError("problem too large for spectral initialization; "
-                         "use --init random")
-
-
 def spectral_init(P: CompletionProblem, r) -> TuckerTensor:
-    """HOSVD of the zero-filled observations rescaled by 1/p."""
-    check_spectral_fits(P.dims)
-    return hosvd(P.omega.to_dense() / P.p, r)
+    """HOSVD of the zero-filled observations rescaled by 1/p, not densified."""
+    return hosvd(P.omega.with_values(P.omega.vals / P.p), r)
 
 
 class Experiment(NamedTuple):

@@ -141,8 +141,7 @@ class Contractions:
 
     def __init__(self, X: TuckerTensor, A, r, basis=None):
         r = check_bound(r, X.dims)
-        if any(rl > rk for rl, rk in zip(X.rank, r)):
-            raise ValueError(f"anchor rank {X.rank} exceeds bound {r}")
+        check_bound(X.rank, r, "anchor rank", 0)
         self.anchor = X
         self.tensor = A
         self.bound = r

@@ -341,8 +341,7 @@ def _solve(obj, X0, r, cfg, *, retraction_free, rank_decrease, name,
     step that returns X itself ends the run ``"stalled"``.
     """
     r = check_bound(r, X0.dims)
-    if any(rl > rk for rl, rk in zip(X0.rank, r)):
-        raise ValueError(f"start rank {X0.rank} exceeds bound {r}")
+    check_bound(X0.rank, r, "start rank", 0)
     check_count(start, "start", 0)
     check_threshold(delta_eff)
     t_start = time.perf_counter()
@@ -438,6 +437,7 @@ def write_trace_csv(trace: SolverTrace, path) -> None:
 
 
 def write_summary_json(trace: SolverTrace, path) -> None:
+    """A run's final record as strict JSON: a non-finite float is null."""
     rec = trace.final()
     summary = {
         "solver": trace.solver,
@@ -452,6 +452,8 @@ def write_summary_json(trace: SolverTrace, path) -> None:
         summary["test_error"] = rec.test_error
     if trace.diagnostics:
         summary["diagnostics"] = list(trace.diagnostics)
+    summary = {key: None if isinstance(v, float) and not math.isfinite(v)
+               else v for key, v in summary.items()}
     with open(path, "w") as f:
-        json.dump(summary, f, indent=2)
+        json.dump(summary, f, indent=2, allow_nan=False)
         f.write("\n")

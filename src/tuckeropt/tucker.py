@@ -16,10 +16,13 @@ import numpy as np
 
 from .tensor_core import (
     IndexPlan,
+    SparseCooTensor,
     cutoff_rank,
     fold,
     mixed_eval,
     mode_product,
+    multi_mode_contract,
+    projected_unfolding_r,
     read_binary_header,
     read_binary_values,
     thin_svd,
@@ -79,17 +82,17 @@ def check_threshold(delta_eff, what="threshold") -> None:
         raise ValueError(f"{what} {delta_eff} is not positive and finite")
 
 
-def check_bound(r, dims) -> tuple:
-    """The Tucker-rank bound r as a tuple of ints, checked against the
-    tensor dims: one integer r_k per mode with 1 <= r_k <= n_k.  Every
-    function that takes a rank bound applies this rule where it enters; a
-    bound that breaks it raises a ``ValueError`` that names the mode.
-    """
+def check_bound(r, dims, what="rank bound", least=1) -> tuple:
+    """The Tucker rank r as a tuple of ints, one integer r_k per mode with
+    least <= r_k <= n_k for the dims (or the bound) n.  Every function that
+    takes a rank bound, or a rank under a bound (least 0), applies it where
+    that enters, and a breach raises a ``ValueError`` naming ``what`` and
+    the mode."""
     r = tuple(r)
     if len(r) != len(dims):
-        raise ValueError(f"rank bound {r} has {len(r)} entries for "
+        raise ValueError(f"{what} {r} has {len(r)} entries for "
                          f"{len(dims)} modes")
-    return tuple(check_count(rk, f"rank bound of mode {k}", 1, n)
+    return tuple(check_count(rk, f"{what} of mode {k}", least, n)
                  for k, (rk, n) in enumerate(zip(r, dims), start=1))
 
 
@@ -144,8 +147,20 @@ def _st_hosvd(A: np.ndarray, r, tree=None):
     return node.core, list(node.ws), key
 
 
-def hosvd(A: np.ndarray, r) -> TuckerTensor:
-    """Truncated HOSVD of a dense tensor onto Tucker rank at most r."""
+def hosvd(A, r) -> TuckerTensor:
+    """Truncated HOSVD onto Tucker rank at most r of a dense array, or of a
+    SparseCooTensor S without densifying it: U_1 from S_(1)^T's R factor,
+    then :func:`_st_hosvd` of the dense partial S x_1 U_1^T."""
+    if isinstance(A, SparseCooTensor):
+        r, d = check_bound(r, A.dims), len(A.dims)
+        R = projected_unfolding_r(A, np.zeros((A.dims[0], 0)), 1)
+        U, sigma, _ = thin_svd(R.T)
+        U = U[:, :min(r[0], cutoff_rank(sigma))]
+        partial = (U.take(A.plan.cols[0], axis=0).T @ A.vals if d == 1 else
+                   fold(multi_mode_contract(A, (U,) + (None,) * (d - 1), 2),
+                        2, U.shape[1:] + A.dims[1:]))
+        core, ws, _ = _st_hosvd(partial, r)
+        return TuckerTensor(core, (U @ ws[0],) + tuple(ws[1:]))
     core, factors, _ = _st_hosvd(A, check_bound(r, A.shape))
     return TuckerTensor(core, tuple(factors))
 
@@ -153,14 +168,12 @@ def hosvd(A: np.ndarray, r) -> TuckerTensor:
 def hosvd_truncate(T: TuckerTensor, r, tree=None) -> TuckerTensor:
     """Core-only recompression; equals hosvd(to_dense(T), r) without densifying.
 
-    The target r has one entry per mode, none above T's rank; an entry 0
-    truncates to the zero tensor.  ``tree`` is a dict shared by truncations
-    of the same T, which then share their SVD steps (see
-    :func:`hosvd_truncations`).
+    The target r has one integer per mode, from 0 up to T's rank there
+    (:func:`check_bound`); an entry 0 truncates to the zero tensor.
+    ``tree`` is a dict shared by truncations of the same T, which then
+    share their SVD steps (see :func:`hosvd_truncations`).
     """
-    r = tuple(int(x) for x in r)
-    if len(r) != T.ndim or any(rk > ck for rk, ck in zip(r, T.rank)):
-        raise ValueError(f"target rank {r} does not fit current rank {T.rank}")
+    r = check_bound(r, T.rank, "target rank", 0)
     tree = {} if tree is None else tree
     core, ws, kept = _st_hosvd(T.core, r, tree)
     factors = []
@@ -313,8 +326,7 @@ def load_checkpoint(path):
     data, header, head = read_binary_header(
         path, (_CKPT_MAGIC, _CKPT_MAGIC_V1), what, 2)
     dims, rank = header[:len(header) // 2], header[len(header) // 2:]
-    if any(r > n for r, n in zip(rank, dims)):
-        raise ValueError(f"{path}: checkpoint rank {rank} exceeds its dims {dims}")
+    check_bound(rank, dims, f"{path}: checkpoint rank", 0)
     iteration, delta_eff = 0, None
     if data[:5] == _CKPT_MAGIC:
         if len(data) < head + 16:

@@ -177,19 +177,16 @@ def test_bench_exit_code_is_the_worst_run(tmp_path, capsys, max_iters,
     assert out.count(": converged after") == (4 if expected == 0 else 2)
 
 
-def test_bench_refuses_spectral_init_before_writing_the_bundle(
-        tmp_path, capsys, monkeypatch):
-    # a problem too large to densify fails before it is generated, rather
-    # than after its bundle is written; --init random still runs it
-    monkeypatch.setattr(completion, "_SPECTRAL_INIT_LIMIT", 100)
-    args = ["bench", "true-rank", "--n", "10,10,10", "--true-rank", "2,2,2",
-            "--rank", "2,2,2", "--p", "0.3", "--max-iters", "2"]
-    out = tmp_path / "bench"
-    assert main(args + ["--out", str(out)]) == 1
-    assert capsys.readouterr().err.startswith("error:")
-    assert not out.exists()
-    assert main(args + ["--out", str(out), "--init", "random"]) == 2
-    assert (out / "true-rank_problem" / "meta.json").exists()
+def test_complete_starts_spectrally_on_a_tensor_too_large_to_densify(
+        tmp_path, capsys):
+    # 300^3 = 2.7e7 entries of which 13 500 are observed: the default
+    # spectral start is formed from the observations alone
+    P, _ = gen_synthetic((300, 300, 300), (2, 2, 2), 0.0005, seed=1)
+    save_problem(P, tmp_path / "prob")
+    code = main(["complete", str(tmp_path / "prob"), "--rank", "2,2,2",
+                 "--max-iters", "0"])
+    assert code == 2, capsys.readouterr().err
+    assert "max_iters after 0 iterations" in capsys.readouterr().out
 
 
 def test_bench_random_init_starts_away_from_the_truth(tmp_path, capsys):

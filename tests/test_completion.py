@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from tuckeropt.completion import (
     load_problem,
     random_tucker,
     save_problem,
+    spectral_init,
     test_error as completion_test_error,
 )
 from tuckeropt.geometry import Contractions, TangentVector, tangent_norm
@@ -345,6 +347,38 @@ def test_initial_step_is_none_off_the_observed_entries(monkeypatch):
         rec = trace.final()
         assert rec.stepsize == (min(1.0, 1.0 / rec.direction_norm)
                                 * 0.5 ** rec.backtracks)
+
+
+def test_spectral_init_of_a_zero_or_empty_omega_is_the_zero_tensor():
+    P, _ = _problem()
+    zero = P.omega.with_values(np.zeros(P.omega.nnz))
+    empty = SparseCooTensor(P.dims, np.zeros((0, 3), dtype=np.int64), [])
+    for omega in (zero, empty):
+        X = spectral_init(dataclasses.replace(P, omega=omega), (2, 2, 2))
+        assert X.rank == (0, 0, 0) and not to_dense(X).any()
+
+
+def test_spectral_init_of_a_vector():
+    # d = 1: rank (1,), from which grap converges in one iteration
+    P, _ = gen_synthetic((30,), (1,), 0.3, seed=0)
+    X0 = spectral_init(P, (1,))
+    assert X0.rank == (1,)
+    _, trace = solve_grap(completion_objective(P), X0, (1,), SolverConfig())
+    assert trace.termination == "converged" and trace.final().iter == 1
+
+
+def test_spectral_init_does_not_densify_the_observations():
+    # 10^4 observations of a 100^3 tensor: the start peaks below the 8 MB
+    # a dense copy of the tensor would take
+    P, _ = gen_synthetic((100, 100, 100), (5, 5, 5), 0.01, seed=1)
+    tracemalloc.start()
+    try:
+        X0 = spectral_init(P, (5, 5, 5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert X0.rank == (5, 5, 5)
+    assert peak < 8 * 100 ** 3
 
 
 def test_problem_bundle_roundtrip(tmp_path):

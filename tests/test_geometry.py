@@ -487,7 +487,8 @@ def test_contractions_check_the_rank_bound():
     rng = np.random.default_rng(5)
     X = random_tucker((5, 5, 5), (2, 2, 2), rng)
     A = rng.standard_normal((5, 5, 5))
-    with pytest.raises(ValueError, match="exceeds bound"):
+    with pytest.raises(ValueError, match="anchor rank of mode 2 is 2; it "
+                                         r"must be an integer in 0\.\.1"):
         Contractions(X, A, (2, 1, 2))
     G = Contractions(X, A, np.array([3, 2, 2]))
     assert G.bound == (3, 2, 2) and all(type(b) is int for b in G.bound)

@@ -166,7 +166,7 @@ def test_line_search_failure_keeps_its_message(solve, tmp_path):
 
 @pytest.mark.parametrize("solve", [solve_grap, solve_rfgrap, solve_grap_r,
                                    solve_rfgrap_r])
-def test_non_finite_objective_ends_the_run_with_its_trace(solve):
+def test_non_finite_objective_ends_the_run_with_its_trace(solve, tmp_path):
     # finite data whose squared error overflows: f(X0) is inf
     P, _ = gen_synthetic((10, 9, 8), (2, 2, 2), 0.3, seed=1)
     huge = dataclasses.replace(
@@ -179,6 +179,16 @@ def test_non_finite_objective_ends_the_run_with_its_trace(solve):
     rec = trace.final()
     assert rec.iter == 0 and rec.f_value == np.inf
     assert np.isnan(rec.stationarity)
+    # the summary is strict JSON: no Infinity or NaN tokens
+
+    def refuse(token):
+        raise ValueError(f"non-JSON constant {token}")
+
+    write_summary_json(trace, tmp_path / "summary.json")
+    summary = json.loads((tmp_path / "summary.json").read_text(),
+                         parse_constant=refuse)
+    assert summary["f"] is None and summary["stationarity"] is None
+    assert summary["termination"] == "non_finite"
 
 
 def test_index_sets():
@@ -509,7 +519,7 @@ def test_solver_max_iters_termination():
 
 def test_solver_rejects_oversized_start():
     _, _, obj, X0 = _completion_setup()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="start rank of mode 1 is 2"):
         solve_grap(obj, X0, (1, 1, 1), SolverConfig())
 
 

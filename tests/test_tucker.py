@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from tuckeropt import tucker
-from tuckeropt.completion import random_tucker
+from tuckeropt.completion import gen_synthetic, random_tucker
 from tuckeropt.geometry import Contractions, approx_project
 from tuckeropt.oracles import _best_rank_approx, embed, tucker_rank
 from tuckeropt.tensor_core import (
@@ -87,6 +87,19 @@ def test_hosvd_matches_sequential_best_approx():
     assert np.allclose(to_dense(T), cur, atol=1e-10)
 
 
+@pytest.mark.parametrize("dims, r, p", [((20, 15), (3, 3), 0.3),
+                                        ((40, 40, 40), (4, 4, 4), 0.1),
+                                        ((12, 9, 7, 5), (2, 3, 2, 2), 0.3)])
+def test_sparse_hosvd_equals_dense_hosvd(dims, r, p):
+    # the HOSVD of observations, formed from their entries, is the dense
+    # one up to rounding, at the same rank
+    S = gen_synthetic(dims, r, p, seed=3)[0].omega
+    sparse, dense = hosvd(S, r), hosvd(S.to_dense(), r)
+    assert sparse.rank == dense.rank == r
+    assert fro_norm(to_dense(sparse) - to_dense(dense)) \
+        <= 1e-13 * fro_norm(to_dense(dense))
+
+
 def test_hosvd_truncate_equals_dense_hosvd():
     A = RNG.standard_normal((6, 5, 4))
     T = hosvd(A, (4, 4, 4))
@@ -99,6 +112,11 @@ def test_hosvd_truncate_rejects_growth():
     T = random_tucker((5, 5, 5), (2, 2, 2), RNG)
     with pytest.raises(ValueError):
         hosvd_truncate(T, (3, 2, 2))
+    # a fractional or negative target is refused by name, not cut or folded
+    with pytest.raises(ValueError, match="target rank of mode 1 is 2.5"):
+        hosvd_truncate(T, (2.5, 2, 2))
+    with pytest.raises(ValueError, match="target rank of mode 1 is -1"):
+        hosvd_truncate(T, (-1, 2, 2))
 
 
 def _sequential_truncate(T, r):
