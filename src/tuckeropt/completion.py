@@ -179,25 +179,32 @@ def criterion9() -> Experiment:
 
 
 def completion_objective(P: CompletionProblem):
-    """ObjectiveHandle for P with the exact quadratic initial stepsize.
+    """ObjectiveHandle for P with the exact quadratic along a direction.
 
     Along a tangent direction V the objective is an exactly known parabola,
-    so the proposed stepsize is its minimizer ||V||^2 / ||P_Omega(V)||^2
-    (None when the direction leaves the observed entries unchanged).
+    f(X + sV) = 1/2 ||r + s P_Omega(V)||^2 with r the residual on Omega at
+    X, which is the gradient's values.  ``initial_step`` forms P_Omega(V)
+    once and returns the parabola's minimizer ||V||^2 / ||P_Omega(V)||^2
+    (None when the direction leaves the observed entries unchanged) with
+    that parabola as the ray.
 
     f, grad f and (f, grad f) share the residual on Omega of the point they
     were last called with (matched by identity), so the gradient at the
-    point a line search accepted does not gather its entries again.
+    point a retracted line search accepted does not gather its entries
+    again.
     """
-    def initial_step(X, V):
+    def initial_step(X, G, V):
         # looked up on the module, so that a wrapper installed there sees it
         masked = geometry.tangent_entries_at(V, P.omega.plan)
-        denom = float(masked @ masked)
-        if denom == 0.0:
-            return None
-        return tangent_norm(V) ** 2 / denom
+        resid = G.vals
 
-    # the latest point evaluated and its residual: the line search
+        def ray(s):
+            y = resid + s * masked
+            return 0.5 * float(y @ y)
+        denom = float(masked @ masked)
+        return (tangent_norm(V) ** 2 / denom if denom else None), ray
+
+    # the latest point evaluated and its residual: a retracted line search
     # evaluates f last at the point it accepts, whose gradient comes next
     last = [None, None]
 

@@ -59,8 +59,13 @@ class ObjectiveHandle:
     """Objective f with Euclidean gradient and optional per-direction hooks.
 
     ``grad`` may return a dense array or a SparseCooTensor.  ``initial_step``,
-    if given, maps (X, V) to a proposed initial stepsize (e.g. the exact
-    minimizer for quadratics); ``test_metric`` is recorded in traces.
+    if given, maps (X, G, V), with G = grad f(X) as ``grad`` or
+    ``eval_grad`` returned it and V a direction at X, to a pair
+    (s0, ray).  s0 is a proposed first stepsize (e.g. the exact minimizer
+    for quadratics), or None.  ray, if not None, maps s to f(X + sV) along
+    the exact step, without building that point or evaluating f at X again;
+    the retraction-free solvers' line search then evaluates its trials
+    through it.  ``test_metric`` is recorded in traces.
     """
 
     eval: callable
@@ -147,7 +152,7 @@ class SolverTrace:
 
 def armijo_search(obj: ObjectiveHandle, X: TuckerTensor, V: TangentVector,
                   dir_inner: float, sbar: float, cfg: SolverConfig,
-                  retracted: bool, r, fX: float):
+                  retracted: bool, r, fX: float, ray=None):
     """Backtracking line search; returns (s, Y, n_backtracks, f(Y)).
 
     Finds the smallest l >= 0 such that s = rho^l * sbar satisfies
@@ -155,7 +160,9 @@ def armijo_search(obj: ObjectiveHandle, X: TuckerTensor, V: TangentVector,
     the rank bound r for the retracted variants and the structured exact
     step otherwise.  ``fX`` is f(X), so a search makes n_backtracks + 1
     evaluations of f, and f(Y) is returned so that the caller need not
-    evaluate the accepted point again.
+    evaluate the accepted point again.  An exact step with a ``ray`` (see
+    :class:`ObjectiveHandle`) evaluates f(Y_s) as ray(s) and builds no
+    point: Y is then None, and add_scaled_tangent(X, s, V) is the point.
     """
     if dir_inner <= 0:
         raise ValueError(f"not a descent direction: dir_inner={dir_inner}")
@@ -164,10 +171,14 @@ def armijo_search(obj: ObjectiveHandle, X: TuckerTensor, V: TangentVector,
     s = sbar
     backtracks = 0
     while s >= cfg.step_floor:
-        Y = add_scaled_tangent(X, s, V)
-        if retracted:
-            Y = hosvd_truncate(Y, tuple(min(a, b) for a, b in zip(r, Y.rank)))
-        fY = obj.eval(Y)
+        if ray is not None:
+            Y, fY = None, ray(s)
+        else:
+            Y = add_scaled_tangent(X, s, V)
+            if retracted:
+                Y = hosvd_truncate(Y, tuple(min(a, b)
+                                            for a, b in zip(r, Y.rank)))
+            fY = obj.eval(Y)
         if fX - fY >= s * cfg.armijo_a * dir_inner:
             return s, Y, backtracks, fY
         s *= cfg.rho
@@ -213,7 +224,8 @@ class _StepInfo:
 
 def _direction_step(obj, grad, fX, cfg, retraction_free):
     """One projected line-search step from X = grad.anchor; returns
-    (Y, _StepInfo).
+    (Y, V, _StepInfo), where Y is None when the search evaluated f along
+    the objective's ray and built no point (see :func:`armijo_search`).
 
     ``grad`` is the :class:`Contractions` object of grad f(X), whose
     contractions the stationarity measure at X may already have formed.
@@ -226,21 +238,23 @@ def _direction_step(obj, grad, fX, cfg, retraction_free):
         V, _branch = partial_project(grad)
     else:
         V = approx_project(grad)
-    X, r = grad.anchor, grad.bound
+    X = grad.anchor
     V = TangentVector(X, -V.C, tuple(-U for U in V.Udot), V.Ucomp)
     vnorm = tangent_norm(V)
     if vnorm == 0.0:
-        return X, _StepInfo(f_after=fX)
-    sbar = obj.initial_step(X, V) if obj.initial_step is not None else None
+        return X, V, _StepInfo(f_after=fX)
+    sbar, ray = (obj.initial_step(X, grad.tensor, V)
+                 if obj.initial_step is not None else (None, None))
     if sbar is None or not math.isfinite(sbar) or sbar <= 0:
         sbar = min(1.0, 1.0 / vnorm)
     if not retraction_free:
-        sbar = min(sbar, 1.0 / vnorm)
+        sbar, ray = min(sbar, 1.0 / vnorm), None
     s, Y, bt, fY = armijo_search(obj, X, V, vnorm * vnorm,
                                  max(sbar, cfg.step_floor), cfg,
-                                 retracted=not retraction_free, r=r, fX=fX)
-    return Y, _StepInfo(f_after=fY, stepsize=s, direction_norm=vnorm,
-                        backtracks=bt)
+                                 retracted=not retraction_free,
+                                 r=grad.bound, fX=fX, ray=ray)
+    return Y, V, _StepInfo(f_after=fY, stepsize=s, direction_norm=vnorm,
+                           backtracks=bt)
 
 
 def _make_record(obj, X, fX, gnorm, stat, t, info, n_candidates, t_start):
@@ -293,6 +307,9 @@ def _step(obj, fX, grad, cfg, retraction_free, delta):
     f and grad f.  Their factors are U_k W_k, so their contractions are
     X-basis contractions of their own gradient followed by small W
     products (see :class:`Contractions`).
+
+    A step whose search went along the objective's ray builds no point;
+    the winner's point is built once, after every candidate has stepped.
     """
     X, r = grad.anchor, grad.bound
     if delta is None:
@@ -311,7 +328,7 @@ def _step(obj, fX, grad, cfg, retraction_free, delta):
             fc, A = _f_and_grad(obj, Xc)
             gc = Contractions(Xc, A, r, (Contractions(X, A, r), ws))
         try:
-            Yc, info = _direction_step(obj, gc, fc, cfg, retraction_free)
+            Yc, Vc, info = _direction_step(obj, gc, fc, cfg, retraction_free)
         except LineSearchFailure as e:
             if delta is None:
                 raise
@@ -319,12 +336,15 @@ def _step(obj, fX, grad, cfg, retraction_free, delta):
             continue
         key = (info.f_after, sum(rl), rl)
         if best is None or key < best[0]:
-            best = (key, Yc, info)
+            best = (key, Yc, Vc, info)
     if best is None:
         raise CandidateExhaustion(
             f"all {len(cands)} rank candidates failed the line search",
             diagnostics=failures)
-    return best[1], best[2], len(cands)
+    _, Y, V, info = best
+    if Y is None:
+        Y = add_scaled_tangent(V.anchor, info.stepsize, V)
+    return Y, info, len(cands)
 
 
 def _solve(obj, X0, r, cfg, *, retraction_free, rank_decrease, name,

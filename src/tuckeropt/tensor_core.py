@@ -222,8 +222,20 @@ def thin_svd(M: np.ndarray):
     enters (:class:`~tuckeropt.completion.CompletionProblem`,
     :func:`load_dense`), and a solver stops with termination
     ``"non_finite"`` before a non-finite f or gradient reaches an SVD.
+
+    LAPACK's gesdd can fail to converge on a matrix whose transpose it
+    handles (an R^T factor with an exact-zero triangle, for one).  Such a
+    call is retried on M^T = V diag(sigma) U^T with the factors swapped;
+    if that fails too, the first error is raised.
     """
-    U, s, Vt = np.linalg.svd(M, full_matrices=False)
+    try:
+        U, s, Vt = np.linalg.svd(M, full_matrices=False)
+    except np.linalg.LinAlgError as e:
+        try:
+            V, s, Ut = np.linalg.svd(M.T, full_matrices=False)
+        except np.linalg.LinAlgError:
+            raise e from None
+        U, Vt = Ut.T, V.T
     V = Vt.T
     if U.shape[1]:
         lead = np.argmax(np.abs(U), axis=0)

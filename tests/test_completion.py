@@ -311,7 +311,7 @@ def test_initial_step_minimizes_parabola():
     X = random_tucker(P.dims, (2, 2, 2), RNG)
     G = obj.grad(X)
     V = approx_project(Contractions(X, G.with_values(-G.vals), (3, 3, 3)))
-    s = obj.initial_step(X, V)
+    s, _ = obj.initial_step(X, G, V)
     assert s > 0
 
     def phi(t):
@@ -324,9 +324,46 @@ def test_initial_step_minimizes_parabola():
     assert phi(s) <= phi(s - eps) + 1e-12
 
 
-def test_initial_step_is_none_off_the_observed_entries(monkeypatch):
+def _partial_branches(X, A, r):
+    """partial_project's branch 0 and its mode-1 factor branch of A at X,
+    both formed whichever branch the projection would pick."""
+    C, udots, comps = geometry._project(Contractions(X, A, r), widen=False)
+    zero = tuple(np.zeros_like(U) for U in udots)
+    empty = tuple(np.zeros((n, 0)) for n in X.dims)
+    return (TangentVector(X, C, zero, comps),
+            TangentVector(X, np.zeros(X.rank), (udots[0],) + zero[1:],
+                          empty))
+
+
+@pytest.mark.parametrize("dims, r, ranks", [
+    ((9, 8, 7), (3, 3, 3), [(3, 3, 3), (2, 3, 3), (2, 2, 2)]),
+    ((7, 6, 5, 6), (2, 3, 2, 2), [(2, 3, 2, 2), (2, 2, 2, 2),
+                                  (1, 2, 1, 1)]),
+])
+def test_ray_is_f_along_the_exact_step(dims, r, ranks):
+    # f(X + sV) from P_Omega V and the residual the gradient holds, at
+    # full-rank points and points deficient in one mode and in every mode,
+    # for both kinds of retraction-free direction
+    from tuckeropt.tucker import add_scaled_tangent
+
+    P, _ = gen_synthetic(dims, r, 0.3, seed=2)
+    obj = completion_objective(P)
+    for rank in ranks:
+        X = random_tucker(dims, rank, RNG)
+        G = obj.grad(X)
+        fX = obj.eval(X)
+        for V in _partial_branches(X, G.with_values(-G.vals), r):
+            assert tangent_norm(V) > 0
+            s0, ray = obj.initial_step(X, G, V)
+            assert ray(0.0) == fX
+            for s in (s0, 0.5 * s0, 2.0 * s0, 1.0):
+                Y = add_scaled_tangent(X, s, V)
+                assert abs(ray(s) - obj.eval(Y)) <= 1e-12 * fX
+
+
+def test_initial_step_is_none_off_the_observed_entries():
     # a direction that moves only the unobserved slice i_1 = 6 leaves
-    # P_Omega unchanged: no parabola, no proposed step
+    # P_Omega unchanged: no parabola, no proposed step, and a flat ray
     P, _ = _problem()
     keep = P.omega.idx[:, 0] < 6
     P = CompletionProblem(
@@ -338,13 +375,18 @@ def test_initial_step_is_none_off_the_observed_entries(monkeypatch):
     V = TangentVector(X, np.zeros((2, 2, 2)), tuple(Udot),
                       tuple(np.zeros((6, 0)) for _ in range(3)))
     obj = completion_objective(P)
-    assert tangent_norm(V) > 0 and obj.initial_step(X, V) is None
-    # with no proposal the solver starts its search at min(1, 1/||V||)
-    monkeypatch.setattr(geometry, "tangent_entries_at",
-                        lambda V, plan: np.zeros(len(plan.cols[0])))
+    s0, ray = obj.initial_step(X, obj.grad(X), V)
+    assert tangent_norm(V) > 0 and s0 is None
+    assert ray(1.0) == ray(0.0) == obj.eval(X)
+    # with no proposal the solver starts its search at min(1, 1/||V||),
+    # and an rf search still goes along the ray
+    hook = obj.initial_step
+    unproposed = dataclasses.replace(
+        obj, initial_step=lambda X, G, V: (None, hook(X, G, V)[1]))
     for solve in (solve_grap, solve_rfgrap):
-        _, trace = solve(obj, X, (2, 2, 2), SolverConfig(max_iters=1))
+        _, trace = solve(unproposed, X, (2, 2, 2), SolverConfig(max_iters=1))
         rec = trace.final()
+        assert rec.iter == 1 and rec.f_value < trace.records[0].f_value
         assert rec.stepsize == (min(1.0, 1.0 / rec.direction_norm)
                                 * 0.5 ** rec.backtracks)
 

@@ -22,7 +22,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tuckeropt.completion import completion_objective
+from tuckeropt.completion import (
+    completion_objective,
+    gen_synthetic,
+    spectral_init,
+)
+from tuckeropt.solvers import SolverConfig
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 PINNED = json.loads(
@@ -76,3 +81,30 @@ def test_benchmark_pass_does_no_more_work_than_pinned(monkeypatch, name):
     assert not errs, (f"{name}: {'; '.join(errs)} (pinned with numpy "
                       f"{PINNED['numpy']}, {PINNED['blas']}; running numpy "
                       f"{np.__version__}, {blas['name']} {blas['version']})")
+
+
+def test_traced_backtracks_count_the_searches_along_the_ray(monkeypatch):
+    # rfgrap's trials go along the objective's ray, which the tracer does
+    # not see as f evaluations; its backtracks still come off each
+    # search's result.  At a = 0.9 the parabola's minimizer fails the
+    # Armijo test, so every step backtracks
+    from tuckeropt import solvers
+
+    tracing = _load(monkeypatch, "tracing")
+    P, _ = gen_synthetic((10, 10, 10), (2, 2, 2), 0.3, seed=4)
+    X0 = spectral_init(P, (2, 2, 2))
+    tracer = tracing.Tracer()
+    uninstall = tracing.install(tracer)
+    try:
+        obj = tracing.counting_objective(tracer, completion_objective(P))
+        with tracer.span("pass") as root:
+            _, trace = solvers.solve_rfgrap(
+                obj, X0, (2, 2, 2), SolverConfig(max_iters=5, armijo_a=0.9))
+    finally:
+        uninstall()
+    ran = tracing.layer_metrics(tracer.spans, [root])
+    backtracks = sum(rec.backtracks for rec in trace.records)
+    assert backtracks >= len(trace.records) - 1 > 0
+    assert ran["solvers.backtracks"] == backtracks
+    assert ran["solvers.f_evals"] == ran["solvers.grad_evals"] == len(
+        trace.records)

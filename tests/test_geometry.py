@@ -537,7 +537,8 @@ def test_tangent_entries_skip_a_zero_core_block(monkeypatch):
     monkeypatch.setattr(geometry, "mixed_eval", counted)
     assert np.array_equal(tangent_entries_at(V, plan), ref)
     assert len(calls) == sum(bool(Ud.any()) for Ud in V.Udot) >= 1
-    step = completion_objective(P).initial_step(X, V)
+    obj = completion_objective(P)
+    step, _ = obj.initial_step(X, obj.grad(X), V)
     assert np.float64(step).tobytes() == np.float64(ref_step).tobytes()
 
 

@@ -301,17 +301,94 @@ def _counting(obj, log):
                                eval_grad=counted("eval_grad"))
 
 
-def test_single_step_evaluates_f_once_per_trial_point():
+def _counting_rays(obj, log):
+    """Copy of obj whose rays append "ray" to ``log`` at each evaluation."""
+    hook = obj.initial_step
+
+    def initial_step(X, G, V):
+        s0, ray = hook(X, G, V)
+        return s0, lambda s: log.append("ray") or ray(s)
+    return dataclasses.replace(obj, initial_step=initial_step)
+
+
+def _check_f_evaluated_once_per_trial_point(cfg):
+    # a retracted trial and an rf trial without a ray build their point and
+    # evaluate f there; an rf trial with a ray evaluates f along it instead
     _, _, obj, X0 = _completion_setup()
     for initial_step in (obj.initial_step, None):
         base = dataclasses.replace(obj, initial_step=initial_step)
         for solve in (solve_grap, solve_rfgrap):
             log = []
-            _, trace = solve(_counting(base, log), X0, (3, 3, 3),
-                             SolverConfig(max_iters=1))
+            counted = _counting(base, log)
+            if initial_step is not None:
+                counted = _counting_rays(counted, log)
+            _, trace = solve(counted, X0, (3, 3, 3), cfg)
             rec = trace.final()
             assert rec.stepsize > 0
-            assert log.count("eval") == rec.backtracks + 1
+            assert (rec.backtracks > 0) == (cfg.armijo_a == 0.9)
+            on_ray = solve is solve_rfgrap and initial_step is not None
+            assert log.count("eval") == (0 if on_ray else rec.backtracks + 1)
+            assert log.count("ray") == (rec.backtracks + 1 if on_ray else 0)
+
+
+def test_single_step_evaluates_f_once_per_trial_point():
+    _check_f_evaluated_once_per_trial_point(SolverConfig(max_iters=1))
+
+
+def test_backtracking_step_evaluates_f_once_per_trial_point():
+    # at a = 0.9 the parabola's minimizer fails the test, so every step
+    # backtracks
+    _check_f_evaluated_once_per_trial_point(
+        SolverConfig(max_iters=1, armijo_a=0.9))
+
+
+def test_rank_decrease_builds_only_the_winning_point(monkeypatch):
+    # rfgrap-r at rank (3, 3, 3) with every mode offering {2, 3}: all 8
+    # candidates search along their rays, and one point is built
+    P, _ = gen_synthetic((10, 9, 8), (2, 2, 2), 0.3, seed=5)
+    X0 = random_tucker(P.dims, (3, 3, 3), np.random.default_rng(6))
+    built = []
+    add = solvers.add_scaled_tangent
+    monkeypatch.setattr(solvers, "add_scaled_tangent",
+                        lambda X, s, V: built.append(s) or add(X, s, V))
+    log = []
+    Y, trace = solve_rfgrap_r(_counting_rays(completion_objective(P), log),
+                              X0, (3, 3, 3), SolverConfig(max_iters=1),
+                              delta_eff=1e6)
+    rec = trace.records[1]
+    assert rec.n_candidates == 8 and log.count("ray") == 8
+    assert built == [rec.stepsize]
+    assert Y.rank == rec.rank
+
+
+@pytest.mark.parametrize("solve", [solve_rfgrap, solve_rfgrap_r])
+def test_failed_search_along_the_ray_keeps_its_message(solve):
+    # a ray read backwards never decreases f: the search fails at the floor
+    # without building or evaluating a trial point
+    _, _, obj, X0 = _completion_setup()
+    hook = obj.initial_step
+
+    def backwards(X, G, V):
+        s0, ray = hook(X, G, V)
+        return s0, lambda s: ray(-s)
+    log = []
+    obj = _counting(dataclasses.replace(obj, initial_step=backwards), log)
+    X, trace = solve(obj, X0, (2, 2, 2), SolverConfig(step_floor=1e-4),
+                     delta_eff=1e-12 if solve is solve_rfgrap_r else None)
+    assert X is X0 and log == ["eval_grad"]
+    floor = (r"line search hit the stepsize floor 0.0001 after \d+ "
+             r"backtracks \(f=[^,]+, dir_inner=[^,]+, sbar=[^)]+\)$")
+    if solve is solve_rfgrap:
+        assert trace.termination == "line_search_failure"
+        assert len(trace.diagnostics) == 1
+        assert re.match(floor, trace.diagnostics[0])
+    else:
+        assert trace.termination == "candidate_exhaustion"
+        assert trace.diagnostics[0] == ("all 1 rank candidates failed the "
+                                        "line search")
+        assert re.match(r"candidate \(2, 2, 2\): " + floor,
+                        trace.diagnostics[1])
+        assert len(trace.diagnostics) == 2
 
 
 def test_rank_decrease_steps_once_per_distinct_truncated_rank(monkeypatch):

@@ -140,6 +140,39 @@ def test_thin_svd_reconstruction_and_signs():
         assert np.array_equal(Vn, -V)
 
 
+@pytest.mark.parametrize("shape", [(7, 4), (4, 7), (5, 5)])
+def test_thin_svd_retries_a_failed_svd_on_the_transpose(monkeypatch, shape):
+    # gesdd can fail to converge on M and not on M^T: the retry swaps the
+    # factors and keeps the sign rule.  When both calls fail, the first
+    # error is raised
+    M = np.random.default_rng(9).standard_normal(shape)
+    U0, sigma0, V0 = thin_svd(M)
+    svd = np.linalg.svd
+    calls, transposed_fails = [], []
+
+    def failing(a, *args, **kwargs):
+        calls.append(a)
+        if a is M or (transposed_fails and a.base is M):
+            raise np.linalg.LinAlgError(
+                f"SVD did not converge (call {len(calls)})")
+        return svd(a, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "svd", failing)
+    U, sigma, V = thin_svd(M)
+    assert len(calls) == 2 and calls[1].base is M
+    for got, ref in ((U, U0), (sigma, sigma0), (V, V0)):
+        assert got.shape == ref.shape
+        assert np.abs(got - ref).max() <= 1e-13
+    k = min(shape)
+    lead = np.argmax(np.abs(U), axis=0)
+    assert (U[lead, np.arange(k)] >= 0).all()
+    assert np.allclose((U * sigma) @ V.T, M)
+    transposed_fails.append(True)
+    calls.clear()
+    with pytest.raises(np.linalg.LinAlgError, match=r"\(call 1\)"):
+        thin_svd(M)
+    assert len(calls) == 2
+
+
 def test_delta_rank():
     sigma = np.array([5.0, 1.0, 0.5, 0.01])
     assert delta_rank(sigma, 0.001) == 4
